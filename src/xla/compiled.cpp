@@ -8,6 +8,8 @@
 #include <type_traits>
 #include <utility>
 
+#include "xla/eval.hpp"
+
 namespace toast::xla {
 
 namespace fused {
@@ -207,11 +209,6 @@ struct Atan2F {
 struct FmodF {
   double operator()(double a, double b) const { return std::fmod(a, b); }
 };
-struct ModI {
-  std::int64_t operator()(std::int64_t a, std::int64_t b) const {
-    return a % b;
-  }
-};
 struct AndP {
   std::uint8_t operator()(std::uint8_t a, std::uint8_t b) const {
     return (a && b) ? 1 : 0;
@@ -240,16 +237,6 @@ struct OrI {
 struct XorI {
   std::int64_t operator()(std::int64_t a, std::int64_t b) const {
     return a ^ b;
-  }
-};
-struct ShlI {
-  std::int64_t operator()(std::int64_t a, std::int64_t b) const {
-    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) << b);
-  }
-};
-struct ShrI {
-  std::int64_t operator()(std::int64_t a, std::int64_t b) const {
-    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) >> b);
   }
 };
 template <typename T, typename P>
@@ -323,7 +310,11 @@ StepFn arith_fn(Opcode op) {
     case Opcode::kMul:
       return &binary_step<T, T, std::multiplies<T>>;
     case Opcode::kDiv:
-      return &binary_step<T, T, std::divides<T>>;
+      if constexpr (std::is_same_v<T, double>) {
+        return &binary_step<double, double, std::divides<double>>;
+      } else {
+        return &binary_step<std::int64_t, std::int64_t, IntDiv>;
+      }
     case Opcode::kMin:
       return &binary_step<T, T, MinT<T>>;
     case Opcode::kMax:
@@ -332,7 +323,7 @@ StepFn arith_fn(Opcode op) {
       if constexpr (std::is_same_v<T, double>) {
         return &binary_step<double, double, FmodF>;
       } else {
-        return &binary_step<std::int64_t, std::int64_t, ModI>;
+        return &binary_step<std::int64_t, std::int64_t, IntRem>;
       }
     default:
       return nullptr;
@@ -694,8 +685,8 @@ int ExprLowering::lower(InstrId id, const Xform& x) {
       s.in0 = ra;
       s.in1 = rb;
       s.fn = in.opcode == Opcode::kShl
-                 ? &binary_step<std::int64_t, std::int64_t, ShlI>
-                 : &binary_step<std::int64_t, std::int64_t, ShrI>;
+                 ? &binary_step<std::int64_t, std::int64_t, IntShl>
+                 : &binary_step<std::int64_t, std::int64_t, IntShr>;
       loop_->steps.push_back(std::move(s));
       break;
     }

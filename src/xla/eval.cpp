@@ -1,232 +1,276 @@
 #include "xla/eval.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <cmath>
 #include <functional>
+#include <limits>
+#include <span>
 #include <stdexcept>
+#include <type_traits>
 
 namespace toast::xla {
 
 namespace {
 
-// Scalar-broadcast accessors: a size-1 operand supplies its single value
-// for every output element.
-double getf(const Literal& l, std::int64_t i) {
-  return l.num_elements() == 1 ? l.f64()[0]
-                               : l.f64()[static_cast<std::size_t>(i)];
-}
-std::int64_t geti(const Literal& l, std::int64_t i) {
-  return l.num_elements() == 1 ? l.i64()[0]
-                               : l.i64()[static_cast<std::size_t>(i)];
-}
-std::uint8_t getp(const Literal& l, std::int64_t i) {
-  return l.num_elements() == 1 ? l.pred()[0]
-                               : l.pred()[static_cast<std::size_t>(i)];
-}
-double getd(const Literal& l, std::int64_t i) {
-  return l.num_elements() == 1 ? l.as_double(0) : l.as_double(i);
+// Every instruction picks its element types once, then runs one loop over
+// raw pointers.  The typed accessors throw std::bad_variant_access when a
+// literal does not hold T (a dtype-mixed module), before any loop runs.
+
+template <typename T>
+std::span<const T> elems(const Literal& l) {
+  if constexpr (std::is_same_v<T, double>) {
+    return l.f64();
+  } else if constexpr (std::is_same_v<T, std::int64_t>) {
+    return l.i64();
+  } else {
+    return l.pred();
+  }
 }
 
-Literal eval_unary(const HloInstruction& in, const Literal& a) {
+template <typename T>
+T* out_data(Literal& l) {
+  if constexpr (std::is_same_v<T, double>) {
+    return l.f64().data();
+  } else if constexpr (std::is_same_v<T, std::int64_t>) {
+    return l.i64().data();
+  } else {
+    return l.pred().data();
+  }
+}
+
+/// An operand read by output element index.  A size-1 operand supplies
+/// its single value for every output element (stride 0).
+template <typename T>
+struct View {
+  const T* data;
+  std::int64_t stride;
+  T operator[](std::int64_t i) const { return data[i * stride]; }
+};
+
+template <typename T>
+View<T> view(const Literal& l) {
+  const auto s = elems<T>(l);
+  return {s.data(), s.size() == 1 ? 0 : 1};
+}
+
+/// Calls f with a value of dtype d's element type.
+template <typename F>
+auto with_dtype(DType d, F&& f) {
+  switch (d) {
+    case DType::kF64:
+      return f(double{});
+    case DType::kI64:
+      return f(std::int64_t{});
+    case DType::kPred:
+      break;
+  }
+  return f(std::uint8_t{});
+}
+
+/// out[i] = f(views[i]...) over the instruction's output.
+template <typename Out, typename F, typename... V>
+Literal map(const HloInstruction& in, F f, V... views) {
   Literal out(in.shape, in.dtype);
+  Out* o = out_data<Out>(out);
   const std::int64_t n = out.num_elements();
+  for (std::int64_t i = 0; i < n; ++i) o[i] = static_cast<Out>(f(views[i]...));
+  return out;
+}
+
+/// Elementwise op whose operands and result share the result dtype,
+/// f64 or i64.
+template <typename F, typename... L>
+Literal numeric(const HloInstruction& in, F f, const L&... ops) {
+  if (in.dtype == DType::kF64) return map<double>(in, f, view<double>(ops)...);
+  return map<std::int64_t>(in, f, view<std::int64_t>(ops)...);
+}
+
+/// and/or/xor: `logical` on pred, `bitwise` on i64.
+template <typename P, typename B>
+Literal bits(const HloInstruction& in, P logical, B bitwise, const Literal& a,
+             const Literal& b) {
+  if (in.dtype == DType::kPred) {
+    return map<std::uint8_t>(in, logical, view<std::uint8_t>(a),
+                             view<std::uint8_t>(b));
+  }
+  return map<std::int64_t>(in, bitwise, view<std::int64_t>(a),
+                           view<std::int64_t>(b));
+}
+
+template <typename F>
+Literal compare(const HloInstruction& in, F f, const Literal& a,
+                const Literal& b) {
+  if (a.dtype() == DType::kI64) {
+    return map<std::uint8_t>(in, f, view<std::int64_t>(a),
+                             view<std::int64_t>(b));
+  }
+  return map<std::uint8_t>(in, f, view<double>(a), view<double>(b));
+}
+
+template <typename F>
+Literal f64_unary(const HloInstruction& in, F f, const Literal& a) {
+  return map<double>(in, f, view<double>(a));
+}
+
+struct Div {
+  double operator()(double x, double y) const { return x / y; }
+  std::int64_t operator()(std::int64_t x, std::int64_t y) const {
+    return IntDiv{}(x, y);
+  }
+};
+
+struct Mod {
+  double operator()(double x, double y) const { return std::fmod(x, y); }
+  std::int64_t operator()(std::int64_t x, std::int64_t y) const {
+    return IntRem{}(x, y);
+  }
+};
+
+Literal eval_unary(const HloInstruction& in, const Literal& a) {
   switch (in.opcode) {
     case Opcode::kNeg:
-      if (in.dtype == DType::kF64) {
-        for (std::int64_t i = 0; i < n; ++i) out.f64()[i] = -getf(a, i);
-      } else {
-        for (std::int64_t i = 0; i < n; ++i) out.i64()[i] = -geti(a, i);
-      }
-      break;
+      return numeric(in, [](auto v) { return -v; }, a);
     case Opcode::kAbs:
-      if (in.dtype == DType::kF64) {
-        for (std::int64_t i = 0; i < n; ++i)
-          out.f64()[i] = std::abs(getf(a, i));
-      } else {
-        for (std::int64_t i = 0; i < n; ++i)
-          out.i64()[i] = std::abs(geti(a, i));
-      }
-      break;
-    case Opcode::kSqrt:
-      for (std::int64_t i = 0; i < n; ++i)
-        out.f64()[i] = std::sqrt(getf(a, i));
-      break;
-    case Opcode::kSin:
-      for (std::int64_t i = 0; i < n; ++i) out.f64()[i] = std::sin(getf(a, i));
-      break;
-    case Opcode::kCos:
-      for (std::int64_t i = 0; i < n; ++i) out.f64()[i] = std::cos(getf(a, i));
-      break;
-    case Opcode::kExp:
-      for (std::int64_t i = 0; i < n; ++i) out.f64()[i] = std::exp(getf(a, i));
-      break;
-    case Opcode::kLog:
-      for (std::int64_t i = 0; i < n; ++i) out.f64()[i] = std::log(getf(a, i));
-      break;
-    case Opcode::kFloor:
-      for (std::int64_t i = 0; i < n; ++i)
-        out.f64()[i] = std::floor(getf(a, i));
-      break;
-    case Opcode::kTanh:
-      for (std::int64_t i = 0; i < n; ++i)
-        out.f64()[i] = std::tanh(getf(a, i));
-      break;
+      return numeric(in, [](auto v) { return std::abs(v); }, a);
     case Opcode::kSign:
-      if (in.dtype == DType::kF64) {
-        for (std::int64_t i = 0; i < n; ++i) {
-          const double v = getf(a, i);
-          out.f64()[i] = (v > 0.0) - (v < 0.0);
-        }
-      } else {
-        for (std::int64_t i = 0; i < n; ++i) {
-          const std::int64_t v = geti(a, i);
-          out.i64()[i] = (v > 0) - (v < 0);
-        }
-      }
-      break;
+      return numeric(in, [](auto v) { return (v > 0) - (v < 0); }, a);
+    case Opcode::kSqrt:
+      return f64_unary(in, [](double v) { return std::sqrt(v); }, a);
+    case Opcode::kSin:
+      return f64_unary(in, [](double v) { return std::sin(v); }, a);
+    case Opcode::kCos:
+      return f64_unary(in, [](double v) { return std::cos(v); }, a);
+    case Opcode::kExp:
+      return f64_unary(in, [](double v) { return std::exp(v); }, a);
+    case Opcode::kLog:
+      return f64_unary(in, [](double v) { return std::log(v); }, a);
+    case Opcode::kFloor:
+      return f64_unary(in, [](double v) { return std::floor(v); }, a);
+    case Opcode::kTanh:
+      return f64_unary(in, [](double v) { return std::tanh(v); }, a);
     case Opcode::kNot:
-      for (std::int64_t i = 0; i < n; ++i)
-        out.pred()[i] = getp(a, i) ? 0 : 1;
-      break;
+      return map<std::uint8_t>(in, std::logical_not<>(),
+                               view<std::uint8_t>(a));
     case Opcode::kCastF64:
-      for (std::int64_t i = 0; i < n; ++i) out.f64()[i] = getd(a, i);
-      break;
     case Opcode::kCastI64:
-      if (a.dtype() == DType::kF64) {
-        for (std::int64_t i = 0; i < n; ++i)
-          out.i64()[i] = static_cast<std::int64_t>(getf(a, i));
-      } else if (a.dtype() == DType::kPred) {
-        for (std::int64_t i = 0; i < n; ++i)
-          out.i64()[i] = static_cast<std::int64_t>(getp(a, i));
-      } else {
-        for (std::int64_t i = 0; i < n; ++i) out.i64()[i] = geti(a, i);
-      }
-      break;
+      return with_dtype(a.dtype(), [&](auto tag) {
+        using T = decltype(tag);
+        const auto identity = [](T v) { return v; };
+        return in.opcode == Opcode::kCastF64
+                   ? map<double>(in, identity, view<T>(a))
+                   : map<std::int64_t>(in, identity, view<T>(a));
+      });
     default:
       throw std::logic_error("eval: unexpected unary opcode");
   }
-  return out;
 }
 
 Literal eval_binary(const HloInstruction& in, const Literal& a,
                     const Literal& b) {
-  Literal out(in.shape, in.dtype);
-  const std::int64_t n = out.num_elements();
-
-  auto for_f64 = [&](auto fn) {
-    for (std::int64_t i = 0; i < n; ++i) out.f64()[i] = fn(getf(a, i), getf(b, i));
-  };
-  auto for_i64 = [&](auto fn) {
-    for (std::int64_t i = 0; i < n; ++i) out.i64()[i] = fn(geti(a, i), geti(b, i));
-  };
-  auto for_cmp = [&](auto fn) {
-    if (a.dtype() == DType::kI64) {
-      for (std::int64_t i = 0; i < n; ++i)
-        out.pred()[i] = fn(geti(a, i), geti(b, i)) ? 1 : 0;
-    } else {
-      for (std::int64_t i = 0; i < n; ++i)
-        out.pred()[i] = fn(getf(a, i), getf(b, i)) ? 1 : 0;
-    }
-  };
-
   switch (in.opcode) {
     case Opcode::kAdd:
-      if (in.dtype == DType::kF64) for_f64(std::plus<double>());
-      else for_i64(std::plus<std::int64_t>());
-      break;
+      return numeric(in, std::plus<>(), a, b);
     case Opcode::kSub:
-      if (in.dtype == DType::kF64) for_f64(std::minus<double>());
-      else for_i64(std::minus<std::int64_t>());
-      break;
+      return numeric(in, std::minus<>(), a, b);
     case Opcode::kMul:
-      if (in.dtype == DType::kF64) for_f64(std::multiplies<double>());
-      else for_i64(std::multiplies<std::int64_t>());
-      break;
+      return numeric(in, std::multiplies<>(), a, b);
     case Opcode::kDiv:
-      if (in.dtype == DType::kF64) for_f64(std::divides<double>());
-      else for_i64([](std::int64_t x, std::int64_t y) { return x / y; });
-      break;
+      return numeric(in, Div{}, a, b);
     case Opcode::kMin:
-      if (in.dtype == DType::kF64)
-        for_f64([](double x, double y) { return std::min(x, y); });
-      else
-        for_i64([](std::int64_t x, std::int64_t y) { return std::min(x, y); });
-      break;
+      return numeric(in, [](auto x, auto y) { return std::min(x, y); }, a, b);
     case Opcode::kMax:
-      if (in.dtype == DType::kF64)
-        for_f64([](double x, double y) { return std::max(x, y); });
-      else
-        for_i64([](std::int64_t x, std::int64_t y) { return std::max(x, y); });
-      break;
+      return numeric(in, [](auto x, auto y) { return std::max(x, y); }, a, b);
     case Opcode::kAtan2:
-      for_f64([](double y, double x) { return std::atan2(y, x); });
-      break;
+      return map<double>(in, [](double y, double x) { return std::atan2(y, x); },
+                         view<double>(a), view<double>(b));
     case Opcode::kMod:
-      if (in.dtype == DType::kF64)
-        for_f64([](double x, double y) { return std::fmod(x, y); });
-      else
-        for_i64([](std::int64_t x, std::int64_t y) { return x % y; });
-      break;
+      return numeric(in, Mod{}, a, b);
     case Opcode::kAnd:
-      if (in.dtype == DType::kPred) {
-        for (std::int64_t i = 0; i < n; ++i)
-          out.pred()[i] = (getp(a, i) && getp(b, i)) ? 1 : 0;
-      } else {
-        for_i64([](std::int64_t x, std::int64_t y) { return x & y; });
-      }
-      break;
+      return bits(in, std::logical_and<>(), std::bit_and<>(), a, b);
     case Opcode::kOr:
-      if (in.dtype == DType::kPred) {
-        for (std::int64_t i = 0; i < n; ++i)
-          out.pred()[i] = (getp(a, i) || getp(b, i)) ? 1 : 0;
-      } else {
-        for_i64([](std::int64_t x, std::int64_t y) { return x | y; });
-      }
-      break;
+      return bits(in, std::logical_or<>(), std::bit_or<>(), a, b);
     case Opcode::kXor:
-      if (in.dtype == DType::kPred) {
-        for (std::int64_t i = 0; i < n; ++i)
-          out.pred()[i] = (getp(a, i) != getp(b, i)) ? 1 : 0;
-      } else {
-        for_i64([](std::int64_t x, std::int64_t y) { return x ^ y; });
-      }
-      break;
+      return bits(in, std::not_equal_to<>(), std::bit_xor<>(), a, b);
     case Opcode::kShl:
-      for_i64([](std::int64_t x, std::int64_t y) {
-        return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) << y);
-      });
-      break;
+      return map<std::int64_t>(in, IntShl{}, view<std::int64_t>(a),
+                               view<std::int64_t>(b));
     case Opcode::kShr:
-      for_i64([](std::int64_t x, std::int64_t y) {
-        return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) >> y);
-      });
-      break;
+      return map<std::int64_t>(in, IntShr{}, view<std::int64_t>(a),
+                               view<std::int64_t>(b));
     case Opcode::kLt:
-      for_cmp([](auto x, auto y) { return x < y; });
-      break;
+      return compare(in, std::less<>(), a, b);
     case Opcode::kLe:
-      for_cmp([](auto x, auto y) { return x <= y; });
-      break;
+      return compare(in, std::less_equal<>(), a, b);
     case Opcode::kGt:
-      for_cmp([](auto x, auto y) { return x > y; });
-      break;
+      return compare(in, std::greater<>(), a, b);
     case Opcode::kGe:
-      for_cmp([](auto x, auto y) { return x >= y; });
-      break;
+      return compare(in, std::greater_equal<>(), a, b);
     case Opcode::kEq:
-      for_cmp([](auto x, auto y) { return x == y; });
-      break;
+      return compare(in, std::equal_to<>(), a, b);
     case Opcode::kNe:
-      for_cmp([](auto x, auto y) { return x != y; });
-      break;
+      return compare(in, std::not_equal_to<>(), a, b);
     default:
       throw std::logic_error("eval: unexpected binary opcode");
+  }
+}
+
+/// Full reduction (ReduceSum axis -1 or ReduceMax) to a scalar.
+template <typename T, typename F>
+Literal reduce_all(const HloInstruction& in, const Literal& a, T init, F f) {
+  Literal out(Shape{}, in.dtype);
+  T acc = init;
+  for (const T v : elems<T>(a)) acc = f(acc, v);
+  out_data<T>(out)[0] = acc;
+  return out;
+}
+
+template <typename T>
+Literal reduce_rows(const HloInstruction& in, const Literal& a) {
+  const std::int64_t rows = a.shape().dim(0);
+  const std::int64_t cols = a.shape().dim(1);
+  Literal out(in.shape, in.dtype);
+  const T* src = elems<T>(a).data();
+  T* o = out_data<T>(out);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    T s = 0;
+    for (std::int64_t c = 0; c < cols; ++c) s += src[r * cols + c];
+    o[r] = s;
   }
   return out;
 }
 
+template <typename T>
+void scatter(const HloInstruction& in, Literal& out, const Literal& indices,
+             const Literal& updates) {
+  T* o = out_data<T>(out);
+  const auto idx = elems<std::int64_t>(indices);
+  const T* upd = elems<T>(updates).data();
+  const std::int64_t n = static_cast<std::int64_t>(idx.size());
+  const std::int64_t t = out.num_elements();
+  // JAX drops out-of-range scatters.
+  if (in.opcode == Opcode::kScatterSet) {
+    for (std::int64_t i = 0; i < n; ++i) {
+      const std::int64_t j = idx[static_cast<std::size_t>(i)];
+      if (j >= 0 && j < t) o[j] = upd[i];
+    }
+  } else {
+    for (std::int64_t i = 0; i < n; ++i) {
+      const std::int64_t j = idx[static_cast<std::size_t>(i)];
+      if (j >= 0 && j < t) o[j] += upd[i];
+    }
+  }
+}
+
 }  // namespace
+
+void scatter_into(const HloInstruction& in, Literal& base,
+                  const Literal& indices, const Literal& updates) {
+  if (in.dtype == DType::kF64) {
+    scatter<double>(in, base, indices, updates);
+  } else {
+    scatter<std::int64_t>(in, base, indices, updates);
+  }
+}
 
 Literal evaluate_instruction(const HloInstruction& in,
                              const std::vector<const Literal*>& ops) {
@@ -237,189 +281,103 @@ Literal evaluate_instruction(const HloInstruction& in,
       return *in.literal;
     case Opcode::kIota: {
       Literal out(in.shape, DType::kI64);
-      for (std::int64_t i = 0; i < in.i0; ++i) out.i64()[i] = i;
+      std::int64_t* o = out.i64().data();
+      for (std::int64_t i = 0; i < in.i0; ++i) o[i] = i;
       return out;
     }
-    case Opcode::kSelect: {
-      const Literal& p = *ops[0];
-      const Literal& t = *ops[1];
-      const Literal& f = *ops[2];
-      Literal out(in.shape, in.dtype);
-      const std::int64_t n = out.num_elements();
-      if (in.dtype == DType::kF64) {
-        for (std::int64_t i = 0; i < n; ++i)
-          out.f64()[i] = getp(p, i) ? getf(t, i) : getf(f, i);
-      } else if (in.dtype == DType::kI64) {
-        for (std::int64_t i = 0; i < n; ++i)
-          out.i64()[i] = getp(p, i) ? geti(t, i) : geti(f, i);
-      } else {
-        for (std::int64_t i = 0; i < n; ++i)
-          out.pred()[i] = getp(p, i) ? getp(t, i) : getp(f, i);
-      }
-      return out;
-    }
-    case Opcode::kClamp: {
-      const Literal& v = *ops[0];
-      const Literal& lo = *ops[1];
-      const Literal& hi = *ops[2];
-      Literal out(in.shape, in.dtype);
-      const std::int64_t n = out.num_elements();
-      if (in.dtype == DType::kF64) {
-        for (std::int64_t i = 0; i < n; ++i)
-          out.f64()[i] = std::clamp(getf(v, i), getf(lo, i), getf(hi, i));
-      } else {
-        for (std::int64_t i = 0; i < n; ++i)
-          out.i64()[i] = std::clamp(geti(v, i), geti(lo, i), geti(hi, i));
-      }
-      return out;
-    }
-    case Opcode::kReshape: {
-      Literal out(in.shape, in.dtype);
-      if (in.dtype == DType::kF64) {
-        std::copy(ops[0]->f64().begin(), ops[0]->f64().end(),
-                  out.f64().begin());
-      } else if (in.dtype == DType::kI64) {
-        std::copy(ops[0]->i64().begin(), ops[0]->i64().end(),
-                  out.i64().begin());
-      } else {
-        std::copy(ops[0]->pred().begin(), ops[0]->pred().end(),
-                  out.pred().begin());
-      }
-      return out;
-    }
-    case Opcode::kBroadcastCol: {
-      const Literal& a = *ops[0];
-      const std::int64_t rows = in.shape.dim(0);
-      const std::int64_t cols = in.shape.dim(1);
-      Literal out(in.shape, in.dtype);
-      for (std::int64_t r = 0; r < rows; ++r) {
-        for (std::int64_t c = 0; c < cols; ++c) {
-          const std::int64_t o = r * cols + c;
-          if (in.dtype == DType::kF64) out.f64()[o] = a.f64()[r];
-          else if (in.dtype == DType::kI64) out.i64()[o] = a.i64()[r];
-          else out.pred()[o] = a.pred()[r];
+    case Opcode::kSelect:
+      return with_dtype(in.dtype, [&](auto tag) {
+        using T = decltype(tag);
+        return map<T>(
+            in, [](std::uint8_t p, T t, T f) { return p ? t : f; },
+            view<std::uint8_t>(*ops[0]), view<T>(*ops[1]), view<T>(*ops[2]));
+      });
+    case Opcode::kClamp:
+      return numeric(
+          in, [](auto v, auto lo, auto hi) { return std::clamp(v, lo, hi); },
+          *ops[0], *ops[1], *ops[2]);
+    case Opcode::kReshape:
+      return with_dtype(in.dtype, [&](auto tag) {
+        using T = decltype(tag);
+        Literal out(in.shape, in.dtype);
+        const auto src = elems<T>(*ops[0]);
+        std::copy(src.begin(), src.end(), out_data<T>(out));
+        return out;
+      });
+    case Opcode::kBroadcastCol:
+    case Opcode::kBroadcastRow:
+      return with_dtype(in.dtype, [&](auto tag) {
+        using T = decltype(tag);
+        const std::int64_t rows = in.shape.dim(0);
+        const std::int64_t cols = in.shape.dim(1);
+        Literal out(in.shape, in.dtype);
+        const T* a = elems<T>(*ops[0]).data();
+        T* o = out_data<T>(out);
+        for (std::int64_t r = 0; r < rows; ++r) {
+          if (in.opcode == Opcode::kBroadcastCol) {
+            std::fill_n(o + r * cols, cols, a[r]);
+          } else {
+            std::copy_n(a, cols, o + r * cols);
+          }
         }
-      }
-      return out;
-    }
-    case Opcode::kBroadcastRow: {
-      const Literal& a = *ops[0];
-      const std::int64_t rows = in.shape.dim(0);
-      const std::int64_t cols = in.shape.dim(1);
-      Literal out(in.shape, in.dtype);
-      for (std::int64_t r = 0; r < rows; ++r) {
-        for (std::int64_t c = 0; c < cols; ++c) {
-          const std::int64_t o = r * cols + c;
-          if (in.dtype == DType::kF64) out.f64()[o] = a.f64()[c];
-          else if (in.dtype == DType::kI64) out.i64()[o] = a.i64()[c];
-          else out.pred()[o] = a.pred()[c];
+        return out;
+      });
+    case Opcode::kSliceCol:
+      return with_dtype(in.dtype, [&](auto tag) {
+        using T = decltype(tag);
+        const std::int64_t rows = in.shape.dim(0);
+        const std::int64_t cols = ops[0]->shape().dim(1);
+        Literal out(in.shape, in.dtype);
+        const T* a = elems<T>(*ops[0]).data();
+        T* o = out_data<T>(out);
+        for (std::int64_t r = 0; r < rows; ++r) o[r] = a[r * cols + in.i0];
+        return out;
+      });
+    case Opcode::kGather:
+      return with_dtype(in.dtype, [&](auto tag) {
+        using T = decltype(tag);
+        const auto table = elems<T>(*ops[0]);
+        const std::int64_t t = static_cast<std::int64_t>(table.size());
+        const std::int64_t* idx = elems<std::int64_t>(*ops[1]).data();
+        Literal out(in.shape, in.dtype);
+        T* o = out_data<T>(out);
+        const std::int64_t n = out.num_elements();
+        for (std::int64_t i = 0; i < n; ++i) {
+          // JAX clamps out-of-range gather indices.
+          const std::int64_t j = std::clamp<std::int64_t>(idx[i], 0, t - 1);
+          o[i] = table[static_cast<std::size_t>(j)];
         }
-      }
-      return out;
-    }
-    case Opcode::kSliceCol: {
-      const Literal& a = *ops[0];
-      const std::int64_t rows = in.shape.dim(0);
-      const std::int64_t cols = a.shape().dim(1);
-      Literal out(in.shape, in.dtype);
-      for (std::int64_t r = 0; r < rows; ++r) {
-        const std::int64_t o = r * cols + in.i0;
-        if (in.dtype == DType::kF64) out.f64()[r] = a.f64()[o];
-        else if (in.dtype == DType::kI64) out.i64()[r] = a.i64()[o];
-        else out.pred()[r] = a.pred()[o];
-      }
-      return out;
-    }
-    case Opcode::kGather: {
-      const Literal& table = *ops[0];
-      const Literal& idx = *ops[1];
-      Literal out(in.shape, in.dtype);
-      const std::int64_t n = out.num_elements();
-      const std::int64_t t = table.num_elements();
-      for (std::int64_t i = 0; i < n; ++i) {
-        // JAX clamps out-of-range gather indices.
-        const std::int64_t j =
-            std::clamp<std::int64_t>(idx.i64()[i], 0, t - 1);
-        if (in.dtype == DType::kF64) out.f64()[i] = table.f64()[j];
-        else if (in.dtype == DType::kI64) out.i64()[i] = table.i64()[j];
-        else out.pred()[i] = table.pred()[j];
-      }
-      return out;
-    }
+        return out;
+      });
     case Opcode::kScatterAdd:
     case Opcode::kScatterSet: {
       Literal out = *ops[0];
-      const Literal& idx = *ops[1];
-      const Literal& upd = *ops[2];
-      const std::int64_t n = idx.num_elements();
-      const std::int64_t t = out.num_elements();
-      const bool set = in.opcode == Opcode::kScatterSet;
-      for (std::int64_t i = 0; i < n; ++i) {
-        const std::int64_t j = idx.i64()[i];
-        if (j < 0 || j >= t) continue;  // JAX drops out-of-range scatters
-        if (in.dtype == DType::kF64) {
-          if (set) out.f64()[j] = upd.f64()[i];
-          else out.f64()[j] += upd.f64()[i];
-        } else {
-          if (set) out.i64()[j] = upd.i64()[i];
-          else out.i64()[j] += upd.i64()[i];
-        }
-      }
+      scatter_into(in, out, *ops[1], *ops[2]);
       return out;
     }
-    case Opcode::kReduceSum: {
-      const Literal& a = *ops[0];
+    case Opcode::kReduceSum:
       if (in.i0 == -1) {
-        Literal out(Shape{}, in.dtype);
-        if (in.dtype == DType::kF64) {
-          double s = 0.0;
-          for (const double v : a.f64()) s += v;
-          out.f64()[0] = s;
-        } else {
-          std::int64_t s = 0;
-          for (const auto v : a.i64()) s += v;
-          out.i64()[0] = s;
-        }
-        return out;
+        return in.dtype == DType::kF64
+                   ? reduce_all(in, *ops[0], 0.0, std::plus<>())
+                   : reduce_all(in, *ops[0], std::int64_t{0}, std::plus<>());
       }
       // axis = 1 on rank 2.
-      const std::int64_t rows = a.shape().dim(0);
-      const std::int64_t cols = a.shape().dim(1);
-      Literal out(in.shape, in.dtype);
-      for (std::int64_t r = 0; r < rows; ++r) {
-        if (in.dtype == DType::kF64) {
-          double s = 0.0;
-          for (std::int64_t c = 0; c < cols; ++c) s += a.f64()[r * cols + c];
-          out.f64()[r] = s;
-        } else {
-          std::int64_t s = 0;
-          for (std::int64_t c = 0; c < cols; ++c) s += a.i64()[r * cols + c];
-          out.i64()[r] = s;
-        }
-      }
-      return out;
-    }
+      return in.dtype == DType::kF64 ? reduce_rows<double>(in, *ops[0])
+                                     : reduce_rows<std::int64_t>(in, *ops[0]);
     case Opcode::kReduceMax: {
-      const Literal& a = *ops[0];
-      Literal out(Shape{}, in.dtype);
-      if (in.dtype == DType::kF64) {
-        double m = -std::numeric_limits<double>::infinity();
-        for (const double v : a.f64()) m = std::max(m, v);
-        out.f64()[0] = m;
-      } else {
-        std::int64_t m = std::numeric_limits<std::int64_t>::min();
-        for (const auto v : a.i64()) m = std::max(m, v);
-        out.i64()[0] = m;
-      }
-      return out;
+      const auto max = [](auto m, auto v) { return std::max(m, v); };
+      return in.dtype == DType::kF64
+                 ? reduce_all(in, *ops[0],
+                              -std::numeric_limits<double>::infinity(), max)
+                 : reduce_all(in, *ops[0],
+                              std::numeric_limits<std::int64_t>::min(), max);
     }
     case Opcode::kDot: {
-      const Literal& a = *ops[0];
-      const Literal& b = *ops[1];
+      const auto a = elems<double>(*ops[0]);
+      const double* b = elems<double>(*ops[1]).data();
       Literal out(Shape{}, DType::kF64);
       double s = 0.0;
-      const std::int64_t n = a.num_elements();
-      for (std::int64_t i = 0; i < n; ++i) s += a.f64()[i] * b.f64()[i];
+      for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
       out.f64()[0] = s;
       return out;
     }

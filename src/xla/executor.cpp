@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <set>
 #include <stdexcept>
 #include <unordered_set>
@@ -59,11 +58,21 @@ void validate_args(const HloModule& m, std::span<const Literal> args) {
   }
 }
 
-ExecutionReport build_report(const Compiled& compiled,
-                             const ScatterIdxFn& scatter_idx) {
+struct ShapeReport {
+  /// The report without the scatter-add lowering (its bytes written,
+  /// atomics and segment flag) and without `total`.
+  ExecutionReport report;
+  /// Scatter-add instructions in SSA order: the only data-dependent part.
+  std::vector<InstrId> scatter_adds;
+};
+
+namespace {
+
+ShapeReport build_shape_report(const Compiled& compiled) {
   const HloModule& m = compiled.module;
 
-  ExecutionReport local;
+  ShapeReport shape;
+  ExecutionReport& local = shape.report;
   local.group_work.assign(static_cast<std::size_t>(compiled.n_groups), {});
   local.group_heavy.assign(static_cast<std::size_t>(compiled.n_groups),
                            false);
@@ -140,65 +149,13 @@ ExecutionReport build_report(const Compiled& compiled,
             m.at(in.operands[1]).shape.num_elements());
         work.flops += 2.0 * updates;
         work.parallel_items = std::max(work.parallel_items, updates);
-        // Lowering decision from the data, scatter-add only: sorted valid
-        // indices -> segmented reduction (no atomics); unsorted ->
-        // atomics with the measured conflict rate.  scatter-set never
-        // needs atomics (plain stores).
-        const auto span = scatter_idx(static_cast<InstrId>(i));
-        const std::int64_t scatter_base_n =
-            m.at(in.operands[0]).shape.num_elements();
-        bool sorted = true;
-        double unique_targets = 0.0;
-        std::int64_t prev = std::numeric_limits<std::int64_t>::min();
-        for (const auto j : span) {
-          if (j < 0 || j >= scatter_base_n) continue;  // dropped lanes
-          if (j < prev) {
-            sorted = false;
-            break;
-          }
-          if (j != prev) unique_targets += 1.0;
-          prev = j;
-        }
-        bool segment_reduce = false;
         if (in.opcode == Opcode::kScatterSet) {
-          // Plain stores; covered by the write-traffic accounting below.
-        } else if (sorted && span.size() > 1) {
-          local.segment_lowering_used = true;
-          segment_reduce = true;
+          // Plain stores, one per update, never atomics.
+          work.bytes_written +=
+              updates * static_cast<double>(dtype_size(in.dtype));
         } else {
-          // Conflict probability measured over warp-sized windows of the
-          // actual update stream.
-          constexpr std::size_t kWarp = 32;
-          std::map<std::int64_t, int> hist;
-          const std::int64_t base_n = scatter_base_n;
-          double valid = 0.0;
-          double conflicts = 0.0;
-          for (std::size_t w0 = 0; w0 < span.size(); w0 += kWarp) {
-            hist.clear();
-            const std::size_t w1 = std::min(span.size(), w0 + kWarp);
-            for (std::size_t k = w0; k < w1; ++k) {
-              const auto j = span[k];
-              if (j < 0 || j >= base_n) continue;
-              valid += 1.0;
-              if (++hist[j] > 1) conflicts += 1.0;
-            }
-          }
-          const double prior_atomics = work.atomic_ops;
-          const double rate = valid > 0.0 ? conflicts / valid : 0.0;
-          work.atomic_conflict_rate =
-              (work.atomic_conflict_rate * prior_atomics + rate * valid) /
-              std::max(1.0, prior_atomics + valid);
-          work.atomic_ops += valid;
+          shape.scatter_adds.push_back(static_cast<InstrId>(i));
         }
-        // XLA buffer assignment updates the base in place (the operand is
-        // dead after this op in our kernels): only the touched elements
-        // are stored, not the whole buffer.  A segmented reduction stores
-        // one value per *unique* target (the linear-algebra lowering of
-        // the paper's offset_project anomaly); plain scatters store one
-        // per update.
-        work.bytes_written +=
-            (segment_reduce ? unique_targets : updates) *
-            static_cast<double>(dtype_size(in.dtype));
         break;
       }
       case Opcode::kGather:
@@ -245,7 +202,91 @@ ExecutionReport build_report(const Compiled& compiled,
           std::min(kMaxRegisterPenalty, pressure);
     }
   }
+  return shape;
+}
 
+/// Lowering decision from the data, as XLA:GPU takes it: sorted valid
+/// indices -> segmented reduction (no atomics); unsorted -> atomics with
+/// the measured conflict rate.
+void add_scatter_lowering(const Compiled& compiled, InstrId scatter,
+                          std::span<const std::int64_t> span,
+                          ExecutionReport& local) {
+  const HloModule& m = compiled.module;
+  const HloInstruction& in = m.at(scatter);
+  auto& work = local.group_work[static_cast<std::size_t>(
+      compiled.group_of[static_cast<std::size_t>(scatter)])];
+  const double updates =
+      static_cast<double>(m.at(in.operands[1]).shape.num_elements());
+  const std::int64_t base_n = m.at(in.operands[0]).shape.num_elements();
+  bool sorted = true;
+  double unique_targets = 0.0;
+  std::int64_t prev = std::numeric_limits<std::int64_t>::min();
+  for (const auto j : span) {
+    if (j < 0 || j >= base_n) continue;  // dropped lanes
+    if (j < prev) {
+      sorted = false;
+      break;
+    }
+    if (j != prev) unique_targets += 1.0;
+    prev = j;
+  }
+  const bool segment_reduce = sorted && span.size() > 1;
+  if (segment_reduce) {
+    local.segment_lowering_used = true;
+  } else {
+    // Conflict probability measured over warp-sized windows of the
+    // actual update stream: an update conflicts when an earlier lane of
+    // its window targets the same element.
+    constexpr std::size_t kWarp = 32;
+    std::int64_t seen[kWarp] = {};
+    double valid = 0.0;
+    double conflicts = 0.0;
+    for (std::size_t w0 = 0; w0 < span.size(); w0 += kWarp) {
+      std::size_t distinct = 0;
+      const std::size_t w1 = std::min(span.size(), w0 + kWarp);
+      for (std::size_t k = w0; k < w1; ++k) {
+        const auto j = span[k];
+        if (j < 0 || j >= base_n) continue;
+        valid += 1.0;
+        // Newest first: neighbouring lanes usually share a target.
+        std::size_t s = distinct;
+        while (s > 0 && seen[s - 1] != j) --s;
+        if (s > 0) {
+          conflicts += 1.0;
+        } else {
+          seen[distinct++] = j;
+        }
+      }
+    }
+    const double prior_atomics = work.atomic_ops;
+    const double rate = valid > 0.0 ? conflicts / valid : 0.0;
+    work.atomic_conflict_rate =
+        (work.atomic_conflict_rate * prior_atomics + rate * valid) /
+        std::max(1.0, prior_atomics + valid);
+    work.atomic_ops += valid;
+  }
+  // XLA buffer assignment updates the base in place (the operand is dead
+  // after this op in our kernels): only the touched elements are stored,
+  // not the whole buffer.  A segmented reduction stores one value per
+  // *unique* target (the linear-algebra lowering of the paper's
+  // offset_project anomaly); atomics store one per update.
+  work.bytes_written += (segment_reduce ? unique_targets : updates) *
+                        static_cast<double>(dtype_size(in.dtype));
+}
+
+}  // namespace
+
+ExecutionReport build_report(const Compiled& compiled,
+                             const ScatterIdxFn& scatter_idx) {
+  if (!compiled.shape_report) {
+    compiled.shape_report =
+        std::make_shared<const ShapeReport>(build_shape_report(compiled));
+  }
+  const ShapeReport& shape = *compiled.shape_report;
+  ExecutionReport local = shape.report;
+  for (const InstrId s : shape.scatter_adds) {
+    add_scatter_lowering(compiled, s, scatter_idx(s), local);
+  }
   for (const auto& w : local.group_work) {
     local.total += w;
   }
@@ -260,38 +301,80 @@ std::vector<Literal> execute(const Compiled& compiled,
   const HloModule& m = compiled.module;
   detail::validate_args(m, args);
 
+  // Params and constants are read in place; only computed values are
+  // owned.  `owned` never resizes, so pointers into it stay valid.
   const std::size_t n = m.size();
-  std::vector<Literal> values(n);
+  // Last reader of each value.  Roots and the scatter-add index streams
+  // (the report's input) are read after the loop.
+  std::vector<std::size_t> last_use(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const auto op : m.instructions[i].operands) {
+      last_use[static_cast<std::size_t>(op)] = i;
+    }
+  }
+  for (const auto& in : m.instructions) {
+    if (in.opcode == Opcode::kScatterAdd) {
+      last_use[static_cast<std::size_t>(in.operands[1])] = n;
+    }
+  }
+  for (const auto r : m.roots) {
+    last_use[static_cast<std::size_t>(r)] = n;
+  }
+  std::vector<Literal> owned(n);
+  std::vector<const Literal*> vals(n, nullptr);
+  std::vector<const Literal*> ops;
   for (std::size_t i = 0; i < n; ++i) {
     const HloInstruction& in = m.instructions[i];
     if (in.opcode == Opcode::kParam) {
-      values[i] = args[static_cast<std::size_t>(in.i0)];
+      vals[i] = &args[static_cast<std::size_t>(in.i0)];
       continue;
     }
     if (in.opcode == Opcode::kConstant) {
-      values[i] = *in.literal;
+      vals[i] = &*in.literal;
       continue;
     }
-    std::vector<const Literal*> ops;
-    ops.reserve(in.operands.size());
+    ops.clear();
     for (const auto op : in.operands) {
-      ops.push_back(&values[static_cast<std::size_t>(op)]);
+      ops.push_back(vals[static_cast<std::size_t>(op)]);
     }
-    values[i] = evaluate_instruction(in, ops);
+    // A scatter updates a base it owns and nothing reads again in place,
+    // as XLA's buffer assignment does, instead of copying it.
+    const bool scatter = in.opcode == Opcode::kScatterAdd ||
+                         in.opcode == Opcode::kScatterSet;
+    const auto base = scatter ? static_cast<std::size_t>(in.operands[0]) : i;
+    const bool in_place = scatter && vals[base] == &owned[base] &&
+                          last_use[base] == i &&
+                          in.operands[1] != in.operands[0] &&
+                          in.operands[2] != in.operands[0];
+    if (in_place) {
+      owned[i] = std::move(owned[base]);
+      scatter_into(in, owned[i], *ops[1], *ops[2]);
+    } else {
+      owned[i] = evaluate_instruction(in, ops);
+    }
+    vals[i] = &owned[i];
   }
 
   if (report != nullptr) {
     *report = detail::build_report(
-        compiled, [&values, &m](InstrId scatter) {
+        compiled, [&vals, &m](InstrId scatter) {
           const auto idx = m.at(scatter).operands[1];
-          return values[static_cast<std::size_t>(idx)].i64();
+          return vals[static_cast<std::size_t>(idx)]->i64();
         });
   }
 
+  // A computed root is moved out at its last mention; params, constants
+  // and earlier mentions of a repeated root are copied.
   std::vector<Literal> outputs;
   outputs.reserve(m.roots.size());
-  for (const auto r : m.roots) {
-    outputs.push_back(values[static_cast<std::size_t>(r)]);
+  for (auto r = m.roots.begin(); r != m.roots.end(); ++r) {
+    const auto i = static_cast<std::size_t>(*r);
+    const bool last = std::find(r + 1, m.roots.end(), *r) == m.roots.end();
+    if (last && vals[i] == &owned[i]) {
+      outputs.push_back(std::move(owned[i]));
+    } else {
+      outputs.push_back(*vals[i]);
+    }
   }
   return outputs;
 }

@@ -32,6 +32,14 @@ enum class ExecMode {
 
 class FusedExecutable;
 
+namespace detail {
+/// The shape-only part of a module's ExecutionReport: group work (flops,
+/// operand/output byte traffic, launches, parallelism, register
+/// pressure), group_heavy, group_deps and peak_temp_bytes.  Defined in
+/// executor.cpp.
+struct ShapeReport;
+}  // namespace detail
+
 struct Compiled {
   HloModule module;
   std::vector<int> group_of;  // fusion group per instruction, -1 = memory
@@ -42,6 +50,9 @@ struct Compiled {
   /// Lazily-built fused-loop executable (execute_compiled's cache; the
   /// lowering runs once per Compiled, on first compiled execution).
   mutable std::shared_ptr<const FusedExecutable> fused;
+  /// Lazily-built shape-only part of the ExecutionReport (build_report's
+  /// cache; computed once per Compiled, on the first reported call).
+  mutable std::shared_ptr<const detail::ShapeReport> shape_report;
 };
 
 Compiled compile(HloModule module);
@@ -90,9 +101,13 @@ void validate_args(const HloModule& m, std::span<const Literal> args);
 using ScatterIdxFn =
     std::function<std::span<const std::int64_t>(InstrId scatter)>;
 
-/// Build the full ExecutionReport for a module.  Both executors call
-/// this with their own ScatterIdxFn, which is what makes the reports —
-/// and hence the modelled TimeLog — bitwise identical across modes.
+/// Build the full ExecutionReport for a module.  The shape-only part is
+/// computed once per Compiled and cached; each call copies it and runs
+/// only the per-call scatter pass over the executed indices (sortedness,
+/// unique targets, warp conflict rate), folding each scatter-add in SSA
+/// order, then sums `total`.  Both executors call this with their own
+/// ScatterIdxFn, which is what makes the reports — and hence the
+/// modelled TimeLog — bitwise identical across modes.
 ExecutionReport build_report(const Compiled& compiled,
                              const ScatterIdxFn& scatter_idx);
 

@@ -8,8 +8,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "xla/compiled.hpp"
@@ -741,4 +746,709 @@ TEST(XlaCompiled, JitCompiledModeMatchesInterpretedTimeline) {
   EXPECT_EQ(ti, tc);
   EXPECT_EQ(si, sc);
   EXPECT_EQ(ci, cc);
+}
+
+// ---------------------------------------------------------------------------
+// Element loops of both executors against a naive per-element reference
+// written here, independent of eval.cpp and compiled.cpp.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using I64 = std::int64_t;
+using Op = xla::Opcode;
+
+constexpr I64 kI64Min = std::numeric_limits<I64>::min();
+
+Literal pvec(std::initializer_list<int> values) {
+  Literal l(Shape{static_cast<std::int64_t>(values.size())}, DType::kPred);
+  std::size_t k = 0;
+  for (const int v : values) l.pred()[k++] = static_cast<std::uint8_t>(v);
+  return l;
+}
+
+/// The first element of `l` as a rank-0 literal.
+Literal scalar_of(const Literal& l) {
+  switch (l.dtype()) {
+    case DType::kF64:
+      return Literal::scalar_f64(l.f64()[0]);
+    case DType::kI64:
+      return Literal::scalar_i64(l.i64()[0]);
+    case DType::kPred:
+      break;
+  }
+  return Literal::scalar_pred(l.pred()[0] != 0);
+}
+
+/// Element k of an operand; a size-1 operand repeats its value.
+template <typename T>
+T elem(const Literal& l, std::size_t k) {
+  const std::size_t i = l.num_elements() == 1 ? 0 : k;
+  if constexpr (std::is_same_v<T, double>) {
+    return l.f64()[i];
+  } else if constexpr (std::is_same_v<T, I64>) {
+    return l.i64()[i];
+  } else {
+    return l.pred()[i];
+  }
+}
+
+/// Values k * 1.5 - 4 (f64), 3k - 7 (i64) or k % 3 == 0 (pred).
+Literal ramp(DType d, Shape s) {
+  Literal l(s, d);
+  for (std::int64_t k = 0; k < l.num_elements(); ++k) {
+    const auto i = static_cast<std::size_t>(k);
+    if (d == DType::kF64) l.f64()[i] = static_cast<double>(k) * 1.5 - 4.0;
+    if (d == DType::kI64) l.i64()[i] = 3 * k - 7;
+    if (d == DType::kPred) l.pred()[i] = k % 3 == 0 ? 1 : 0;
+  }
+  return l;
+}
+
+/// A module of one `op` instruction over one parameter per argument.
+xla::Compiled one_op(Op op, DType dtype, const Shape& shape,
+                     const std::vector<Literal>& args, std::int64_t i0 = 0) {
+  xla::HloModule m;
+  m.name = "one_op";
+  std::vector<xla::InstrId> operands;
+  for (std::size_t p = 0; p < args.size(); ++p) {
+    xla::HloInstruction param;
+    param.opcode = Op::kParam;
+    param.dtype = args[p].dtype();
+    param.shape = args[p].shape();
+    param.i0 = static_cast<std::int64_t>(p);
+    m.instructions.push_back(param);
+    m.params.push_back(static_cast<xla::InstrId>(p));
+    operands.push_back(static_cast<xla::InstrId>(p));
+  }
+  xla::HloInstruction in;
+  in.opcode = op;
+  in.dtype = dtype;
+  in.shape = shape;
+  in.operands = operands;
+  in.i0 = i0;
+  m.instructions.push_back(in);
+  m.roots = {static_cast<xla::InstrId>(args.size())};
+  return xla::compile(std::move(m));
+}
+
+/// Every output element of both executors equals static_cast<T>(ref(k)).
+template <typename T, typename Ref>
+void expect_both_match(const xla::Compiled& c, const std::vector<Literal>& args,
+                       Ref ref, const std::string& what) {
+  const Shape& shape = c.module.at(c.module.roots[0]).shape;
+  const auto interpreted = xla::execute(c, args);
+  const auto compiled = xla::execute_compiled(c, args);
+  for (const Literal* out : {&interpreted[0], &compiled[0]}) {
+    const char* executor = out == &interpreted[0] ? "interpreted" : "compiled";
+    ASSERT_EQ(out->shape(), shape) << what << " " << executor;
+    for (std::int64_t k = 0; k < out->num_elements(); ++k) {
+      const auto i = static_cast<std::size_t>(k);
+      EXPECT_EQ(elem<T>(*out, i), static_cast<T>(ref(i)))
+          << what << " " << executor << " element " << k;
+    }
+  }
+}
+
+/// full∘full, scalar∘full and full∘scalar operands of a binary op.
+std::vector<std::vector<Literal>> broadcast_positions(const Literal& a,
+                                                      const Literal& b) {
+  return {{a, b}, {scalar_of(a), b}, {a, scalar_of(b)}};
+}
+
+std::string name_of(Op op, DType d, std::size_t position) {
+  return std::string(xla::to_string(op)) + "/" + xla::to_string(d) + "/" +
+         std::to_string(position);
+}
+
+const Literal kF64A = vec({0.5, -1.25, 3.0, -7.5, 2.0, 4.0});
+const Literal kF64B = vec({2.0, 0.75, -3.0, 4.0, -0.5, 4.0});
+const Literal kI64A = ivec({7, -8, 13, 0, -3, 5});
+const Literal kI64B = ivec({2, -3, 5, 7, 4, 5});
+const Literal kShifts = ivec({1, 0, 5, 63, 4, 2});
+const Literal kPredA = pvec({1, 0, 1, 0, 1, 1});
+const Literal kPredB = pvec({1, 1, 0, 0, 1, 0});
+
+template <typename T>
+bool ref_compare(Op op, T x, T y) {
+  switch (op) {
+    case Op::kLt:
+      return x < y;
+    case Op::kLe:
+      return x <= y;
+    case Op::kGt:
+      return x > y;
+    case Op::kGe:
+      return x >= y;
+    case Op::kEq:
+      return x == y;
+    default:
+      return x != y;
+  }
+}
+
+bool is_compare(Op op) {
+  return op == Op::kLt || op == Op::kLe || op == Op::kGt || op == Op::kGe ||
+         op == Op::kEq || op == Op::kNe;
+}
+
+double ref_f64(Op op, double x, double y) {
+  switch (op) {
+    case Op::kAdd:
+      return x + y;
+    case Op::kSub:
+      return x - y;
+    case Op::kMul:
+      return x * y;
+    case Op::kDiv:
+      return x / y;
+    case Op::kMin:
+      return std::min(x, y);
+    case Op::kMax:
+      return std::max(x, y);
+    case Op::kAtan2:
+      return std::atan2(x, y);
+    default:
+      return std::fmod(x, y);
+  }
+}
+
+I64 ref_i64(Op op, I64 x, I64 y) {
+  const auto ux = static_cast<std::uint64_t>(x);
+  switch (op) {
+    case Op::kAdd:
+      return x + y;
+    case Op::kSub:
+      return x - y;
+    case Op::kMul:
+      return x * y;
+    case Op::kDiv:
+      return x / y;
+    case Op::kMin:
+      return std::min(x, y);
+    case Op::kMax:
+      return std::max(x, y);
+    case Op::kMod:
+      return x % y;
+    case Op::kAnd:
+      return x & y;
+    case Op::kOr:
+      return x | y;
+    case Op::kXor:
+      return x ^ y;
+    case Op::kShl:
+      return static_cast<I64>(ux << y);
+    default:
+      return static_cast<I64>(ux >> y);
+  }
+}
+
+}  // namespace
+
+TEST(XlaEval, F64BinaryOpsAtEveryBroadcastPosition) {
+  for (const Op op : {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv, Op::kMin,
+                      Op::kMax, Op::kAtan2, Op::kMod, Op::kLt, Op::kLe,
+                      Op::kGt, Op::kGe, Op::kEq, Op::kNe}) {
+    const auto positions = broadcast_positions(kF64A, kF64B);
+    for (std::size_t pos = 0; pos < positions.size(); ++pos) {
+      const auto& args = positions[pos];
+      const auto x = [&](std::size_t k) { return elem<double>(args[0], k); };
+      const auto y = [&](std::size_t k) { return elem<double>(args[1], k); };
+      const auto what = name_of(op, DType::kF64, pos);
+      if (is_compare(op)) {
+        expect_both_match<std::uint8_t>(
+            one_op(op, DType::kPred, Shape{6}, args),
+            args, [&](std::size_t k) { return ref_compare(op, x(k), y(k)); },
+            what);
+      } else {
+        expect_both_match<double>(
+            one_op(op, DType::kF64, Shape{6}, args), args,
+            [&](std::size_t k) { return ref_f64(op, x(k), y(k)); }, what);
+      }
+    }
+  }
+}
+
+TEST(XlaEval, I64BinaryOpsAtEveryBroadcastPosition) {
+  for (const Op op : {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv, Op::kMin,
+                      Op::kMax, Op::kMod, Op::kAnd, Op::kOr, Op::kXor,
+                      Op::kShl, Op::kShr, Op::kLt, Op::kLe, Op::kGt, Op::kGe,
+                      Op::kEq, Op::kNe}) {
+    const bool shift = op == Op::kShl || op == Op::kShr;
+    const auto positions =
+        broadcast_positions(kI64A, shift ? kShifts : kI64B);
+    for (std::size_t pos = 0; pos < positions.size(); ++pos) {
+      const auto& args = positions[pos];
+      const auto x = [&](std::size_t k) { return elem<I64>(args[0], k); };
+      const auto y = [&](std::size_t k) { return elem<I64>(args[1], k); };
+      const auto what = name_of(op, DType::kI64, pos);
+      if (is_compare(op)) {
+        expect_both_match<std::uint8_t>(
+            one_op(op, DType::kPred, Shape{6}, args),
+            args, [&](std::size_t k) { return ref_compare(op, x(k), y(k)); },
+            what);
+      } else {
+        expect_both_match<I64>(
+            one_op(op, DType::kI64, Shape{6}, args), args,
+            [&](std::size_t k) { return ref_i64(op, x(k), y(k)); }, what);
+      }
+    }
+  }
+}
+
+TEST(XlaEval, PredLogicalOpsAtEveryBroadcastPosition) {
+  for (const Op op : {Op::kAnd, Op::kOr, Op::kXor}) {
+    const auto positions = broadcast_positions(kPredA, kPredB);
+    for (std::size_t pos = 0; pos < positions.size(); ++pos) {
+      const auto& args = positions[pos];
+      expect_both_match<std::uint8_t>(
+          one_op(op, DType::kPred, Shape{6}, args), args,
+          [&](std::size_t k) {
+            const bool x = elem<std::uint8_t>(args[0], k) != 0;
+            const bool y = elem<std::uint8_t>(args[1], k) != 0;
+            return op == Op::kAnd ? (x && y) : op == Op::kOr ? (x || y)
+                                                             : (x != y);
+          },
+          name_of(op, DType::kPred, pos));
+    }
+  }
+}
+
+TEST(XlaEval, UnaryOpsOnFullAndScalarOperands) {
+  const Literal positive = vec({0.25, 1.5, 2.0, 9.0, 0.5, 4.0});
+  const auto check_f64 = [&](Op op, const Literal& input, auto fn) {
+    for (const Literal& a : {input, scalar_of(input)}) {
+      expect_both_match<double>(
+          one_op(op, DType::kF64, a.shape(), {a}), {a},
+          [&](std::size_t k) { return fn(elem<double>(a, k)); },
+          name_of(op, DType::kF64, a.num_elements() == 1 ? 1 : 0));
+    }
+  };
+  check_f64(Op::kNeg, kF64A, [](double v) { return -v; });
+  check_f64(Op::kAbs, kF64A, [](double v) { return std::fabs(v); });
+  check_f64(Op::kSign, kF64A,
+            [](double v) { return v > 0.0 ? 1.0 : v < 0.0 ? -1.0 : 0.0; });
+  check_f64(Op::kFloor, kF64A, [](double v) { return std::floor(v); });
+  check_f64(Op::kSin, kF64A, [](double v) { return std::sin(v); });
+  check_f64(Op::kCos, kF64A, [](double v) { return std::cos(v); });
+  check_f64(Op::kTanh, kF64A, [](double v) { return std::tanh(v); });
+  check_f64(Op::kExp, kF64A, [](double v) { return std::exp(v); });
+  check_f64(Op::kSqrt, positive, [](double v) { return std::sqrt(v); });
+  check_f64(Op::kLog, positive, [](double v) { return std::log(v); });
+
+  for (const Literal& a : {kI64A, scalar_of(kI64A)}) {
+    const auto x = [&](std::size_t k) { return elem<I64>(a, k); };
+    expect_both_match<I64>(one_op(Op::kNeg, DType::kI64, a.shape(), {a}), {a},
+                           [&](std::size_t k) { return -x(k); }, "neg/i64");
+    expect_both_match<I64>(
+        one_op(Op::kAbs, DType::kI64, a.shape(), {a}), {a},
+        [&](std::size_t k) { return x(k) < 0 ? -x(k) : x(k); }, "abs/i64");
+    expect_both_match<I64>(
+        one_op(Op::kSign, DType::kI64, a.shape(), {a}), {a},
+        [&](std::size_t k) { return x(k) > 0 ? 1 : x(k) < 0 ? -1 : 0; },
+        "sign/i64");
+  }
+  for (const Literal& a : {kPredA, scalar_of(kPredA)}) {
+    expect_both_match<std::uint8_t>(
+        one_op(Op::kNot, DType::kPred, a.shape(), {a}), {a},
+        [&](std::size_t k) { return elem<std::uint8_t>(a, k) == 0; },
+        "not/pred");
+  }
+}
+
+TEST(XlaEval, CastsFromEveryDtype) {
+  for (const Literal& a : {kF64A, kI64A, kPredA}) {
+    const auto as_f64 = [&](std::size_t k) {
+      switch (a.dtype()) {
+        case DType::kF64:
+          return elem<double>(a, k);
+        case DType::kI64:
+          return static_cast<double>(elem<I64>(a, k));
+        case DType::kPred:
+          break;
+      }
+      return elem<std::uint8_t>(a, k) != 0 ? 1.0 : 0.0;
+    };
+    const auto as_i64 = [&](std::size_t k) {
+      // Truncation toward zero for f64 (-1.25 -> -1, -7.5 -> -7).
+      return static_cast<I64>(as_f64(k));
+    };
+    const std::string from = xla::to_string(a.dtype());
+    expect_both_match<double>(one_op(Op::kCastF64, DType::kF64, Shape{6}, {a}),
+                              {a}, as_f64, "convert.f64 from " + from);
+    expect_both_match<I64>(one_op(Op::kCastI64, DType::kI64, Shape{6}, {a}),
+                           {a}, as_i64, "convert.i64 from " + from);
+  }
+}
+
+TEST(XlaEval, SelectWithScalarPredicateAndBranches) {
+  const std::vector<std::pair<Literal, Literal>> branches = {
+      {kF64A, kF64B}, {kI64A, kI64B}, {kPredA, kPredB}};
+  for (const auto& [on_true, on_false] : branches) {
+    const DType d = on_true.dtype();
+    // Bit b of `mask` makes operand b a scalar.
+    for (int mask = 0; mask < 8; ++mask) {
+      const std::vector<Literal> args = {
+          mask & 1 ? scalar_of(kPredA) : kPredA,
+          mask & 2 ? scalar_of(on_true) : on_true,
+          mask & 4 ? scalar_of(on_false) : on_false};
+      const Shape shape = mask == 7 ? Shape{} : Shape{6};
+      const auto what = name_of(Op::kSelect, d, static_cast<std::size_t>(mask));
+      const auto pick = [&](std::size_t k) {
+        return elem<std::uint8_t>(args[0], k) != 0 ? 1 : 2;
+      };
+      const xla::Compiled c = one_op(Op::kSelect, d, shape, args);
+      if (d == DType::kF64) {
+        expect_both_match<double>(
+            c, args,
+            [&](std::size_t k) { return elem<double>(args[pick(k)], k); },
+            what);
+      } else if (d == DType::kI64) {
+        expect_both_match<I64>(
+            c, args, [&](std::size_t k) { return elem<I64>(args[pick(k)], k); },
+            what);
+      } else {
+        expect_both_match<std::uint8_t>(
+            c, args,
+            [&](std::size_t k) {
+              return elem<std::uint8_t>(args[pick(k)], k);
+            },
+            what);
+      }
+    }
+  }
+}
+
+TEST(XlaEval, ClampWithScalarBounds) {
+  // Every lower bound (full or scalar) is <= every upper bound.
+  const std::vector<std::vector<Literal>> operands = {
+      {kF64A, vec({-1.0, -2.0, 0.0, -3.0, 1.0, -4.0}),
+       vec({2.0, 1.0, 3.0, 1.5, 4.0, 2.0})},
+      {kI64A, ivec({-1, -2, 0, -3, 1, -4}), ivec({2, 1, 3, 1, 4, 2})}};
+  for (const auto& ops : operands) {
+    const DType d = ops[0].dtype();
+    for (int mask = 0; mask < 8; ++mask) {
+      const std::vector<Literal> args = {
+          mask & 1 ? scalar_of(ops[0]) : ops[0],
+          mask & 2 ? scalar_of(ops[1]) : ops[1],
+          mask & 4 ? scalar_of(ops[2]) : ops[2]};
+      const Shape shape = mask == 7 ? Shape{} : Shape{6};
+      const auto what = name_of(Op::kClamp, d, static_cast<std::size_t>(mask));
+      const xla::Compiled c = one_op(Op::kClamp, d, shape, args);
+      const auto clamp = [](auto v, auto lo, auto hi) {
+        return v < lo ? lo : hi < v ? hi : v;
+      };
+      if (d == DType::kF64) {
+        expect_both_match<double>(
+            c, args,
+            [&](std::size_t k) {
+              return clamp(elem<double>(args[0], k), elem<double>(args[1], k),
+                           elem<double>(args[2], k));
+            },
+            what);
+      } else {
+        expect_both_match<I64>(
+            c, args,
+            [&](std::size_t k) {
+              return clamp(elem<I64>(args[0], k), elem<I64>(args[1], k),
+                           elem<I64>(args[2], k));
+            },
+            what);
+      }
+    }
+  }
+}
+
+namespace {
+
+/// Runs `check<T>` with the C++ element type of `d`.
+template <typename F>
+void for_dtype(DType d, F check) {
+  if (d == DType::kF64) check(double{});
+  if (d == DType::kI64) check(I64{});
+  if (d == DType::kPred) check(std::uint8_t{});
+}
+
+}  // namespace
+
+TEST(XlaEval, BroadcastSliceAndGatherForEveryDtype) {
+  for (const DType d : {DType::kF64, DType::kI64, DType::kPred}) {
+    for_dtype(d, [&](auto tag) {
+      using T = decltype(tag);
+      const std::string dt = xla::to_string(d);
+      const Literal col = ramp(d, Shape{3});
+      expect_both_match<T>(
+          one_op(Op::kBroadcastCol, d, Shape{3, 4}, {col}), {col},
+          [&](std::size_t k) { return elem<T>(col, k / 4); },
+          "broadcast_col/" + dt);
+      const Literal row = ramp(d, Shape{4});
+      expect_both_match<T>(
+          one_op(Op::kBroadcastRow, d, Shape{3, 4}, {row}), {row},
+          [&](std::size_t k) { return elem<T>(row, k % 4); },
+          "broadcast_row/" + dt);
+      const Literal matrix = ramp(d, Shape{3, 4});
+      expect_both_match<T>(
+          one_op(Op::kSliceCol, d, Shape{3}, {matrix}, 2), {matrix},
+          [&](std::size_t k) { return elem<T>(matrix, k * 4 + 2); },
+          "slice_col/" + dt);
+      const Literal table = ramp(d, Shape{5});
+      const Literal idx = ivec({4, 0, -2, 7, 2, 2});
+      expect_both_match<T>(
+          one_op(Op::kGather, d, Shape{6}, {table, idx}), {table, idx},
+          [&](std::size_t k) {
+            const I64 j = std::min<I64>(std::max<I64>(elem<I64>(idx, k), 0), 4);
+            return elem<T>(table, static_cast<std::size_t>(j));
+          },
+          "gather/" + dt);
+    });
+  }
+}
+
+TEST(XlaEval, ScatterForEveryDtype) {
+  for (const DType d : {DType::kF64, DType::kI64}) {
+    for_dtype(d, [&](auto tag) {
+      using T = decltype(tag);
+      const Literal base = ramp(d, Shape{5});
+      const Literal idx = ivec({4, 0, -2, 7, 2, 2});
+      const Literal upd = ramp(d, Shape{6});
+      for (const Op op : {Op::kScatterAdd, Op::kScatterSet}) {
+        std::vector<T> expected(5);
+        for (std::size_t j = 0; j < 5; ++j) expected[j] = elem<T>(base, j);
+        for (std::size_t k = 0; k < 6; ++k) {
+          const I64 j = elem<I64>(idx, k);
+          if (j < 0 || j >= 5) continue;
+          auto& slot = expected[static_cast<std::size_t>(j)];
+          slot = op == Op::kScatterSet ? elem<T>(upd, k)
+                                       : slot + elem<T>(upd, k);
+        }
+        expect_both_match<T>(
+            one_op(op, d, Shape{5}, {base, idx, upd}), {base, idx, upd},
+            [&](std::size_t k) { return expected[k]; },
+            std::string(xla::to_string(op)) + "/" + xla::to_string(d));
+      }
+    });
+  }
+}
+
+TEST(XlaEval, ReductionsAndDot) {
+  const Literal mf = ramp(DType::kF64, Shape{3, 4});
+  const Literal mi = ramp(DType::kI64, Shape{3, 4});
+  const auto row_sum = [](const Literal& m, std::size_t r) {
+    double s = 0.0;
+    for (std::size_t c = 0; c < 4; ++c) s += m.as_double(r * 4 + c);
+    return s;
+  };
+  expect_both_match<double>(
+      one_op(Op::kReduceSum, DType::kF64, Shape{3}, {mf}, 1), {mf},
+      [&](std::size_t r) { return row_sum(mf, r); }, "reduce_sum axis 1/f64");
+  expect_both_match<I64>(
+      one_op(Op::kReduceSum, DType::kI64, Shape{3}, {mi}, 1), {mi},
+      [&](std::size_t r) { return row_sum(mi, r); }, "reduce_sum axis 1/i64");
+  expect_both_match<double>(
+      one_op(Op::kReduceSum, DType::kF64, Shape{}, {mf}, -1), {mf},
+      [&](std::size_t) { return row_sum(mf, 0) + row_sum(mf, 1) + row_sum(mf, 2); },
+      "reduce_sum/f64");
+  expect_both_match<I64>(one_op(Op::kReduceMax, DType::kI64, Shape{}, {kI64A}),
+                         {kI64A}, [](std::size_t) { return 13; },
+                         "reduce_max/i64");
+  expect_both_match<double>(
+      one_op(Op::kReduceMax, DType::kF64, Shape{}, {kF64A}), {kF64A},
+      [](std::size_t) { return 4.0; }, "reduce_max/f64");
+  expect_both_match<double>(
+      one_op(Op::kDot, DType::kF64, Shape{}, {kF64A, kF64B}), {kF64A, kF64B},
+      [](std::size_t) {
+        double s = 0.0;
+        for (std::size_t k = 0; k < 6; ++k) {
+          s += kF64A.f64()[k] * kF64B.f64()[k];
+        }
+        return s;
+      },
+      "dot/f64");
+}
+
+TEST(XlaEval, ScatterChainsUpdateOwnedBasesOnlyWhenDead) {
+  // s2 updates the dead s1 in place; every other scatter must copy its
+  // base: a parameter (s1), a value read again later (s3, s5), or a base
+  // that is also the updates (s5, s6).
+  xla::Jit fn("chain", [](const std::vector<Array>& in) {
+    const Array s1 = xla::scatter_add(in[0], in[1], in[2]);
+    const Array s2 = xla::scatter_set(s1, in[1], in[2]);
+    const Array s4 = s2 * 2.0;
+    const Array s3 = xla::scatter_add(s4, in[1], in[2]);
+    const Array s5 = xla::scatter_add(s4, xla::iota(4), s4);
+    const Array s7 = s2 * 3.0;
+    const Array s6 = xla::scatter_add(s7, xla::iota(4), s7);
+    return std::vector<Array>{s3, s4 + s5, s6};
+  });
+  const std::vector<Literal> args = {vec({1.0, 2.0, 3.0, 4.0}),
+                                     ivec({3, 0, 3, 9}),
+                                     vec({10.0, 20.0, 30.0, 40.0})};
+  // s1 = {21, 2, 3, 44}; s2 = {20, 2, 3, 30}; s4 = {40, 4, 6, 60};
+  // s3 = {60, 4, 6, 100}; s5 = {80, 8, 12, 120}; s7 = {60, 6, 9, 90}.
+  const std::vector<std::vector<double>> expected = {
+      {60.0, 4.0, 6.0, 100.0}, {120.0, 12.0, 18.0, 180.0},
+      {120.0, 12.0, 18.0, 180.0}};
+  Fixture f;
+  fn.call(f.rt, args);
+  const auto* c = fn.lookup(args);
+  ASSERT_NE(c, nullptr);
+  for (const auto& out :
+       {xla::execute(*c, args), xla::execute_compiled(*c, args)}) {
+    ASSERT_EQ(out.size(), expected.size());
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      EXPECT_EQ(std::vector<double>(out[k].f64().begin(), out[k].f64().end()),
+                expected[k])
+          << "root " << k;
+    }
+  }
+  // The caller's base is never written.
+  EXPECT_EQ(args[0].f64()[0], 1.0);
+}
+
+TEST(XlaEval, ScatterIndexStreamStaysReadableForTheReport) {
+  // `idx` is the index stream of the first scatter-add and the base of a
+  // later i64 scatter-add that reads it last: it must not be updated in
+  // place, since the report reads the first scatter's indices afterwards.
+  xla::Jit fn("reuse", [](const std::vector<Array>& in) {
+    const Array idx = xla::maximum(in[1], xla::constant_i64(-100));
+    const Array s = xla::scatter_add(in[0], idx, in[2]);
+    const Array t = xla::scatter_add(idx, in[3], in[3]);
+    return std::vector<Array>{s, t};
+  });
+  const std::vector<Literal> args = {vec({0.0, 0.0, 0.0}), ivec({2, 0, 2, 1}),
+                                     vec({1.0, 2.0, 3.0, 4.0}),
+                                     ivec({3, 3, 0, 1})};
+  Fixture f;
+  fn.call(f.rt, args);
+  const auto* c = fn.lookup(args);
+  ASSERT_NE(c, nullptr);
+  xla::ExecutionReport ri;
+  xla::ExecutionReport rc;
+  const auto oi = xla::execute(*c, args, &ri);
+  const auto oc = xla::execute_compiled(*c, args, &rc);
+  for (std::size_t k = 0; k < oi.size(); ++k) expect_literal_bits(oi[k], oc[k]);
+  expect_report_equal(ri, rc);
+  EXPECT_EQ(ri.total.atomic_ops, 8.0);
+}
+
+TEST(XlaEval, ScatterConflictRateOverSeveralWarps) {
+  // 36 unsorted lanes over an 8-element base: lanes 0-31 hit k % 4 (32
+  // valid, 4 distinct: 28 conflicts); lanes 32-35 hit {9, 3, -1, 3} (9 and
+  // -1 dropped: 2 valid, 1 conflict).  34 atomics, 29 conflicts.
+  std::vector<std::int64_t> idx;
+  for (std::int64_t k = 0; k < 32; ++k) idx.push_back(k % 4);
+  for (const std::int64_t j : {9, 3, -1, 3}) idx.push_back(j);
+  const Literal base(Shape{8}, DType::kF64);
+  const Literal indices = Literal::from_i64(Shape{36}, idx);
+  const Literal updates = ramp(DType::kF64, Shape{36});
+  const std::vector<Literal> args = {base, indices, updates};
+  const xla::Compiled c =
+      one_op(Op::kScatterAdd, DType::kF64, Shape{8}, args);
+  ASSERT_EQ(c.n_groups, 1);
+  const double rate = 29.0 / 34.0;
+  for (int call = 0; call < 2; ++call) {  // the second reuses the cache
+    xla::ExecutionReport ri;
+    xla::ExecutionReport rc;
+    xla::execute(c, args, &ri);
+    xla::execute_compiled(c, args, &rc);
+    for (const auto* r : {&ri, &rc}) {
+      EXPECT_FALSE(r->segment_lowering_used);
+      EXPECT_EQ(r->group_work[0].atomic_ops, 34.0);
+      EXPECT_EQ(r->group_work[0].atomic_conflict_rate, rate * 34.0 / 34.0);
+      EXPECT_EQ(r->total.atomic_ops, 34.0);
+      EXPECT_EQ(r->total.atomic_conflict_rate, rate * 34.0 / 34.0);
+      // Atomics store one value per update lane, plus the 8-element root.
+      EXPECT_EQ(r->group_work[0].bytes_written, (36.0 + 8.0) * 8.0);
+    }
+    expect_report_equal(ri, rc);
+  }
+}
+
+TEST(XlaEval, ShapeReportIsBuiltOncePerCompiled) {
+  const std::vector<Literal> args = {vec({1.0, 2.0}), ivec({1, 0, 1}),
+                                     vec({1.0, 2.0, 3.0})};
+  const xla::Compiled c =
+      one_op(Op::kScatterAdd, DType::kF64, Shape{2}, args);
+  EXPECT_EQ(c.shape_report, nullptr);
+  xla::execute(c, args);  // no report requested: nothing cached
+  EXPECT_EQ(c.shape_report, nullptr);
+  xla::ExecutionReport first;
+  xla::execute(c, args, &first);
+  const auto cached = c.shape_report;
+  ASSERT_NE(cached, nullptr);
+  xla::ExecutionReport second;
+  xla::execute_compiled(c, args, &second);
+  EXPECT_EQ(c.shape_report, cached);
+  expect_report_equal(first, second);
+}
+
+// ---------------------------------------------------------------------------
+// Integer ops with no C++ meaning for some inputs take XLA's values, on
+// both executors and in constant folding.
+// ---------------------------------------------------------------------------
+
+TEST(XlaIntSemantics, DivisionAndRemainderByZeroAndOverflow) {
+  xla::Jit fn("divmod", [](const std::vector<Array>& in) {
+    return std::vector<Array>{xla::div(in[0], in[1]), xla::mod(in[0], in[1])};
+  });
+  const std::vector<Literal> args = {ivec({7, 8, -7, kI64Min, kI64Min, 9}),
+                                     ivec({0, 2, 0, -1, 0, -1})};
+  const std::vector<I64> quotient = {-1, 4, -1, kI64Min, -1, -9};
+  const std::vector<I64> remainder = {7, 0, -7, 0, kI64Min, 0};
+  Fixture f;
+  const auto interpreted = fn.call(f.rt, args);
+  const auto compiled = xla::execute_compiled(*fn.lookup(args), args);
+  for (const auto* out : {&interpreted, &compiled}) {
+    ASSERT_EQ(out->size(), 2u);
+    EXPECT_EQ(std::vector<I64>((*out)[0].i64().begin(), (*out)[0].i64().end()),
+              quotient);
+    EXPECT_EQ(std::vector<I64>((*out)[1].i64().begin(), (*out)[1].i64().end()),
+              remainder);
+  }
+}
+
+TEST(XlaIntSemantics, ShiftsOutOfRangeGiveZero) {
+  xla::Jit fn("shifts", [](const std::vector<Array>& in) {
+    return std::vector<Array>{xla::shift_left(in[0], in[1]),
+                              xla::shift_right(in[0], in[1])};
+  });
+  const std::vector<Literal> args = {ivec({5, 5, 5, 1, 5, -1}),
+                                     ivec({-1, 64, 65, 63, 0, 3})};
+  const std::vector<I64> left = {0, 0, 0, kI64Min, 5, -8};
+  const std::vector<I64> right = {0, 0, 0, 0, 5,
+                                  std::numeric_limits<I64>::max() >> 2};
+  Fixture f;
+  const auto interpreted = fn.call(f.rt, args);
+  const auto compiled = xla::execute_compiled(*fn.lookup(args), args);
+  for (const auto* out : {&interpreted, &compiled}) {
+    ASSERT_EQ(out->size(), 2u);
+    EXPECT_EQ(std::vector<I64>((*out)[0].i64().begin(), (*out)[0].i64().end()),
+              left);
+    EXPECT_EQ(std::vector<I64>((*out)[1].i64().begin(), (*out)[1].i64().end()),
+              right);
+  }
+}
+
+TEST(XlaIntSemantics, ConstantFoldingUsesTheSameValues) {
+  xla::Jit fn("folded", [](const std::vector<Array>&) {
+    const Array seven = xla::constant_i64(7);
+    const Array zero = xla::constant_i64(0);
+    const Array min = xla::constant_i64(kI64Min);
+    const Array minus_one = xla::constant_i64(-1);
+    return std::vector<Array>{
+        xla::div(seven, zero), xla::mod(seven, zero),
+        xla::div(min, minus_one), xla::mod(min, minus_one),
+        xla::shift_left(seven, xla::constant_i64(64)),
+        xla::shift_right(seven, minus_one)};
+  });
+  Fixture f;
+  const auto out = fn.call(f.rt, {});
+  const auto* c = fn.lookup({});
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->pass_stats.folded, 6);
+  const std::vector<I64> expected = {-1, 7, kI64Min, 0, 0, 0};
+  ASSERT_EQ(out.size(), expected.size());
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(out[k].i64()[0], expected[k]) << "root " << k;
+  }
 }
