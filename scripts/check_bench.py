@@ -9,7 +9,7 @@ fail if a code change flips a JAX-vs-OpenMP conclusion.
 usage: check_bench.py --fig4 fig4.json --fig6 fig6.json [--fig5 fig5.json]
                       [--overlap overlap.json] [--faults faults.json]
                       [--plan plan.json] [--comm comm.json]
-                      [--executor executor.json] [--async async.json]
+                      [--async async.json]
                       [--resilience resilience.json] [--tune tune.json]
 """
 
@@ -287,62 +287,6 @@ def check_comm(path):
     check(det["chaos_slower"], "degraded links cost schedule time")
 
 
-# The compiled executor must not just be correct — it must be worth its
-# complexity.  The fig5 chain (the paper's headline workload) has to beat
-# the interpreter by at least this factor on real wall clock.
-EXECUTOR_MIN_SPEEDUP = 1.3
-
-
-def check_executor(path):
-    with open(path) as f:
-        doc = json.load(f)
-    expect_schema(doc, "toastcase-bench-executor-v1")
-    print(f"executor ({path}):")
-    warn_unknown_keys(doc, {"rows", "chaos", "fused"}, path)
-    rows = {r["name"]: r for r in non_empty(doc["rows"], "rows")}
-
-    # The oracle contract: for every workload the compiled executor must
-    # reproduce the interpreter bit for bit — science products, TimeLog
-    # and the virtual-clock trajectory.
-    for name, r in sorted(rows.items()):
-        check(r["products_equal"],
-              f"{name}: products bitwise-equal to the interpreter")
-        check(r["timelog_equal"],
-              f"{name}: TimeLog identical to the interpreter")
-        check(r["vclock_equal"],
-              f"{name}: virtual clock identical to the interpreter")
-        check(r["compiled_wall_s"] > 0,
-              f"{name}: compiled wall time recorded")
-
-    if "fig5_chain" not in rows:
-        raise ValueError("row 'fig5_chain' missing from rows")
-    chain = rows["fig5_chain"]
-    check(chain["speedup"] >= EXECUTOR_MIN_SPEEDUP,
-          f"fig5 chain: compiled {chain['speedup']:.2f}x over interpreter "
-          f">= {EXECUTOR_MIN_SPEEDUP}x floor")
-
-    # Chaos parity: a pinned persistent-launch plan must hit both
-    # executors identically — same failure, same fault counters, same
-    # untouched products, same clock.
-    chaos = doc["chaos"]
-    check(chaos["both_failed"],
-          "chaos: persistent launch fault raised under both executors")
-    check(chaos["counters_equal"], "chaos: fault counters identical")
-    check(chaos["products_equal"], "chaos: products untouched identically")
-    check(chaos["vclock_equal"], "chaos: virtual clock identical")
-    check(chaos["fault_events"] > 0, "chaos: fault events recorded")
-
-    # The lowering must actually fuse: fewer loops than instructions and
-    # fewer materialized values than instructions.
-    fused = doc["fused"]
-    check(0 < fused["loops"] < fused["instructions"],
-          f"fused lowering compresses {fused['instructions']} instructions "
-          f"into {fused['loops']} loops")
-    check(0 < fused["materialized"] < fused["instructions"],
-          f"only {fused['materialized']} of {fused['instructions']} values "
-          "materialized")
-
-
 # Pipelining the destriper's collectives behind the next matvec has to
 # actually hide latency, not just reshuffle spans: the overlap solve must
 # beat the staged solve by at least this factor.
@@ -560,7 +504,6 @@ def main():
     ap.add_argument("--faults")
     ap.add_argument("--plan")
     ap.add_argument("--comm")
-    ap.add_argument("--executor")
     ap.add_argument("--async", dest="async_path")
     ap.add_argument("--resilience")
     ap.add_argument("--tune")
@@ -574,7 +517,6 @@ def main():
         (check_faults, args.faults),
         (check_plan, args.plan),
         (check_comm, args.comm),
-        (check_executor, args.executor),
         (check_async, args.async_path),
         (check_resilience, args.resilience),
         (check_tune, args.tune),
@@ -584,7 +526,7 @@ def main():
         ap.error(
             "pass at least one of "
             "--fig4/--fig5/--fig6/--overlap/--faults/--plan/--comm"
-            "/--executor/--async/--resilience/--tune/--serve")
+            "/--async/--resilience/--tune/--serve")
 
     for fn, path in checks:
         if path:

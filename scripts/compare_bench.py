@@ -7,10 +7,8 @@ than the tolerance fails the job, so a perf regression is caught by the
 PR that introduces it, not by someone eyeballing dashboards later.
 
 Metrics are extracted per schema (the same documents check_bench.py
-threshold-checks).  Most are virtual-clock results and therefore exactly
-reproducible; the executor benchmark reports real wall clock, so its
-rows are compared through the machine-normalized speedup ratio instead
-of raw seconds.
+threshold-checks).  All are virtual-clock results and therefore exactly
+reproducible.
 
 usage: compare_bench.py --old <dir> --new <dir> [--tolerance 0.10]
                         [--report <path>]
@@ -24,16 +22,9 @@ import sys
 import tempfile
 
 # Direction of goodness per metric: "lower" (runtimes) regresses when the
-# new value exceeds old * (1 + tolerance); "higher" (speedups) regresses
+# new value exceeds old * (1 + tolerance); "higher" (throughput) regresses
 # when the new value drops below old * (1 - tolerance).
 LOWER, HIGHER = "lower", "higher"
-
-# Per-metric widening of the base tolerance.  Virtual-clock results are
-# bitwise reproducible, so the base band is generous already; the executor
-# benchmark's wall-clock speedups jitter by tens of percent run to run on
-# the same machine, so they get a wider band that still catches the
-# compiled path silently degenerating to interpreter speed.
-WALL_CLOCK_TOL_SCALE = 5.0
 
 
 def extract_fig4(doc):
@@ -77,22 +68,6 @@ def extract_comm(doc):
         key = f"comm/ranks={p['ranks']}/bytes={p['bytes']:.0f}"
         yield f"{key}.ring_s", p["ring_s"], LOWER
         yield f"{key}.rsag_s", p["rsag_s"], LOWER
-
-
-def extract_executor(doc):
-    # Wall-clock seconds vary with the runner; the interpreter-vs-compiled
-    # ratio is the machine-independent signal worth gating on (with the
-    # widened band — see WALL_CLOCK_TOL_SCALE).
-    for r in doc.get("rows", []):
-        yield (f"executor/{r['name']}.speedup", r["speedup"], HIGHER,
-               WALL_CLOCK_TOL_SCALE)
-    fused = doc.get("fused")
-    if fused:
-        # Lowering quality: more loops or materialized values for the same
-        # module means the fusion got worse.  Deterministic.
-        yield "executor/fused.loops", float(fused["loops"]), LOWER
-        yield "executor/fused.materialized", \
-            float(fused["materialized"]), LOWER
 
 
 def extract_resilience(doc):
@@ -151,7 +126,6 @@ EXTRACTORS = {
     "toastcase-bench-overlap-v1": extract_overlap,
     "toastcase-bench-plan-v1": extract_plan,
     "toastcase-bench-comm-v1": extract_comm,
-    "toastcase-bench-executor-v1": extract_executor,
     "toastcase-bench-resilience-v1": extract_resilience,
     "toastcase-bench-tune-v1": extract_tune,
     "toastcase-bench-serve-v1": extract_serve,
@@ -160,7 +134,7 @@ EXTRACTORS = {
 
 def load_metrics(directory):
     """All tracked metrics from recognized documents under `directory`:
-    {metric name: (value, direction, tolerance scale)}."""
+    {metric name: (value, direction)}."""
     metrics = {}
     for fname in sorted(os.listdir(directory)):
         if not fname.endswith(".json"):
@@ -175,10 +149,8 @@ def load_metrics(directory):
             doc.get("schema") if isinstance(doc, dict) else None)
         if extractor is None:
             continue
-        for entry in extractor(doc):
-            name, value, direction = entry[:3]
-            scale = entry[3] if len(entry) > 3 else 1.0
-            metrics[name] = (float(value), direction, scale)
+        for name, value, direction in extractor(doc):
+            metrics[name] = (float(value), direction)
     return metrics
 
 
@@ -188,26 +160,25 @@ def compare(old, new, tolerance):
     more than `tolerance` (relative)."""
     regressions, improvements, deltas = [], [], []
     for name in sorted(set(old) & set(new)):
-        old_v, direction, scale = old[name]
-        new_v, _, _ = new[name]
+        old_v, direction = old[name]
+        new_v, _ = new[name]
         if old_v == 0:
             rel = 0.0 if new_v == 0 else float("inf")
         else:
             rel = (new_v - old_v) / abs(old_v)
         bad = rel if direction == LOWER else -rel
-        band = tolerance * scale
         entry = {
             "metric": name,
             "old": old_v,
             "new": new_v,
             "delta_pct": 100.0 * rel,
             "direction": direction,
-            "tolerance_pct": 100.0 * band,
+            "tolerance_pct": 100.0 * tolerance,
         }
         deltas.append(entry)
-        if bad > band:
+        if bad > tolerance:
             regressions.append(entry)
-        elif bad < -band:
+        elif bad < -tolerance:
             improvements.append(entry)
     return regressions, improvements, deltas
 
@@ -280,7 +251,7 @@ def write_report(path, tolerance, deltas, regressions, improvements,
 
 def selftest():
     """End-to-end check of the gate itself: identical runs must pass, a
-    synthetic 20% slowdown (and a 20% speedup loss) must fail."""
+    synthetic 20% slowdown (and a 20% throughput loss) must fail."""
     base = {
         "schema": "toastcase-bench-fig5-v1",
         "implementations": [
@@ -288,17 +259,17 @@ def selftest():
             {"name": "jax", "runtime_s": 120.0, "oom": False},
         ],
     }
-    executor = {
-        "schema": "toastcase-bench-executor-v1",
-        "rows": [{"name": "fig5_chain", "speedup": 3.0}],
-        "fused": {"loops": 2, "materialized": 2},
+    serve = {
+        "schema": "toastcase-bench-serve-v1",
+        "points": [{"offered_load": 1.0, "throughput_jobs_per_s": 3.0,
+                    "queue_wait_p99_s": 2.0, "makespan_s": 50.0}],
     }
 
-    def write_dir(d, fig5, exe):
+    def write_dir(d, fig5, srv):
         with open(os.path.join(d, "fig5.json"), "w") as f:
             json.dump(fig5, f)
-        with open(os.path.join(d, "BENCH_executor.json"), "w") as f:
-            json.dump(exe, f)
+        with open(os.path.join(d, "BENCH_serve.json"), "w") as f:
+            json.dump(srv, f)
 
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -308,18 +279,16 @@ def selftest():
         ratio_d = os.path.join(tmp, "ratio")
         for d in (old_d, same_d, slow_d, ratio_d):
             os.mkdir(d)
-        write_dir(old_d, base, executor)
-        write_dir(same_d, base, executor)
+        write_dir(old_d, base, serve)
+        write_dir(same_d, base, serve)
 
         slow = json.loads(json.dumps(base))
         slow["implementations"][0]["runtime_s"] *= 1.20  # 20% slower
-        write_dir(slow_d, slow, executor)
+        write_dir(slow_d, slow, serve)
 
-        # The executor speedup band is widened for wall-clock jitter, so
-        # the synthetic loss must model the real failure mode: the
-        # compiled path degenerating to interpreter speed (speedup -> 1).
-        lost = json.loads(json.dumps(executor))
-        lost["rows"][0]["speedup"] = 1.0
+        # A higher-is-better metric regresses when it drops.
+        lost = json.loads(json.dumps(serve))
+        lost["points"][0]["throughput_jobs_per_s"] *= 0.80
         write_dir(ratio_d, base, lost)
 
         print("--- selftest: identical runs must pass")
@@ -328,9 +297,9 @@ def selftest():
         print("--- selftest: 20% runtime slowdown must fail")
         if run_compare(old_d, slow_d, 0.10, "") != 1:
             failures.append("20% slowdown not flagged")
-        print("--- selftest: executor speedup collapse must fail")
+        print("--- selftest: 20% throughput loss must fail")
         if run_compare(old_d, ratio_d, 0.10, "") != 1:
-            failures.append("executor speedup collapse not flagged")
+            failures.append("20% throughput loss not flagged")
         print("--- selftest: missing baseline must pass (first run)")
         empty_d = os.path.join(tmp, "empty")
         os.mkdir(empty_d)

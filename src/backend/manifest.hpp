@@ -14,8 +14,7 @@
 namespace toast::backend {
 
 using available_backends =
-    std::tuple<cpu_tag, omptarget_tag, jax_tag, jax_cpu_tag,
-               jax_compiled_tag>;
+    std::tuple<cpu_tag, omptarget_tag, jax_tag, jax_cpu_tag>;
 
 inline constexpr std::size_t backend_count =
     std::tuple_size_v<available_backends>;

@@ -11,14 +11,10 @@
 //     OpRegistry<ScanMapArgs> r("scan_map");
 //     r.add<cpu_tag>([](const ScanMapArgs& a, core::ExecContext& ctx) {...});
 //     r.add<omptarget_tag>(...);
-//     r.add<jax_tag>(...);      // also serves jax-cpu and jax-compiled
+//     r.add<jax_tag>(...);      // also serves jax-cpu
 //     return r;
 //   }();
 //   reg.invoke(backend, args, ctx);
-//
-// A jax-compiled dispatch additionally flips the context's xla runtime
-// into compiled-executor mode for the duration of the call, so per-kernel
-// backend overrides pick the executor per call, not per process.
 
 #include <array>
 #include <functional>
@@ -30,23 +26,6 @@
 #include "core/context.hpp"
 
 namespace toast::backend {
-
-/// Pins the xla runtime's executor mode for one dispatch, restoring the
-/// previous mode on scope exit.
-class ScopedExecutor {
- public:
-  ScopedExecutor(xla::Runtime& rt, xla::ExecMode mode)
-      : rt_(rt), previous_(rt.executor()) {
-    rt_.set_executor(mode);
-  }
-  ~ScopedExecutor() { rt_.set_executor(previous_); }
-  ScopedExecutor(const ScopedExecutor&) = delete;
-  ScopedExecutor& operator=(const ScopedExecutor&) = delete;
-
- private:
-  xla::Runtime& rt_;
-  xla::ExecMode previous_;
-};
 
 template <typename Args>
 class OpRegistry {
@@ -72,15 +51,6 @@ class OpRegistry {
     const std::size_t slot = resolve(b);
     if (slot == npos) {
       throw UnknownKernelError(kernel_, b);
-    }
-    if (b == core::Backend::kJax || b == core::Backend::kJaxCpu ||
-        b == core::Backend::kJaxCompiled) {
-      const ScopedExecutor mode(ctx.jax(),
-                                b == core::Backend::kJaxCompiled
-                                    ? xla::ExecMode::kCompiled
-                                    : xla::ExecMode::kInterpreted);
-      slots_[slot](args, ctx);
-      return;
     }
     slots_[slot](args, ctx);
   }

@@ -5,9 +5,8 @@
 // tag type carrying its core::Backend id and display name; tag
 // *inheritance* expresses implementation sharing: a backend whose tag
 // derives from another falls back to the base backend's registered
-// kernel when it has no specialization of its own (jax-cpu and
-// jax-compiled both run the traced jax kernels — only the executor
-// underneath differs).
+// kernel when it has no specialization of its own (jax-cpu runs the
+// traced jax kernels — only the XLA backend underneath differs).
 
 #include "core/types.hpp"
 
@@ -30,7 +29,7 @@ struct omptarget_tag {
   static constexpr const char* name = "omp-target";
 };
 
-/// JAX port, GPU backend, interpreted mini-XLA executor.
+/// JAX port, GPU backend.
 struct jax_tag {
   using base = no_base_tag;
   static constexpr core::Backend id = core::Backend::kJax;
@@ -43,16 +42,6 @@ struct jax_cpu_tag : jax_tag {
   using base = jax_tag;
   static constexpr core::Backend id = core::Backend::kJaxCpu;
   static constexpr const char* name = "jax-cpu";
-};
-
-/// JAX port on the compiled fused-loop executor (one specialized loop
-/// per fusion group instead of per-op interpretation).  Inherits the jax
-/// kernel registrations; the registry switches the xla runtime into
-/// compiled mode around the call.
-struct jax_compiled_tag : jax_tag {
-  using base = jax_tag;
-  static constexpr core::Backend id = core::Backend::kJaxCompiled;
-  static constexpr const char* name = "jax-compiled";
 };
 
 }  // namespace toast::backend

@@ -129,8 +129,7 @@ struct DeviceConfig {
 };
 
 struct ScheduleConfig {
-  /// Backend manifest slot name ("cpu", "omp-target", "jax", "jax-cpu",
-  /// "jax-compiled").
+  /// Backend manifest slot name ("cpu", "omp-target", "jax", "jax-cpu").
   std::string backend = "cpu";
   StagingConfig staging;
   /// Device stream count both backend runtimes schedule on.

@@ -18,9 +18,8 @@ constexpr double kJaxUpdateDeviceFactor = 0.55;
 constexpr double kJaxUpdateHostFactor = 0.80;
 constexpr double kJaxResetSeconds = 2.0e-6;  // pool swap, no memset
 
-bool jax_like(const ExecContext& ctx) {
-  return ctx.config().backend == Backend::kJax ||
-         ctx.config().backend == Backend::kJaxCompiled;
+bool is_jax_backend(const ExecContext& ctx) {
+  return ctx.config().backend == Backend::kJax;
 }
 
 }  // namespace
@@ -38,7 +37,7 @@ void AccelStore::create(Field& field) {
   }
   double alloc_cost = 0.0;
   Shadow s;
-  if (jax_like(ctx_) && ctx_.jax().preallocation()) {
+  if (is_jax_backend(ctx_) && ctx_.jax().preallocation()) {
     // The XLA pool already owns the memory; sub-allocation is free.
     alloc_cost = 0.0;
   } else {
@@ -76,7 +75,7 @@ double paper_bytes(const core::Field& field, const ExecContext& ctx) {
 void AccelStore::update_device(Field& field) {
   std::byte* shadow = raw_ptr(field);
   std::memcpy(shadow, field.raw(), field.byte_size());
-  const double factor = jax_like(ctx_) ? kJaxUpdateDeviceFactor : 1.0;
+  const double factor = is_jax_backend(ctx_) ? kJaxUpdateDeviceFactor : 1.0;
   const double bytes = paper_bytes(field, ctx_);
   const double t = factor * ctx_.device().transfer_time(bytes);
   if (ctx_.faults().armed()) {
@@ -97,7 +96,7 @@ void AccelStore::update_device(Field& field) {
 void AccelStore::update_device_async(Field& field, sched::Scheduler& engine) {
   std::byte* shadow = raw_ptr(field);
   std::memcpy(shadow, field.raw(), field.byte_size());
-  const double factor = jax_like(ctx_) ? kJaxUpdateDeviceFactor : 1.0;
+  const double factor = is_jax_backend(ctx_) ? kJaxUpdateDeviceFactor : 1.0;
   const double bytes = paper_bytes(field, ctx_);
   const double t = factor * ctx_.device().transfer_time(bytes);
   // The engine places the transfer on the PCIe link without advancing the
@@ -111,7 +110,7 @@ void AccelStore::update_device_async(Field& field, sched::Scheduler& engine) {
 void AccelStore::update_host(Field& field) {
   const std::byte* shadow = raw_ptr(field);
   std::memcpy(field.raw(), shadow, field.byte_size());
-  const double factor = jax_like(ctx_) ? kJaxUpdateHostFactor : 1.0;
+  const double factor = is_jax_backend(ctx_) ? kJaxUpdateHostFactor : 1.0;
   const double bytes = paper_bytes(field, ctx_);
   const double t = factor * ctx_.device().transfer_time(bytes);
   if (ctx_.faults().armed()) {
@@ -130,7 +129,7 @@ void AccelStore::update_host(Field& field) {
 void AccelStore::reset(Field& field) {
   std::byte* shadow = raw_ptr(field);
   std::memset(shadow, 0, field.byte_size());
-  const double t = jax_like(ctx_)
+  const double t = is_jax_backend(ctx_)
                        ? kJaxResetSeconds
                        : ctx_.device().fill_time(paper_bytes(field, ctx_));
   ctx_.clock().advance(t);

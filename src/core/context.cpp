@@ -29,13 +29,9 @@ ExecContext::ExecContext(const ExecConfig& config)
     jax_rt_.set_streams(config.schedule.streams);
     omp_rt_.scheduler().set_streams(config.schedule.streams);
   }
-  if ((config.backend == Backend::kJax ||
-       config.backend == Backend::kJaxCompiled) &&
+  if (config.backend == Backend::kJax &&
       config.schedule.device.jax_preallocate) {
     jax_rt_.enable_preallocation();
-  }
-  if (config.backend == Backend::kJaxCompiled) {
-    jax_rt_.set_executor(xla::ExecMode::kCompiled);
   }
   if (config.backend == Backend::kJaxCpu) {
     jax_rt_.set_cpu_backend(config.host_spec, config.threads,

@@ -14,8 +14,6 @@ const char* to_string(Backend b) {
       return "jax";
     case Backend::kJaxCpu:
       return "jax-cpu";
-    case Backend::kJaxCompiled:
-      return "jax-compiled";
   }
   return "?";
 }

@@ -19,19 +19,17 @@ struct Interval {
 /// Which implementation of a kernel to run (paper §3.2.1: selectable for
 /// the entire code, individual pipelines, or individual kernels).
 enum class Backend {
-  kCpu,          ///< original OpenMP CPU kernels (the baseline)
-  kOmpTarget,    ///< OpenMP Target Offload port
-  kJax,          ///< JAX port on the GPU backend
-  kJaxCpu,       ///< JAX port forced onto its CPU backend (paper §4.2)
-  kJaxCompiled,  ///< JAX port on the compiled fused-loop xla executor
+  kCpu,        ///< original OpenMP CPU kernels (the baseline)
+  kOmpTarget,  ///< OpenMP Target Offload port
+  kJax,        ///< JAX port on the GPU backend
+  kJaxCpu,     ///< JAX port forced onto its CPU backend (paper §4.2)
 };
 
 const char* to_string(Backend b);
 
 /// True when the backend executes kernels on the accelerator.
 inline bool is_accel(Backend b) {
-  return b == Backend::kOmpTarget || b == Backend::kJax ||
-         b == Backend::kJaxCompiled;
+  return b == Backend::kOmpTarget || b == Backend::kJax;
 }
 
 }  // namespace toast::core

@@ -2,7 +2,7 @@
 // pixels_healpix, stokes_weights_{IQU,I}.  Backend selection goes through
 // the tag-dispatch registry (backend/registry.hpp): each kernel registers
 // one implementation per manifest tag and the jax registration serves
-// jax, jax-cpu and jax-compiled through the tag base chain.
+// jax and jax-cpu through the tag base chain.
 
 #include "backend/registry.hpp"
 #include "kernels/cpu.hpp"

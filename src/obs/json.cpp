@@ -1,6 +1,7 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -9,6 +10,11 @@
 namespace toast::obs::json {
 
 namespace {
+
+/// Deepest array/object nesting accepted.  Recursion depth is bounded by
+/// it, so a hostile document fails with a ParseError instead of
+/// overflowing the stack.
+constexpr int kMaxDepth = 256;
 
 class Parser {
  public:
@@ -64,9 +70,15 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        ++depth_;
+        Value v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         Value v;
         v.type = Value::Type::kString;
@@ -111,7 +123,9 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      v.object.emplace(std::move(key), parse_value());
+      if (!v.object.emplace(key, parse_value()).second) {
+        fail("duplicate key: " + key);
+      }
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -231,11 +245,15 @@ class Parser {
     if (end == nullptr || *end != '\0') {
       fail("malformed number: " + num);
     }
+    if (!std::isfinite(v.number)) {
+      fail("number out of range: " + num);
+    }
     return v;
   }
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

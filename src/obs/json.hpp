@@ -52,7 +52,9 @@ class Value {
     return v != nullptr && v->is_number() ? v->number : fallback;
   }
 
-  /// Parse a complete JSON document; throws ParseError on malformed input.
+  /// Parse a complete JSON document; throws ParseError on malformed input,
+  /// nesting deeper than 256, a repeated object key or a number that
+  /// overflows a double.
   static Value parse(const std::string& text);
 };
 

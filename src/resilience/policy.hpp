@@ -17,8 +17,8 @@
 //     clock, optionally jittered from the fault RNG so repeats stay
 //     bitwise),
 //   - graceful-degradation ladders: named escalation domains
-//     ("solver_comm" overlap->sync->staged, "executor"
-//     compiled->interpreter, "collectives" engine->model) that step up
+//     ("solver_comm" overlap->sync->staged, "executor" plan replay->
+//     pipeline interpreter, "collectives" engine->model) that step up
 //     one rung per `escalate_after` reported faults,
 //   - the elastic world-shrink switch: when a rank-failure replay budget
 //     is exhausted, drop the rank, rebuild the comm topology over the

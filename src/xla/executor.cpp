@@ -45,6 +45,20 @@ Compiled compile(HloModule module) {
 
 namespace detail {
 
+struct ShapeReport {
+  /// The report without the scatter-add lowering (its bytes written,
+  /// atomics and segment flag) and without `total`.
+  ExecutionReport report;
+  /// Scatter-add instructions in SSA order: the only data-dependent part.
+  std::vector<InstrId> scatter_adds;
+};
+
+}  // namespace detail
+
+namespace {
+
+using detail::ShapeReport;
+
 void validate_args(const HloModule& m, std::span<const Literal> args) {
   if (args.size() != m.params.size()) {
     throw std::invalid_argument("xla: argument count mismatch");
@@ -57,16 +71,6 @@ void validate_args(const HloModule& m, std::span<const Literal> args) {
     }
   }
 }
-
-struct ShapeReport {
-  /// The report without the scatter-add lowering (its bytes written,
-  /// atomics and segment flag) and without `total`.
-  ExecutionReport report;
-  /// Scatter-add instructions in SSA order: the only data-dependent part.
-  std::vector<InstrId> scatter_adds;
-};
-
-namespace {
 
 ShapeReport build_shape_report(const Compiled& compiled) {
   const HloModule& m = compiled.module;
@@ -274,10 +278,11 @@ void add_scatter_lowering(const Compiled& compiled, InstrId scatter,
                         static_cast<double>(dtype_size(in.dtype));
 }
 
-}  // namespace
-
+/// The full report: the cached shape-only part plus the scatter-add
+/// lowering of this call's index streams (`vals` holds every value the
+/// execution kept alive), folded in SSA order, then summed into `total`.
 ExecutionReport build_report(const Compiled& compiled,
-                             const ScatterIdxFn& scatter_idx) {
+                             const std::vector<const Literal*>& vals) {
   if (!compiled.shape_report) {
     compiled.shape_report =
         std::make_shared<const ShapeReport>(build_shape_report(compiled));
@@ -285,7 +290,9 @@ ExecutionReport build_report(const Compiled& compiled,
   const ShapeReport& shape = *compiled.shape_report;
   ExecutionReport local = shape.report;
   for (const InstrId s : shape.scatter_adds) {
-    add_scatter_lowering(compiled, s, scatter_idx(s), local);
+    const auto idx = compiled.module.at(s).operands[1];
+    add_scatter_lowering(compiled, s,
+                         vals[static_cast<std::size_t>(idx)]->i64(), local);
   }
   for (const auto& w : local.group_work) {
     local.total += w;
@@ -293,19 +300,20 @@ ExecutionReport build_report(const Compiled& compiled,
   return local;
 }
 
-}  // namespace detail
+}  // namespace
 
 std::vector<Literal> execute(const Compiled& compiled,
                              std::span<const Literal> args,
                              ExecutionReport* report) {
   const HloModule& m = compiled.module;
-  detail::validate_args(m, args);
+  validate_args(m, args);
 
   // Params and constants are read in place; only computed values are
-  // owned.  `owned` never resizes, so pointers into it stay valid.
+  // owned, and each is freed after its last reader.  `owned` never
+  // resizes, so pointers into it stay valid.
   const std::size_t n = m.size();
   // Last reader of each value.  Roots and the scatter-add index streams
-  // (the report's input) are read after the loop.
+  // (the report's input) are read after the loop, so they stay alive.
   std::vector<std::size_t> last_use(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     for (const auto op : m.instructions[i].operands) {
@@ -353,14 +361,17 @@ std::vector<Literal> execute(const Compiled& compiled,
       owned[i] = evaluate_instruction(in, ops);
     }
     vals[i] = &owned[i];
+    // Free every owned operand this instruction read last.
+    for (const auto op : in.operands) {
+      const auto o = static_cast<std::size_t>(op);
+      if (last_use[o] == i && vals[o] == &owned[o]) {
+        owned[o] = Literal{};
+      }
+    }
   }
 
   if (report != nullptr) {
-    *report = detail::build_report(
-        compiled, [&vals, &m](InstrId scatter) {
-          const auto idx = m.at(scatter).operands[1];
-          return vals[static_cast<std::size_t>(idx)]->i64();
-        });
+    *report = build_report(compiled, vals);
   }
 
   // A computed root is moved out at its last mention; params, constants

@@ -11,7 +11,6 @@
 // (segment) scatters become a conflict-free segmented reduction; unsorted
 // scatters pay atomics with the measured conflict rate.
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -21,16 +20,6 @@
 #include "xla/passes.hpp"
 
 namespace toast::xla {
-
-/// How a Compiled module computes its values.  Both modes produce
-/// bitwise-identical products and ExecutionReports; only the real
-/// wall-clock cost of the value computation differs.
-enum class ExecMode {
-  kInterpreted,  ///< per-op evaluation, one Literal per instruction
-  kCompiled,     ///< fused-loop executable (xla/compiled.hpp)
-};
-
-class FusedExecutable;
 
 namespace detail {
 /// The shape-only part of a module's ExecutionReport: group work (flops,
@@ -47,11 +36,8 @@ struct Compiled {
   PassStats pass_stats;
   /// Modelled XLA compile time (charged once per cache entry).
   double compile_seconds = 0.0;
-  /// Lazily-built fused-loop executable (execute_compiled's cache; the
-  /// lowering runs once per Compiled, on first compiled execution).
-  mutable std::shared_ptr<const FusedExecutable> fused;
-  /// Lazily-built shape-only part of the ExecutionReport (build_report's
-  /// cache; computed once per Compiled, on the first reported call).
+  /// Lazily-built shape-only part of the ExecutionReport (computed once
+  /// per Compiled, on the first reported call).
   mutable std::shared_ptr<const detail::ShapeReport> shape_report;
 };
 
@@ -73,44 +59,13 @@ struct ExecutionReport {
   std::size_t peak_temp_bytes = 0;
 };
 
-/// Evaluate the compiled module.  `args` must match module params.
+/// Evaluate the compiled module.  `args` must match module params.  Each
+/// computed value is freed after its last reader; the report's
+/// shape-only part is built once per Compiled and cached, and only the
+/// scatter lowering (sortedness, unique targets, warp conflict rate) is
+/// recomputed per call from the executed index streams.
 std::vector<Literal> execute(const Compiled& compiled,
                              std::span<const Literal> args,
                              ExecutionReport* report = nullptr);
-
-/// Evaluate via the fused-loop executable (xla/compiled.hpp): one
-/// specialized loop per materialized value instead of one Literal per
-/// instruction.  Products and report are bitwise-identical to execute();
-/// throws LoweringError when the module cannot be lowered (the Jit falls
-/// back to the interpreter).
-std::vector<Literal> execute_compiled(const Compiled& compiled,
-                                      std::span<const Literal> args,
-                                      ExecutionReport* report = nullptr);
-
-namespace detail {
-
-/// Check args against the traced signature (count, shapes, dtypes);
-/// throws std::invalid_argument on mismatch.  Shared by both executors.
-void validate_args(const HloModule& m, std::span<const Literal> args);
-
-/// Returns the executed index stream of a scatter instruction (the value
-/// of its operands[1]).  The only data dependence of the metering model:
-/// everything else in the report derives from shapes and the group
-/// assignment, but the scatter lowering decision (segmented reduction vs
-/// atomics, and the conflict rate) is taken from the actual indices.
-using ScatterIdxFn =
-    std::function<std::span<const std::int64_t>(InstrId scatter)>;
-
-/// Build the full ExecutionReport for a module.  The shape-only part is
-/// computed once per Compiled and cached; each call copies it and runs
-/// only the per-call scatter pass over the executed indices (sortedness,
-/// unique targets, warp conflict rate), folding each scatter-add in SSA
-/// order, then sums `total`.  Both executors call this with their own
-/// ScatterIdxFn, which is what makes the reports — and hence the
-/// modelled TimeLog — bitwise identical across modes.
-ExecutionReport build_report(const Compiled& compiled,
-                             const ScatterIdxFn& scatter_idx);
-
-}  // namespace detail
 
 }  // namespace toast::xla

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "sched/scheduler.hpp"
-#include "xla/compiled.hpp"
 
 namespace toast::xla {
 
@@ -107,26 +106,7 @@ std::vector<Literal> Jit::call_reported(Runtime& rt,
                                         const std::string& static_key,
                                         ExecutionReport& report) {
   const Compiled& compiled = get_or_compile(rt, args, static_key);
-  // Value computation: interpreter or fused-loop executable, selected by
-  // the runtime's executor mode.  Everything after this line — memory
-  // accounting, fault probes, group charging — is mode-independent,
-  // because the report is bitwise-identical between the two and the
-  // fault injector must see the same draw sequence either way.
-  std::vector<Literal> outputs;
-  if (rt.executor() == ExecMode::kCompiled) {
-    try {
-      outputs = execute_compiled(compiled, args, &report);
-    } catch (const LoweringError&) {
-      // The interpreter is both the oracle and the fallback: a module
-      // the fused lowering rejects still executes, one op at a time.
-      if (rt.faults() != nullptr) {
-        rt.faults()->add_count("xla_compiled_fallback");
-      }
-      outputs = execute(compiled, args, &report);
-    }
-  } else {
-    outputs = execute(compiled, args, &report);
-  }
+  std::vector<Literal> outputs = execute(compiled, args, &report);
 
   // Memory accounting: temporaries live for the duration of the call.
   // Donated parameter buffers are recycled for outputs.

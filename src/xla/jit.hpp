@@ -46,13 +46,6 @@ class Runtime {
   void set_fault_injector(fault::FaultInjector* f) { faults_ = f; }
   fault::FaultInjector* faults() { return faults_; }
 
-  /// Which executor jitted calls use for value computation.  Compiled
-  /// mode lowers each fusion group to a fused loop (bitwise-identical
-  /// products and TimeLog — the interpreter is the oracle); a module the
-  /// lowering rejects falls back to the interpreter per call.
-  ExecMode executor() const { return exec_mode_; }
-  void set_executor(ExecMode m) { exec_mode_ = m; }
-
   /// Host-side dispatch cost per jitted call (tracing cache lookup, arg
   /// handling, stream submission).
   double dispatch_overhead() const { return dispatch_overhead_; }
@@ -101,7 +94,6 @@ class Runtime {
   accel::VirtualClock& clock_;
   obs::Tracer& tracer_;
   fault::FaultInjector* faults_ = nullptr;
-  ExecMode exec_mode_ = ExecMode::kInterpreted;
   double dispatch_overhead_ = 1.5e-5;
   double work_scale_ = 1.0;
   int n_streams_ = 1;

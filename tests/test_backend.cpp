@@ -1,7 +1,6 @@
 // Tests for the backend manifest and the per-kernel OpRegistry: tag
-// slots, enum mapping, base-chain inheritance (jax-cpu / jax-compiled
-// fall back to the jax registration), structured dispatch failure, and
-// the scoped executor flip for jax-compiled dispatches.
+// slots, enum mapping, base-chain inheritance (jax-cpu falls back to the
+// jax registration) and structured dispatch failure.
 
 #include "backend/manifest.hpp"
 #include "backend/registry.hpp"
@@ -9,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
 namespace backend = toast::backend;
 namespace core = toast::core;
@@ -30,12 +28,11 @@ core::ExecContext make_ctx(Backend b = Backend::kCpu) {
 }  // namespace
 
 TEST(BackendManifest, TagSlotsAreStableAndComplete) {
-  EXPECT_EQ(backend::backend_count, 5u);
+  EXPECT_EQ(backend::backend_count, 4u);
   EXPECT_EQ(backend::backend_index<backend::cpu_tag>(), 0u);
   EXPECT_EQ(backend::backend_index<backend::omptarget_tag>(), 1u);
   EXPECT_EQ(backend::backend_index<backend::jax_tag>(), 2u);
   EXPECT_EQ(backend::backend_index<backend::jax_cpu_tag>(), 3u);
-  EXPECT_EQ(backend::backend_index<backend::jax_compiled_tag>(), 4u);
 }
 
 TEST(BackendManifest, EnumMapsToTagSlots) {
@@ -47,8 +44,6 @@ TEST(BackendManifest, EnumMapsToTagSlots) {
             backend::backend_index<backend::jax_tag>());
   EXPECT_EQ(backend::index_of(Backend::kJaxCpu),
             backend::backend_index<backend::jax_cpu_tag>());
-  EXPECT_EQ(backend::index_of(Backend::kJaxCompiled),
-            backend::backend_index<backend::jax_compiled_tag>());
 }
 
 TEST(BackendManifest, NamesFollowTheTuple) {
@@ -56,7 +51,6 @@ TEST(BackendManifest, NamesFollowTheTuple) {
   EXPECT_STREQ(backend::name_of(1), "omp-target");
   EXPECT_STREQ(backend::name_of(2), "jax");
   EXPECT_STREQ(backend::name_of(3), "jax-cpu");
-  EXPECT_STREQ(backend::name_of(4), "jax-compiled");
   EXPECT_STREQ(backend::name_of(backend::npos), "unknown");
 }
 
@@ -69,20 +63,16 @@ TEST(BackendManifest, BaseChainLinksJaxVariantsToJax) {
   EXPECT_EQ(
       backend::base_index(backend::backend_index<backend::jax_cpu_tag>()),
       jax);
-  EXPECT_EQ(
-      backend::base_index(
-          backend::backend_index<backend::jax_compiled_tag>()),
-      jax);
 }
 
 TEST(BackendManifest, WithBackendVisitsTheMatchingTag) {
   std::string seen;
   const bool called =
-      backend::with_backend(Backend::kJaxCompiled, [&](auto tag) {
+      backend::with_backend(Backend::kJaxCpu, [&](auto tag) {
         seen = decltype(tag)::name;
       });
   EXPECT_TRUE(called);
-  EXPECT_EQ(seen, "jax-compiled");
+  EXPECT_EQ(seen, "jax-cpu");
 }
 
 TEST(BackendRegistry, DispatchSelectsTheRegisteredTag) {
@@ -111,12 +101,10 @@ TEST(BackendRegistry, JaxVariantsInheritTheJaxRegistration) {
       [&](const ToyArgs&, core::ExecContext&) { ++jax_calls; });
   EXPECT_TRUE(reg.has(Backend::kJax));
   EXPECT_TRUE(reg.has(Backend::kJaxCpu));
-  EXPECT_TRUE(reg.has(Backend::kJaxCompiled));
   EXPECT_FALSE(reg.has(Backend::kCpu));
   reg.invoke(Backend::kJax, {}, ctx);
   reg.invoke(Backend::kJaxCpu, {}, ctx);
-  reg.invoke(Backend::kJaxCompiled, {}, ctx);
-  EXPECT_EQ(jax_calls, 3);
+  EXPECT_EQ(jax_calls, 2);
 }
 
 TEST(BackendRegistry, SpecializationShadowsTheBase) {
@@ -129,8 +117,8 @@ TEST(BackendRegistry, SpecializationShadowsTheBase) {
       [&](const ToyArgs&, core::ExecContext&) { hit = "jax-cpu"; });
   reg.invoke(Backend::kJaxCpu, {}, ctx);
   EXPECT_EQ(hit, "jax-cpu");
-  // The sibling still resolves through the base.
-  reg.invoke(Backend::kJaxCompiled, {}, ctx);
+  // The base keeps its own registration.
+  reg.invoke(Backend::kJax, {}, ctx);
   EXPECT_EQ(hit, "jax");
 }
 
@@ -153,46 +141,8 @@ TEST(BackendRegistry, EmptyRegistryRejectsEverything) {
   auto ctx = make_ctx();
   const backend::OpRegistry<ToyArgs> reg("empty");
   for (const Backend b :
-       {Backend::kCpu, Backend::kOmpTarget, Backend::kJax, Backend::kJaxCpu,
-        Backend::kJaxCompiled}) {
+       {Backend::kCpu, Backend::kOmpTarget, Backend::kJax, Backend::kJaxCpu}) {
     EXPECT_FALSE(reg.has(b));
     EXPECT_THROW(reg.invoke(b, {}, ctx), backend::UnknownKernelError);
   }
-}
-
-TEST(BackendRegistry, CompiledDefaultContextStartsInCompiledMode) {
-  auto ctx = make_ctx(Backend::kJaxCompiled);
-  EXPECT_EQ(ctx.jax().executor(), toast::xla::ExecMode::kCompiled);
-  EXPECT_EQ(make_ctx(Backend::kJax).jax().executor(),
-            toast::xla::ExecMode::kInterpreted);
-}
-
-TEST(BackendRegistry, JaxCompiledDispatchFlipsTheExecutor) {
-  auto ctx = make_ctx();
-  ASSERT_EQ(ctx.jax().executor(), toast::xla::ExecMode::kInterpreted);
-  backend::OpRegistry<ToyArgs> reg("toy");
-  std::vector<toast::xla::ExecMode> seen;
-  reg.add<backend::jax_tag>([&](const ToyArgs&, core::ExecContext& c) {
-    seen.push_back(c.jax().executor());
-  });
-  reg.invoke(Backend::kJax, {}, ctx);
-  reg.invoke(Backend::kJaxCompiled, {}, ctx);
-  reg.invoke(Backend::kJaxCpu, {}, ctx);
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0], toast::xla::ExecMode::kInterpreted);
-  EXPECT_EQ(seen[1], toast::xla::ExecMode::kCompiled);
-  EXPECT_EQ(seen[2], toast::xla::ExecMode::kInterpreted);
-  // The flip is scoped to the dispatch: the context mode is restored.
-  EXPECT_EQ(ctx.jax().executor(), toast::xla::ExecMode::kInterpreted);
-}
-
-TEST(BackendRegistry, ScopedExecutorRestoresOnThrow) {
-  auto ctx = make_ctx();
-  backend::OpRegistry<ToyArgs> reg("boom");
-  reg.add<backend::jax_tag>([](const ToyArgs&, core::ExecContext&) {
-    throw std::runtime_error("kernel failed");
-  });
-  EXPECT_THROW(reg.invoke(Backend::kJaxCompiled, {}, ctx),
-               std::runtime_error);
-  EXPECT_EQ(ctx.jax().executor(), toast::xla::ExecMode::kInterpreted);
 }

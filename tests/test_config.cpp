@@ -178,7 +178,7 @@ TEST(ScheduleConfig, RejectsInvalidValues) {
 TEST(ScheduleConfig, BackendSlotRoundTripsThroughManifest) {
   using toast::core::Backend;
   for (const Backend b : {Backend::kCpu, Backend::kOmpTarget, Backend::kJax,
-                          Backend::kJaxCpu, Backend::kJaxCompiled}) {
+                          Backend::kJaxCpu}) {
     ScheduleConfig c;
     c.set_backend(b);
     EXPECT_EQ(c.backend_id(), b);

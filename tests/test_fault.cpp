@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "accel/sim_device.hpp"
+#include "core/context.hpp"
 #include "fault/fault.hpp"
+#include "kernels/jax.hpp"
 #include "mpisim/job.hpp"
 #include "obs/trace.hpp"
 #include "sim/satellite.hpp"
@@ -371,6 +375,69 @@ TEST(FaultRecovery, PersistentLaunchFaultsFallBackToCpu) {
   EXPECT_GT(r.fault_counters.at("fault_fallbacks"), 0.0);
   EXPECT_GT(r.fault_counters.at("fault_launch_retries"), 0.0);
   EXPECT_FALSE(r.degraded_kernels.empty());
+}
+
+TEST(FaultRecovery, PersistentLaunchFaultOnJaxLeavesProductsUntouched) {
+  // A jitted kernel probes for launch faults after computing its values
+  // but before it charges a fusion group or writes a result back: under a
+  // probability-1 plan scan_map raises, the host signal keeps its input
+  // bits, and a second run of the same plan ends on the same clock.
+  const std::int64_t n_det = 2;
+  const std::int64_t n_samp = 64;
+  const std::int64_t nnz = 3;
+  const std::int64_t n_pix = 48;
+  const std::vector<core::Interval> intervals = {{0, 30}, {34, 64}};
+  std::vector<double> sky(static_cast<std::size_t>(n_pix * nnz));
+  for (std::size_t i = 0; i < sky.size(); ++i) {
+    sky[i] = 0.25 * static_cast<double>(i % 7) - 0.5;
+  }
+  std::vector<std::int64_t> pixels(static_cast<std::size_t>(n_det * n_samp));
+  for (std::size_t i = 0; i < pixels.size(); ++i) {
+    pixels[i] = i % 11 == 0 ? -1 : static_cast<std::int64_t>(i * 5) % n_pix;
+  }
+  const std::vector<double> weights(
+      static_cast<std::size_t>(nnz * n_det * n_samp), 0.5);
+  std::vector<double> signal0(static_cast<std::size_t>(n_det * n_samp));
+  for (std::size_t i = 0; i < signal0.size(); ++i) {
+    signal0[i] = static_cast<double>(i) * 0.125;
+  }
+
+  struct Run {
+    bool raised = false;
+    std::vector<double> signal;
+    std::map<std::string, double> counters;
+    double virtual_s = 0.0;
+  };
+  const auto run = [&] {
+    // Cold JIT caches, so both runs pay the same compile charge.
+    toast::kernels::jax::clear_jit_caches();
+    core::ExecConfig cfg;
+    cfg.backend = core::Backend::kJax;
+    cfg.fault_plan = one_rule(FaultKind::kLaunch, 1.0);
+    core::ExecContext ctx(cfg);
+    Run r;
+    r.signal = signal0;
+    try {
+      toast::kernels::jax::scan_map(sky.data(), n_pix, nnz, pixels.data(),
+                                    weights.data(), 1.0, intervals, n_det,
+                                    n_samp, r.signal.data(), ctx);
+    } catch (const fault::PersistentFaultError&) {
+      r.raised = true;
+    }
+    r.counters = ctx.faults().counters();
+    r.virtual_s = ctx.elapsed();
+    return r;
+  };
+  const Run a = run();
+  const Run b = run();
+  EXPECT_TRUE(a.raised);
+  EXPECT_TRUE(b.raised);
+  EXPECT_EQ(a.signal, signal0);
+  EXPECT_DOUBLE_EQ(a.counters.at("fault_persistent"), 1.0);
+  EXPECT_GT(a.counters.at("fault_launch_retries"), 0.0);
+  EXPECT_EQ(a.counters, b.counters);
+  EXPECT_GT(a.virtual_s, 0.0);
+  EXPECT_EQ(a.virtual_s, b.virtual_s);
 }
 
 TEST(FaultRecovery, RankFailuresReplayBoundedly) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "accel/sim_device.hpp"
 #include "obs/export.hpp"
@@ -299,6 +301,54 @@ TEST(Json, NumberOrFallsBackOnWrongTypes) {
   EXPECT_DOUBLE_EQ(v.number_or("a", -1.0), -1.0);
   EXPECT_DOUBLE_EQ(v.number_or("missing", 7.0), 7.0);
   EXPECT_DOUBLE_EQ(v.number_or("n", -1.0), 2.5);
+}
+
+TEST(Json, RejectsNestingDeeperThanTheLimit) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(json::Value::parse(nested(256)));
+  EXPECT_THROW(json::Value::parse(nested(257)), json::ParseError);
+  // Deep enough to overflow the stack without the limit.
+  EXPECT_THROW(json::Value::parse(nested(200000)), json::ParseError);
+  EXPECT_THROW(json::Value::parse(std::string(200000, '{')),
+               json::ParseError);
+}
+
+TEST(Json, RejectsDuplicateKeys) {
+  EXPECT_THROW(json::Value::parse(R"({"a":1,"a":2})"), json::ParseError);
+  EXPECT_THROW(json::Value::parse(R"({"o":{"k":true,"k":true}})"),
+               json::ParseError);
+  // The same key in different objects is fine.
+  const json::Value v = json::Value::parse(R"({"a":1,"o":{"a":2}})");
+  EXPECT_DOUBLE_EQ(v.at("a").number, 1.0);
+  EXPECT_DOUBLE_EQ(v.at("o").at("a").number, 2.0);
+}
+
+TEST(Json, RejectsNumbersBeyondDoubleRange) {
+  EXPECT_THROW(json::Value::parse("[1e999]"), json::ParseError);
+  EXPECT_THROW(json::Value::parse(R"({"x":-1e999})"), json::ParseError);
+  const json::Value v =
+      json::Value::parse("[1.7976931348623157e308, 1e-999]");
+  EXPECT_EQ(v.array[0].number, 1.7976931348623157e308);
+  EXPECT_EQ(v.array[1].number, 0.0);  // underflow rounds to zero
+}
+
+TEST(Json, ParsesEveryCheckedInBenchDocument) {
+  // Fault plans, policies, schedules and service specs are read through
+  // this parser: none of its rejections may fire on a real input.
+  namespace fs = std::filesystem;
+  int parsed = 0;
+  for (const auto& entry : fs::recursive_directory_iterator(
+           fs::path(TOASTCASE_SOURCE_DIR) / "bench")) {
+    if (entry.path().extension() != ".json") {
+      continue;
+    }
+    EXPECT_NO_THROW(json::load_file(entry.path().string()))
+        << entry.path();
+    ++parsed;
+  }
+  EXPECT_GT(parsed, 0);
 }
 
 TEST(Export, FaultCounterRoundTrip) {

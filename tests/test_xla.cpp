@@ -9,15 +9,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <string>
-#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "xla/compiled.hpp"
 
 namespace xla = toast::xla;
 namespace accel = toast::accel;
@@ -492,265 +488,29 @@ TEST(XlaLiteral, TypedAccessAndValidation) {
   EXPECT_THROW(Shape({1, 2, 3}), std::invalid_argument);
 }
 
-// ---------------------------------------------------------------------------
-// Fused-loop executor (xla/compiled.hpp): the interpreter is the oracle.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void expect_literal_bits(const Literal& a, const Literal& b) {
-  ASSERT_EQ(a.dtype(), b.dtype());
-  ASSERT_TRUE(a.shape() == b.shape());
-  switch (a.dtype()) {
-    case DType::kF64:
-      ASSERT_EQ(std::memcmp(a.f64().data(), b.f64().data(), a.byte_size()),
-                0);
-      break;
-    case DType::kI64:
-      ASSERT_EQ(std::memcmp(a.i64().data(), b.i64().data(), a.byte_size()),
-                0);
-      break;
-    case DType::kPred:
-      ASSERT_EQ(std::memcmp(a.pred().data(), b.pred().data(), a.byte_size()),
-                0);
-      break;
-  }
-}
-
-void expect_report_equal(const xla::ExecutionReport& a,
-                         const xla::ExecutionReport& b) {
-  EXPECT_EQ(a.peak_temp_bytes, b.peak_temp_bytes);
-  EXPECT_EQ(a.segment_lowering_used, b.segment_lowering_used);
-  EXPECT_EQ(a.group_heavy, b.group_heavy);
-  EXPECT_EQ(a.group_deps, b.group_deps);
-  ASSERT_EQ(a.group_work.size(), b.group_work.size());
-  const auto expect_work_equal = [](const accel::WorkEstimate& x,
-                                    const accel::WorkEstimate& y) {
-    EXPECT_EQ(x.flops, y.flops);
-    EXPECT_EQ(x.bytes_read, y.bytes_read);
-    EXPECT_EQ(x.bytes_written, y.bytes_written);
-    EXPECT_EQ(x.launches, y.launches);
-    EXPECT_EQ(x.parallel_items, y.parallel_items);
-    EXPECT_EQ(x.divergence, y.divergence);
-    EXPECT_EQ(x.atomic_ops, y.atomic_ops);
-    EXPECT_EQ(x.atomic_conflict_rate, y.atomic_conflict_rate);
-    EXPECT_EQ(x.cpu_vector_eff, y.cpu_vector_eff);
-  };
-  for (std::size_t g = 0; g < a.group_work.size(); ++g) {
-    expect_work_equal(a.group_work[g], b.group_work[g]);
-  }
-  expect_work_equal(a.total, b.total);
-}
-
-/// Run the module both ways and require bitwise-identical products and
-/// bitwise-identical ExecutionReports.
-void expect_bitwise_parity(xla::Jit& fn, const std::vector<Literal>& args) {
+TEST(XlaEval, ParamOnlyAndConstantOnlyRoots) {
+  // Roots that are leaves (a parameter, a folded constant) are forwarded
+  // from the arguments and the module's literals, never computed.
   Fixture f;
-  fn.call(f.rt, args);
-  const auto* compiled = fn.lookup(args);
-  ASSERT_NE(compiled, nullptr);
-  xla::ExecutionReport ri;
-  xla::ExecutionReport rc;
-  const auto oi = xla::execute(*compiled, args, &ri);
-  const auto oc = xla::execute_compiled(*compiled, args, &rc);
-  ASSERT_EQ(oi.size(), oc.size());
-  for (std::size_t k = 0; k < oi.size(); ++k) {
-    expect_literal_bits(oi[k], oc[k]);
-  }
-  expect_report_equal(ri, rc);
-}
-
-}  // namespace
-
-TEST(XlaCompiled, ParityElementwiseChain) {
-  xla::Jit fn("chain", [](const std::vector<Array>& in) {
-    const Array t = xla::sqrt(xla::abs(in[0] * 2.0 + 1.0));
-    return std::vector<Array>{xla::sin(t) * xla::cos(t) + xla::tanh(t),
-                              xla::atan2(t, in[0]) - xla::exp(-t)};
-  });
-  expect_bitwise_parity(fn, {vec({0.3, -1.7, 2.9, 4.2, -0.01})});
-}
-
-TEST(XlaCompiled, ParityBroadcastSliceReduce) {
-  xla::Jit fn("bc", [](const std::vector<Array>& in) {
-    const Array m = xla::broadcast_col(in[0], 3) + xla::broadcast_row(in[1], 2);
-    return std::vector<Array>{xla::slice_col(m, 1), xla::reduce_sum(m, 1),
-                              xla::reduce_sum(m), xla::reduce_max(m)};
-  });
-  expect_bitwise_parity(fn, {vec({10.0, 20.0}), vec({1.0, 2.0, 3.0})});
-}
-
-TEST(XlaCompiled, ParityGatherScatter) {
-  xla::Jit fn("gs", [](const std::vector<Array>& in) {
-    const Array g = xla::gather(in[0], in[1]) * 2.0;
-    return std::vector<Array>{xla::scatter_add(in[0], in[1], g),
-                              xla::scatter_set(in[0], in[1], g)};
-  });
-  // Unsorted indices with out-of-range lanes: atomics path + dropped lanes.
-  expect_bitwise_parity(
-      fn, {vec({1.0, 2.0, 3.0, 4.0}), ivec({2, 0, 2, 9, -1, 1})});
-  // Sorted indices: segment-reduction path.
-  expect_bitwise_parity(
-      fn, {vec({1.0, 2.0, 3.0, 4.0}), ivec({0, 0, 1, 2, 3, 3})});
-}
-
-TEST(XlaCompiled, ParityIntegerAndPredOps) {
-  xla::Jit fn("bits", [](const std::vector<Array>& in) {
-    const Array two = xla::constant_i64(2);
-    const Array p = xla::lt(in[0], xla::constant_i64(5));
-    const Array q = xla::ge(in[0], xla::constant_i64(0));
-    return std::vector<Array>{
-        xla::bitwise_xor(xla::shift_left(in[0], two),
-                         xla::shift_right(in[0], xla::constant_i64(1))),
-        xla::select(xla::logical_and(p, xla::logical_not(q)),
-                    in[0] + xla::constant_i64(100), xla::mod(in[0], two)),
-        xla::to_f64(xla::logical_or(p, q))};
-  });
-  expect_bitwise_parity(fn, {ivec({1, -3, 7, 0, 12, -8})});
-}
-
-TEST(XlaCompiled, ParityIotaCastClampSign) {
-  xla::Jit fn("misc", [](const std::vector<Array>& in) {
-    const Array i = xla::iota(6);
-    const Array f = xla::to_f64(i) - 2.5;
-    return std::vector<Array>{
-        xla::clamp(in[0], xla::constant(-1.0), xla::constant(1.0)),
-        xla::sign(f) * xla::floor(xla::abs(f)),
-        xla::to_i64(in[0] * 10.0) + i};
-  });
-  expect_bitwise_parity(fn, {vec({-2.0, -0.5, 0.0, 0.3, 1.7, 9.0})});
-}
-
-TEST(XlaCompiled, ParityDotAndScalarBroadcast) {
-  xla::Jit fn("dotty", [](const std::vector<Array>& in) {
-    // reduce_sum(a*b) is rewritten to dot; the scalar result then
-    // broadcasts into the next elementwise group.
-    const Array d = xla::reduce_sum(in[0] * in[1]);
-    return std::vector<Array>{in[0] * d + xla::maximum(in[1], in[0]),
-                              xla::minimum(in[0], in[1]) / d};
-  });
-  expect_bitwise_parity(
-      fn, {vec({1.0, 2.0, 3.0, 4.0}), vec({0.5, -0.25, 8.0, 1.0 / 3.0})});
-}
-
-TEST(XlaCompiled, ParityLargeDomainCrossesBlocks) {
-  // > 1024 elements so the blocked loop takes more than one pass, and an
-  // odd size so the last block is partial.
-  xla::Jit fn("big", [](const std::vector<Array>& in) {
-    const Array t = in[0] * 1.0000001 + 0.5;
-    return std::vector<Array>{xla::sqrt(xla::abs(t)),
-                              xla::reduce_sum(t * t),
-                              xla::reduce_max(t)};
-  });
-  std::vector<double> big(3000);
-  for (std::size_t i = 0; i < big.size(); ++i) {
-    big[i] = std::sin(static_cast<double>(i) * 0.7) * 100.0;
-  }
-  expect_bitwise_parity(
-      fn, {Literal::from_f64(Shape{static_cast<std::int64_t>(big.size())},
-                             big)});
-}
-
-TEST(XlaCompiled, ParamOnlyAndConstantOnlyRoots) {
-  // Roots that are leaves (a parameter, a folded constant) produce no
-  // loops at all; the executable just forwards the materialized values.
   xla::Jit fn("leaves", [](const std::vector<Array>& in) {
-    return std::vector<Array>{in[0], xla::constant(2.0) * xla::constant(3.0)};
+    return std::vector<Array>{in[0], xla::constant(2.0) * xla::constant(3.0),
+                              in[0]};
   });
-  expect_bitwise_parity(fn, {vec({1.0, 2.0, 3.0})});
-}
-
-TEST(XlaCompiled, SingleOpGroup) {
-  xla::Jit fn("one", [](const std::vector<Array>& in) {
-    return std::vector<Array>{in[0] + in[1]};
-  });
-  expect_bitwise_parity(fn, {vec({1.0, 2.0}), vec({3.0, 4.0})});
-}
-
-TEST(XlaCompiled, FusedStatsExposedAndCached) {
-  Fixture f;
-  xla::Jit fn("stats", [](const std::vector<Array>& in) {
-    return std::vector<Array>{xla::reduce_sum(xla::sqrt(in[0]) * 2.0 + 1.0)};
-  });
-  const std::vector<Literal> args = {vec({1.0, 4.0, 9.0})};
-  fn.call(f.rt, args);
-  const auto* compiled = fn.lookup(args);
-  ASSERT_NE(compiled, nullptr);
-  EXPECT_EQ(compiled->fused, nullptr);  // lowering is lazy
-  xla::execute_compiled(*compiled, args);
-  ASSERT_NE(compiled->fused, nullptr);
-  const auto exe = compiled->fused;
-  EXPECT_GE(exe->loop_count(), 1u);
-  EXPECT_GE(exe->step_count(), exe->loop_count());
-  EXPECT_GE(exe->materialized_count(), exe->loop_count());
-  // The lowering runs once per Compiled; later calls reuse it.
-  xla::execute_compiled(*compiled, args);
-  EXPECT_EQ(compiled->fused, exe);
-}
-
-TEST(XlaCompiled, DtypeMixedModuleRaisesLoweringError) {
-  // Hand-built module (the tracer cannot produce this): f64 + i64.  The
-  // interpreter would die on it too; the fused lowering must reject it
-  // with LoweringError so the Jit knows to fall back.
-  xla::HloModule m;
-  m.name = "mixed";
-  xla::HloInstruction p0;
-  p0.opcode = xla::Opcode::kParam;
-  p0.dtype = DType::kF64;
-  p0.shape = Shape{2};
-  p0.i0 = 0;
-  xla::HloInstruction p1;
-  p1.opcode = xla::Opcode::kParam;
-  p1.dtype = DType::kI64;
-  p1.shape = Shape{2};
-  p1.i0 = 1;
-  xla::HloInstruction add;
-  add.opcode = xla::Opcode::kAdd;
-  add.dtype = DType::kF64;
-  add.shape = Shape{2};
-  add.operands = {0, 1};
-  m.instructions = {p0, p1, add};
-  m.params = {0, 1};
-  m.roots = {2};
-  const xla::Compiled compiled = xla::compile(std::move(m));
-  const std::vector<Literal> args = {vec({1.0, 2.0}), ivec({3, 4})};
-  EXPECT_THROW(xla::execute_compiled(compiled, args), xla::LoweringError);
-  // Rejection must not poison the cache slot with a bad executable.
-  EXPECT_EQ(compiled.fused, nullptr);
-}
-
-TEST(XlaCompiled, JitCompiledModeMatchesInterpretedTimeline) {
-  // End to end through the Jit: same products, same virtual clock, same
-  // tracer totals — the executor mode must be invisible to the model.
-  const auto run = [](xla::ExecMode mode) {
-    Fixture f;
-    f.rt.set_executor(mode);
-    xla::Jit fn("e2e", [](const std::vector<Array>& in) {
-      const Array g = xla::gather(in[0], in[1]) * 2.0 + 1.0;
-      const Array r = xla::reduce_sum(g);
-      return std::vector<Array>{xla::scatter_add(in[0], in[1], g + r)};
-    });
-    const std::vector<Literal> args = {vec({1.0, 2.0, 3.0}),
-                                       ivec({2, 0, 1, 5})};
-    auto out = fn.call(f.rt, args);
-    out = fn.call(f.rt, args);  // cached-call timing too
-    return std::make_tuple(std::move(out), f.clock.now(),
-                           f.tracer.seconds("e2e"), f.tracer.calls("e2e"));
-  };
-  const auto [oi, ti, si, ci] = run(xla::ExecMode::kInterpreted);
-  const auto [oc, tc, sc, cc] = run(xla::ExecMode::kCompiled);
-  ASSERT_EQ(oi.size(), oc.size());
-  for (std::size_t k = 0; k < oi.size(); ++k) {
-    expect_literal_bits(oi[k], oc[k]);
+  const std::vector<Literal> args = {vec({1.0, 2.0, 3.0})};
+  const auto out = fn.call(f.rt, args);
+  ASSERT_EQ(out.size(), 3u);
+  for (const std::size_t k : {0u, 2u}) {
+    EXPECT_EQ(std::vector<double>(out[k].f64().begin(), out[k].f64().end()),
+              (std::vector<double>{1.0, 2.0, 3.0}))
+        << "root " << k;
   }
-  EXPECT_EQ(ti, tc);
-  EXPECT_EQ(si, sc);
-  EXPECT_EQ(ci, cc);
+  EXPECT_EQ(out[1].num_elements(), 1);
+  EXPECT_EQ(out[1].f64()[0], 6.0);
 }
 
 // ---------------------------------------------------------------------------
-// Element loops of both executors against a naive per-element reference
-// written here, independent of eval.cpp and compiled.cpp.
+// Element loops of the executor against a naive per-element reference
+// written here, independent of eval.cpp.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -832,21 +592,17 @@ xla::Compiled one_op(Op op, DType dtype, const Shape& shape,
   return xla::compile(std::move(m));
 }
 
-/// Every output element of both executors equals static_cast<T>(ref(k)).
+/// Every output element of the executor equals static_cast<T>(ref(k)).
 template <typename T, typename Ref>
-void expect_both_match(const xla::Compiled& c, const std::vector<Literal>& args,
-                       Ref ref, const std::string& what) {
+void expect_matches(const xla::Compiled& c, const std::vector<Literal>& args,
+                    Ref ref, const std::string& what) {
   const Shape& shape = c.module.at(c.module.roots[0]).shape;
-  const auto interpreted = xla::execute(c, args);
-  const auto compiled = xla::execute_compiled(c, args);
-  for (const Literal* out : {&interpreted[0], &compiled[0]}) {
-    const char* executor = out == &interpreted[0] ? "interpreted" : "compiled";
-    ASSERT_EQ(out->shape(), shape) << what << " " << executor;
-    for (std::int64_t k = 0; k < out->num_elements(); ++k) {
-      const auto i = static_cast<std::size_t>(k);
-      EXPECT_EQ(elem<T>(*out, i), static_cast<T>(ref(i)))
-          << what << " " << executor << " element " << k;
-    }
+  const auto out = xla::execute(c, args);
+  ASSERT_EQ(out[0].shape(), shape) << what;
+  for (std::int64_t k = 0; k < out[0].num_elements(); ++k) {
+    const auto i = static_cast<std::size_t>(k);
+    EXPECT_EQ(elem<T>(out[0], i), static_cast<T>(ref(i)))
+        << what << " element " << k;
   }
 }
 
@@ -854,6 +610,32 @@ void expect_both_match(const xla::Compiled& c, const std::vector<Literal>& args,
 std::vector<std::vector<Literal>> broadcast_positions(const Literal& a,
                                                       const Literal& b) {
   return {{a, b}, {scalar_of(a), b}, {a, scalar_of(b)}};
+}
+
+/// Field-by-field equality of two ExecutionReports, per group and total.
+void expect_report_equal(const xla::ExecutionReport& a,
+                         const xla::ExecutionReport& b) {
+  EXPECT_EQ(a.peak_temp_bytes, b.peak_temp_bytes);
+  EXPECT_EQ(a.segment_lowering_used, b.segment_lowering_used);
+  EXPECT_EQ(a.group_heavy, b.group_heavy);
+  EXPECT_EQ(a.group_deps, b.group_deps);
+  ASSERT_EQ(a.group_work.size(), b.group_work.size());
+  const auto expect_work_equal = [](const accel::WorkEstimate& x,
+                                    const accel::WorkEstimate& y) {
+    EXPECT_EQ(x.flops, y.flops);
+    EXPECT_EQ(x.bytes_read, y.bytes_read);
+    EXPECT_EQ(x.bytes_written, y.bytes_written);
+    EXPECT_EQ(x.launches, y.launches);
+    EXPECT_EQ(x.parallel_items, y.parallel_items);
+    EXPECT_EQ(x.divergence, y.divergence);
+    EXPECT_EQ(x.atomic_ops, y.atomic_ops);
+    EXPECT_EQ(x.atomic_conflict_rate, y.atomic_conflict_rate);
+    EXPECT_EQ(x.cpu_vector_eff, y.cpu_vector_eff);
+  };
+  for (std::size_t g = 0; g < a.group_work.size(); ++g) {
+    expect_work_equal(a.group_work[g], b.group_work[g]);
+  }
+  expect_work_equal(a.total, b.total);
 }
 
 std::string name_of(Op op, DType d, std::size_t position) {
@@ -956,12 +738,12 @@ TEST(XlaEval, F64BinaryOpsAtEveryBroadcastPosition) {
       const auto y = [&](std::size_t k) { return elem<double>(args[1], k); };
       const auto what = name_of(op, DType::kF64, pos);
       if (is_compare(op)) {
-        expect_both_match<std::uint8_t>(
+        expect_matches<std::uint8_t>(
             one_op(op, DType::kPred, Shape{6}, args),
             args, [&](std::size_t k) { return ref_compare(op, x(k), y(k)); },
             what);
       } else {
-        expect_both_match<double>(
+        expect_matches<double>(
             one_op(op, DType::kF64, Shape{6}, args), args,
             [&](std::size_t k) { return ref_f64(op, x(k), y(k)); }, what);
       }
@@ -983,12 +765,12 @@ TEST(XlaEval, I64BinaryOpsAtEveryBroadcastPosition) {
       const auto y = [&](std::size_t k) { return elem<I64>(args[1], k); };
       const auto what = name_of(op, DType::kI64, pos);
       if (is_compare(op)) {
-        expect_both_match<std::uint8_t>(
+        expect_matches<std::uint8_t>(
             one_op(op, DType::kPred, Shape{6}, args),
             args, [&](std::size_t k) { return ref_compare(op, x(k), y(k)); },
             what);
       } else {
-        expect_both_match<I64>(
+        expect_matches<I64>(
             one_op(op, DType::kI64, Shape{6}, args), args,
             [&](std::size_t k) { return ref_i64(op, x(k), y(k)); }, what);
       }
@@ -1001,7 +783,7 @@ TEST(XlaEval, PredLogicalOpsAtEveryBroadcastPosition) {
     const auto positions = broadcast_positions(kPredA, kPredB);
     for (std::size_t pos = 0; pos < positions.size(); ++pos) {
       const auto& args = positions[pos];
-      expect_both_match<std::uint8_t>(
+      expect_matches<std::uint8_t>(
           one_op(op, DType::kPred, Shape{6}, args), args,
           [&](std::size_t k) {
             const bool x = elem<std::uint8_t>(args[0], k) != 0;
@@ -1018,7 +800,7 @@ TEST(XlaEval, UnaryOpsOnFullAndScalarOperands) {
   const Literal positive = vec({0.25, 1.5, 2.0, 9.0, 0.5, 4.0});
   const auto check_f64 = [&](Op op, const Literal& input, auto fn) {
     for (const Literal& a : {input, scalar_of(input)}) {
-      expect_both_match<double>(
+      expect_matches<double>(
           one_op(op, DType::kF64, a.shape(), {a}), {a},
           [&](std::size_t k) { return fn(elem<double>(a, k)); },
           name_of(op, DType::kF64, a.num_elements() == 1 ? 1 : 0));
@@ -1038,18 +820,18 @@ TEST(XlaEval, UnaryOpsOnFullAndScalarOperands) {
 
   for (const Literal& a : {kI64A, scalar_of(kI64A)}) {
     const auto x = [&](std::size_t k) { return elem<I64>(a, k); };
-    expect_both_match<I64>(one_op(Op::kNeg, DType::kI64, a.shape(), {a}), {a},
-                           [&](std::size_t k) { return -x(k); }, "neg/i64");
-    expect_both_match<I64>(
+    expect_matches<I64>(one_op(Op::kNeg, DType::kI64, a.shape(), {a}), {a},
+                        [&](std::size_t k) { return -x(k); }, "neg/i64");
+    expect_matches<I64>(
         one_op(Op::kAbs, DType::kI64, a.shape(), {a}), {a},
         [&](std::size_t k) { return x(k) < 0 ? -x(k) : x(k); }, "abs/i64");
-    expect_both_match<I64>(
+    expect_matches<I64>(
         one_op(Op::kSign, DType::kI64, a.shape(), {a}), {a},
         [&](std::size_t k) { return x(k) > 0 ? 1 : x(k) < 0 ? -1 : 0; },
         "sign/i64");
   }
   for (const Literal& a : {kPredA, scalar_of(kPredA)}) {
-    expect_both_match<std::uint8_t>(
+    expect_matches<std::uint8_t>(
         one_op(Op::kNot, DType::kPred, a.shape(), {a}), {a},
         [&](std::size_t k) { return elem<std::uint8_t>(a, k) == 0; },
         "not/pred");
@@ -1074,10 +856,10 @@ TEST(XlaEval, CastsFromEveryDtype) {
       return static_cast<I64>(as_f64(k));
     };
     const std::string from = xla::to_string(a.dtype());
-    expect_both_match<double>(one_op(Op::kCastF64, DType::kF64, Shape{6}, {a}),
-                              {a}, as_f64, "convert.f64 from " + from);
-    expect_both_match<I64>(one_op(Op::kCastI64, DType::kI64, Shape{6}, {a}),
-                           {a}, as_i64, "convert.i64 from " + from);
+    expect_matches<double>(one_op(Op::kCastF64, DType::kF64, Shape{6}, {a}),
+                           {a}, as_f64, "convert.f64 from " + from);
+    expect_matches<I64>(one_op(Op::kCastI64, DType::kI64, Shape{6}, {a}),
+                        {a}, as_i64, "convert.i64 from " + from);
   }
 }
 
@@ -1099,16 +881,16 @@ TEST(XlaEval, SelectWithScalarPredicateAndBranches) {
       };
       const xla::Compiled c = one_op(Op::kSelect, d, shape, args);
       if (d == DType::kF64) {
-        expect_both_match<double>(
+        expect_matches<double>(
             c, args,
             [&](std::size_t k) { return elem<double>(args[pick(k)], k); },
             what);
       } else if (d == DType::kI64) {
-        expect_both_match<I64>(
+        expect_matches<I64>(
             c, args, [&](std::size_t k) { return elem<I64>(args[pick(k)], k); },
             what);
       } else {
-        expect_both_match<std::uint8_t>(
+        expect_matches<std::uint8_t>(
             c, args,
             [&](std::size_t k) {
               return elem<std::uint8_t>(args[pick(k)], k);
@@ -1139,7 +921,7 @@ TEST(XlaEval, ClampWithScalarBounds) {
         return v < lo ? lo : hi < v ? hi : v;
       };
       if (d == DType::kF64) {
-        expect_both_match<double>(
+        expect_matches<double>(
             c, args,
             [&](std::size_t k) {
               return clamp(elem<double>(args[0], k), elem<double>(args[1], k),
@@ -1147,7 +929,7 @@ TEST(XlaEval, ClampWithScalarBounds) {
             },
             what);
       } else {
-        expect_both_match<I64>(
+        expect_matches<I64>(
             c, args,
             [&](std::size_t k) {
               return clamp(elem<I64>(args[0], k), elem<I64>(args[1], k),
@@ -1177,23 +959,23 @@ TEST(XlaEval, BroadcastSliceAndGatherForEveryDtype) {
       using T = decltype(tag);
       const std::string dt = xla::to_string(d);
       const Literal col = ramp(d, Shape{3});
-      expect_both_match<T>(
+      expect_matches<T>(
           one_op(Op::kBroadcastCol, d, Shape{3, 4}, {col}), {col},
           [&](std::size_t k) { return elem<T>(col, k / 4); },
           "broadcast_col/" + dt);
       const Literal row = ramp(d, Shape{4});
-      expect_both_match<T>(
+      expect_matches<T>(
           one_op(Op::kBroadcastRow, d, Shape{3, 4}, {row}), {row},
           [&](std::size_t k) { return elem<T>(row, k % 4); },
           "broadcast_row/" + dt);
       const Literal matrix = ramp(d, Shape{3, 4});
-      expect_both_match<T>(
+      expect_matches<T>(
           one_op(Op::kSliceCol, d, Shape{3}, {matrix}, 2), {matrix},
           [&](std::size_t k) { return elem<T>(matrix, k * 4 + 2); },
           "slice_col/" + dt);
       const Literal table = ramp(d, Shape{5});
       const Literal idx = ivec({4, 0, -2, 7, 2, 2});
-      expect_both_match<T>(
+      expect_matches<T>(
           one_op(Op::kGather, d, Shape{6}, {table, idx}), {table, idx},
           [&](std::size_t k) {
             const I64 j = std::min<I64>(std::max<I64>(elem<I64>(idx, k), 0), 4);
@@ -1221,7 +1003,7 @@ TEST(XlaEval, ScatterForEveryDtype) {
           slot = op == Op::kScatterSet ? elem<T>(upd, k)
                                        : slot + elem<T>(upd, k);
         }
-        expect_both_match<T>(
+        expect_matches<T>(
             one_op(op, d, Shape{5}, {base, idx, upd}), {base, idx, upd},
             [&](std::size_t k) { return expected[k]; },
             std::string(xla::to_string(op)) + "/" + xla::to_string(d));
@@ -1238,23 +1020,23 @@ TEST(XlaEval, ReductionsAndDot) {
     for (std::size_t c = 0; c < 4; ++c) s += m.as_double(r * 4 + c);
     return s;
   };
-  expect_both_match<double>(
+  expect_matches<double>(
       one_op(Op::kReduceSum, DType::kF64, Shape{3}, {mf}, 1), {mf},
       [&](std::size_t r) { return row_sum(mf, r); }, "reduce_sum axis 1/f64");
-  expect_both_match<I64>(
+  expect_matches<I64>(
       one_op(Op::kReduceSum, DType::kI64, Shape{3}, {mi}, 1), {mi},
       [&](std::size_t r) { return row_sum(mi, r); }, "reduce_sum axis 1/i64");
-  expect_both_match<double>(
+  expect_matches<double>(
       one_op(Op::kReduceSum, DType::kF64, Shape{}, {mf}, -1), {mf},
       [&](std::size_t) { return row_sum(mf, 0) + row_sum(mf, 1) + row_sum(mf, 2); },
       "reduce_sum/f64");
-  expect_both_match<I64>(one_op(Op::kReduceMax, DType::kI64, Shape{}, {kI64A}),
-                         {kI64A}, [](std::size_t) { return 13; },
-                         "reduce_max/i64");
-  expect_both_match<double>(
+  expect_matches<I64>(one_op(Op::kReduceMax, DType::kI64, Shape{}, {kI64A}),
+                      {kI64A}, [](std::size_t) { return 13; },
+                      "reduce_max/i64");
+  expect_matches<double>(
       one_op(Op::kReduceMax, DType::kF64, Shape{}, {kF64A}), {kF64A},
       [](std::size_t) { return 4.0; }, "reduce_max/f64");
-  expect_both_match<double>(
+  expect_matches<double>(
       one_op(Op::kDot, DType::kF64, Shape{}, {kF64A, kF64B}), {kF64A, kF64B},
       [](std::size_t) {
         double s = 0.0;
@@ -1289,17 +1071,12 @@ TEST(XlaEval, ScatterChainsUpdateOwnedBasesOnlyWhenDead) {
       {60.0, 4.0, 6.0, 100.0}, {120.0, 12.0, 18.0, 180.0},
       {120.0, 12.0, 18.0, 180.0}};
   Fixture f;
-  fn.call(f.rt, args);
-  const auto* c = fn.lookup(args);
-  ASSERT_NE(c, nullptr);
-  for (const auto& out :
-       {xla::execute(*c, args), xla::execute_compiled(*c, args)}) {
-    ASSERT_EQ(out.size(), expected.size());
-    for (std::size_t k = 0; k < out.size(); ++k) {
-      EXPECT_EQ(std::vector<double>(out[k].f64().begin(), out[k].f64().end()),
-                expected[k])
-          << "root " << k;
-    }
+  const auto out = fn.call(f.rt, args);
+  ASSERT_EQ(out.size(), expected.size());
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    EXPECT_EQ(std::vector<double>(out[k].f64().begin(), out[k].f64().end()),
+              expected[k])
+        << "root " << k;
   }
   // The caller's base is never written.
   EXPECT_EQ(args[0].f64()[0], 1.0);
@@ -1319,16 +1096,19 @@ TEST(XlaEval, ScatterIndexStreamStaysReadableForTheReport) {
                                      vec({1.0, 2.0, 3.0, 4.0}),
                                      ivec({3, 3, 0, 1})};
   Fixture f;
-  fn.call(f.rt, args);
-  const auto* c = fn.lookup(args);
-  ASSERT_NE(c, nullptr);
-  xla::ExecutionReport ri;
-  xla::ExecutionReport rc;
-  const auto oi = xla::execute(*c, args, &ri);
-  const auto oc = xla::execute_compiled(*c, args, &rc);
-  for (std::size_t k = 0; k < oi.size(); ++k) expect_literal_bits(oi[k], oc[k]);
-  expect_report_equal(ri, rc);
-  EXPECT_EQ(ri.total.atomic_ops, 8.0);
+  xla::ExecutionReport report;
+  const auto out = fn.call_reported(f.rt, args, "", report);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(std::vector<double>(out[0].f64().begin(), out[0].f64().end()),
+            (std::vector<double>{2.0, 4.0, 4.0}));
+  EXPECT_EQ(std::vector<I64>(out[1].i64().begin(), out[1].i64().end()),
+            (std::vector<I64>{2, 1, 2, 7}));
+  EXPECT_EQ(report.total.atomic_ops, 8.0);
+  // The second call reads the cached shape report; the index streams it
+  // needs must still be alive then too.
+  xla::ExecutionReport again;
+  fn.call_reported(f.rt, args, "", again);
+  expect_report_equal(report, again);
 }
 
 TEST(XlaEval, ScatterConflictRateOverSeveralWarps) {
@@ -1347,20 +1127,15 @@ TEST(XlaEval, ScatterConflictRateOverSeveralWarps) {
   ASSERT_EQ(c.n_groups, 1);
   const double rate = 29.0 / 34.0;
   for (int call = 0; call < 2; ++call) {  // the second reuses the cache
-    xla::ExecutionReport ri;
-    xla::ExecutionReport rc;
-    xla::execute(c, args, &ri);
-    xla::execute_compiled(c, args, &rc);
-    for (const auto* r : {&ri, &rc}) {
-      EXPECT_FALSE(r->segment_lowering_used);
-      EXPECT_EQ(r->group_work[0].atomic_ops, 34.0);
-      EXPECT_EQ(r->group_work[0].atomic_conflict_rate, rate * 34.0 / 34.0);
-      EXPECT_EQ(r->total.atomic_ops, 34.0);
-      EXPECT_EQ(r->total.atomic_conflict_rate, rate * 34.0 / 34.0);
-      // Atomics store one value per update lane, plus the 8-element root.
-      EXPECT_EQ(r->group_work[0].bytes_written, (36.0 + 8.0) * 8.0);
-    }
-    expect_report_equal(ri, rc);
+    xla::ExecutionReport r;
+    xla::execute(c, args, &r);
+    EXPECT_FALSE(r.segment_lowering_used);
+    EXPECT_EQ(r.group_work[0].atomic_ops, 34.0);
+    EXPECT_EQ(r.group_work[0].atomic_conflict_rate, rate * 34.0 / 34.0);
+    EXPECT_EQ(r.total.atomic_ops, 34.0);
+    EXPECT_EQ(r.total.atomic_conflict_rate, rate * 34.0 / 34.0);
+    // Atomics store one value per update lane, plus the 8-element root.
+    EXPECT_EQ(r.group_work[0].bytes_written, (36.0 + 8.0) * 8.0);
   }
 }
 
@@ -1377,14 +1152,135 @@ TEST(XlaEval, ShapeReportIsBuiltOncePerCompiled) {
   const auto cached = c.shape_report;
   ASSERT_NE(cached, nullptr);
   xla::ExecutionReport second;
-  xla::execute_compiled(c, args, &second);
+  xla::execute(c, args, &second);
   EXPECT_EQ(c.shape_report, cached);
   expect_report_equal(first, second);
 }
 
 // ---------------------------------------------------------------------------
-// Integer ops with no C++ meaning for some inputs take XLA's values, on
-// both executors and in constant folding.
+// execute() frees each computed value after its last reader.  The products
+// must not notice: each module below is checked against plain loops.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::vector<double> values(const Literal& l) {
+  return {l.f64().begin(), l.f64().end()};
+}
+
+}  // namespace
+
+TEST(XlaEval, ValueReadTwiceByOneInstructionThenFreed) {
+  // `t` dies at `t * t`, which names it as both operands.
+  xla::Jit fn("square", [](const std::vector<Array>& in) {
+    const Array t = in[0] * 2.0 + 1.0;
+    const Array u = t * t;
+    return std::vector<Array>{u - 3.0};
+  });
+  const std::vector<double> x = {0.5, -1.0, 2.0, 3.5};
+  std::vector<double> expected;
+  for (const double v : x) {
+    const double t = v * 2.0 + 1.0;
+    expected.push_back(t * t - 3.0);
+  }
+  Fixture f;
+  const auto out = fn.call(f.rt, {vec({0.5, -1.0, 2.0, 3.5})});
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(values(out[0]), expected);
+}
+
+TEST(XlaEval, ValueReadLastAfterUnrelatedInstructionsStaysAlive) {
+  // `a` is read by `p`, then two instructions that do not read it (and
+  // whose own inputs die on the way) run, then its last reader.
+  xla::Jit fn("late", [](const std::vector<Array>& in) {
+    const Array a = xla::sqrt(in[0]);
+    const Array p = a * 2.0;
+    const Array b = in[1] * 3.0;
+    const Array c = b - 2.0;
+    return std::vector<Array>{p + a * c};
+  });
+  const std::vector<double> x = {4.0, 9.0, 0.25};
+  const std::vector<double> y = {1.0, -2.0, 0.5};
+  std::vector<double> expected;
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    const double a = std::sqrt(x[k]);
+    expected.push_back(a * 2.0 + a * (y[k] * 3.0 - 2.0));
+  }
+  Fixture f;
+  const auto out = fn.call(f.rt, {vec({4.0, 9.0, 0.25}), vec({1.0, -2.0, 0.5})});
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(values(out[0]), expected);
+}
+
+TEST(XlaEval, InPlaceScatterBaseWhoseProducerIsFreed) {
+  // `t` dies at `base`; `base` is computed, owned and dead after the
+  // scatter, so the scatter updates it in place; the scatter's result in
+  // turn dies at the root.
+  xla::Jit fn("inplace", [](const std::vector<Array>& in) {
+    const Array t = in[0] + 1.0;
+    const Array base = t * 2.0;
+    const Array s = xla::scatter_add(base, in[1], in[2]);
+    return std::vector<Array>{s * 0.5};
+  });
+  const std::vector<double> x = {1.0, 2.0, 3.0, 4.0};
+  const std::vector<I64> idx = {3, 0, 3, 7};
+  const std::vector<double> upd = {10.0, 20.0, 30.0, 40.0};
+  std::vector<double> expected;
+  for (const double v : x) expected.push_back((v + 1.0) * 2.0);
+  for (std::size_t k = 0; k < idx.size(); ++k) {
+    if (idx[k] >= 0 && idx[k] < 4) {
+      expected[static_cast<std::size_t>(idx[k])] += upd[k];
+    }
+  }
+  for (auto& v : expected) v *= 0.5;
+  Fixture f;
+  const std::vector<Literal> args = {vec({1.0, 2.0, 3.0, 4.0}),
+                                     ivec({3, 0, 3, 7}),
+                                     vec({10.0, 20.0, 30.0, 40.0})};
+  const auto out = fn.call(f.rt, args);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(values(out[0]), expected);
+  EXPECT_EQ(args[0].f64()[0], 1.0);
+}
+
+TEST(XlaEval, EarlyReadScatterIndexStreamStillFeedsTheReport) {
+  // The computed index stream's only reader in the module is the first
+  // instruction after it; two more instructions follow.  The report reads
+  // it after the loop, so it must outlive its last in-module reader.
+  const auto module = [](bool computed_indices) {
+    return xla::Jit("early", [computed_indices](const std::vector<Array>& in) {
+      const Array idx = computed_indices
+                            ? xla::maximum(in[1], xla::constant_i64(-100))
+                            : in[1];
+      const Array s = xla::scatter_add(in[0], idx, in[2]);
+      const Array r = s * 2.0;
+      return std::vector<Array>{r + 1.0};
+    });
+  };
+  // Unsorted: atomics.  One warp of 5 valid lanes over {2, 0, 2, 1, 2}:
+  // 3 distinct targets, 2 conflicts.
+  const std::vector<Literal> args = {vec({0.0, 0.0, 0.0}),
+                                     ivec({2, 0, 2, 1, 2}),
+                                     vec({1.0, 2.0, 3.0, 4.0, 5.0})};
+  const std::vector<double> expected = {2.0 * 2.0 + 1.0, 4.0 * 2.0 + 1.0,
+                                        9.0 * 2.0 + 1.0};
+  for (const bool computed : {true, false}) {
+    Fixture f;
+    xla::Jit fn = module(computed);
+    xla::ExecutionReport report;
+    const auto out = fn.call_reported(f.rt, args, "", report);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(values(out[0]), expected) << "computed=" << computed;
+    EXPECT_FALSE(report.segment_lowering_used);
+    EXPECT_EQ(report.total.atomic_ops, 5.0) << "computed=" << computed;
+    EXPECT_EQ(report.total.atomic_conflict_rate, 2.0 / 5.0)
+        << "computed=" << computed;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Integer ops with no C++ meaning for some inputs take XLA's values, in
+// the executor and in constant folding.
 // ---------------------------------------------------------------------------
 
 TEST(XlaIntSemantics, DivisionAndRemainderByZeroAndOverflow) {
@@ -1396,15 +1292,12 @@ TEST(XlaIntSemantics, DivisionAndRemainderByZeroAndOverflow) {
   const std::vector<I64> quotient = {-1, 4, -1, kI64Min, -1, -9};
   const std::vector<I64> remainder = {7, 0, -7, 0, kI64Min, 0};
   Fixture f;
-  const auto interpreted = fn.call(f.rt, args);
-  const auto compiled = xla::execute_compiled(*fn.lookup(args), args);
-  for (const auto* out : {&interpreted, &compiled}) {
-    ASSERT_EQ(out->size(), 2u);
-    EXPECT_EQ(std::vector<I64>((*out)[0].i64().begin(), (*out)[0].i64().end()),
-              quotient);
-    EXPECT_EQ(std::vector<I64>((*out)[1].i64().begin(), (*out)[1].i64().end()),
-              remainder);
-  }
+  const auto out = fn.call(f.rt, args);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(std::vector<I64>(out[0].i64().begin(), out[0].i64().end()),
+            quotient);
+  EXPECT_EQ(std::vector<I64>(out[1].i64().begin(), out[1].i64().end()),
+            remainder);
 }
 
 TEST(XlaIntSemantics, ShiftsOutOfRangeGiveZero) {
@@ -1418,15 +1311,11 @@ TEST(XlaIntSemantics, ShiftsOutOfRangeGiveZero) {
   const std::vector<I64> right = {0, 0, 0, 0, 5,
                                   std::numeric_limits<I64>::max() >> 2};
   Fixture f;
-  const auto interpreted = fn.call(f.rt, args);
-  const auto compiled = xla::execute_compiled(*fn.lookup(args), args);
-  for (const auto* out : {&interpreted, &compiled}) {
-    ASSERT_EQ(out->size(), 2u);
-    EXPECT_EQ(std::vector<I64>((*out)[0].i64().begin(), (*out)[0].i64().end()),
-              left);
-    EXPECT_EQ(std::vector<I64>((*out)[1].i64().begin(), (*out)[1].i64().end()),
-              right);
-  }
+  const auto out = fn.call(f.rt, args);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(std::vector<I64>(out[0].i64().begin(), out[0].i64().end()), left);
+  EXPECT_EQ(std::vector<I64>(out[1].i64().begin(), out[1].i64().end()),
+            right);
 }
 
 TEST(XlaIntSemantics, ConstantFoldingUsesTheSameValues) {
