@@ -1,7 +1,9 @@
 #include "config/schedule.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -182,15 +184,53 @@ void reject_unknown_keys(const Value& v, const std::string& where,
   }
 }
 
-std::string string_at(const Value& v, const char* key,
-                      const std::string& fallback) {
-  const Value* m = v.find(key);
-  return m != nullptr && m->is_string() ? m->string : fallback;
+/// Member `key` of `obj` (whose key path is `prefix`), or nullptr when
+/// absent.  A member of another type is an error naming its key path.
+const Value* member(const Value& obj, const std::string& where,
+                    const std::string& prefix, const char* key,
+                    Value::Type type, const char* type_name) {
+  const Value* m = obj.find(key);
+  if (m != nullptr && m->type != type) {
+    throw std::runtime_error(where + ": " + prefix + key + " must be " +
+                             type_name);
+  }
+  return m;
 }
 
-bool bool_at(const Value& v, const char* key, bool fallback) {
-  const Value* m = v.find(key);
+std::string string_at(const Value& obj, const std::string& where,
+                      const std::string& prefix, const char* key,
+                      const std::string& fallback) {
+  const Value* m =
+      member(obj, where, prefix, key, Value::Type::kString, "a string");
+  return m != nullptr ? m->string : fallback;
+}
+
+bool bool_at(const Value& obj, const std::string& where,
+             const std::string& prefix, const char* key, bool fallback) {
+  const Value* m =
+      member(obj, where, prefix, key, Value::Type::kBool, "a boolean");
   return m != nullptr ? m->boolean : fallback;
+}
+
+/// An integer in [lo, INT_MAX]: a fraction or an out-of-range number is
+/// an error, never truncated.
+int int_at(const Value& obj, const std::string& where,
+           const std::string& prefix, const char* key, int fallback, int lo) {
+  const Value* m =
+      member(obj, where, prefix, key, Value::Type::kNumber, "a number");
+  if (m == nullptr) {
+    return fallback;
+  }
+  const double v = m->number;
+  if (!(v >= lo && v <= std::numeric_limits<int>::max()) ||
+      v != std::floor(v)) {
+    throw std::runtime_error(where + ": " + prefix + key +
+                             " must be an integer in [" + std::to_string(lo) +
+                             ", " +
+                             std::to_string(std::numeric_limits<int>::max()) +
+                             "]");
+  }
+  return static_cast<int>(v);
 }
 
 ScheduleConfig config_from_value(const Value& doc, const std::string& where) {
@@ -205,55 +245,57 @@ ScheduleConfig config_from_value(const Value& doc, const std::string& where) {
   reject_unknown_keys(doc, where,
                       {"schema", "backend", "staging", "streams", "comm",
                        "solver", "shape", "device"});
+  const auto section = [&](const char* key) {
+    return member(doc, where, "", key, Value::Type::kObject, "an object");
+  };
 
   ScheduleConfig cfg;
-  cfg.backend = string_at(doc, "backend", cfg.backend);
+  cfg.backend = string_at(doc, where, "", "backend", cfg.backend);
   // Resolve eagerly so a bad slot name fails at parse time, not at use.
   (void)cfg.backend_id();
-  if (const Value* staging = doc.find("staging")) {
+  if (const Value* staging = section("staging")) {
     reject_unknown_keys(*staging, where + ": staging",
                         {"mode", "prefetch", "evict"});
-    cfg.staging.mode = staging_from_string(
-        string_at(*staging, "mode", to_string(cfg.staging.mode)));
-    cfg.staging.prefetch = bool_at(*staging, "prefetch", false);
-    cfg.staging.evict = bool_at(*staging, "evict", false);
+    cfg.staging.mode = staging_from_string(string_at(
+        *staging, where, "staging.", "mode", to_string(cfg.staging.mode)));
+    cfg.staging.prefetch =
+        bool_at(*staging, where, "staging.", "prefetch", false);
+    cfg.staging.evict = bool_at(*staging, where, "staging.", "evict", false);
   }
-  cfg.streams = static_cast<int>(doc.number_or("streams", 1.0));
-  if (cfg.streams < 1) {
-    throw std::runtime_error(where + ": streams must be >= 1");
-  }
-  if (const Value* comm = doc.find("comm")) {
+  cfg.streams = int_at(doc, where, "", "streams", 1, 1);
+  if (const Value* comm = section("comm")) {
     reject_unknown_keys(*comm, where + ": comm",
                         {"mode", "algorithm", "chunk_bytes"});
     cfg.comm.mode = comm_mode_from_string(
-        string_at(*comm, "mode", to_string(cfg.comm.mode)));
-    cfg.comm.algorithm = comm_algorithm_from_string(
-        string_at(*comm, "algorithm", to_string(cfg.comm.algorithm)));
-    cfg.comm.chunk_bytes = comm->number_or("chunk_bytes", 0.0);
+        string_at(*comm, where, "comm.", "mode", to_string(cfg.comm.mode)));
+    cfg.comm.algorithm = comm_algorithm_from_string(string_at(
+        *comm, where, "comm.", "algorithm", to_string(cfg.comm.algorithm)));
+    const Value* chunk = member(*comm, where, "comm.", "chunk_bytes",
+                                Value::Type::kNumber, "a number");
+    cfg.comm.chunk_bytes = chunk != nullptr ? chunk->number : 0.0;
     if (cfg.comm.chunk_bytes < 0.0) {
-      throw std::runtime_error(where + ": comm chunk_bytes must be >= 0");
+      throw std::runtime_error(where + ": comm.chunk_bytes must be >= 0");
     }
   }
-  if (const Value* solver = doc.find("solver")) {
+  if (const Value* solver = section("solver")) {
     reject_unknown_keys(*solver, where + ": solver", {"async_comm"});
     cfg.solver.async_comm = solver_comm_from_string(
-        string_at(*solver, "async_comm", to_string(cfg.solver.async_comm)));
+        string_at(*solver, where, "solver.", "async_comm",
+                  to_string(cfg.solver.async_comm)));
   }
-  if (const Value* shape = doc.find("shape")) {
+  if (const Value* shape = section("shape")) {
     reject_unknown_keys(*shape, where + ": shape",
                         {"nodes", "procs_per_node"});
-    cfg.shape.nodes = static_cast<int>(shape->number_or("nodes", 0.0));
+    cfg.shape.nodes = int_at(*shape, where, "shape.", "nodes", 0, 0);
     cfg.shape.procs_per_node =
-        static_cast<int>(shape->number_or("procs_per_node", 0.0));
-    if (cfg.shape.nodes < 0 || cfg.shape.procs_per_node < 0) {
-      throw std::runtime_error(where + ": shape values must be >= 0");
-    }
+        int_at(*shape, where, "shape.", "procs_per_node", 0, 0);
   }
-  if (const Value* device = doc.find("device")) {
+  if (const Value* device = section("device")) {
     reject_unknown_keys(*device, where + ": device",
                         {"mps", "jax_preallocate"});
-    cfg.device.mps = bool_at(*device, "mps", true);
-    cfg.device.jax_preallocate = bool_at(*device, "jax_preallocate", false);
+    cfg.device.mps = bool_at(*device, where, "device.", "mps", true);
+    cfg.device.jax_preallocate =
+        bool_at(*device, where, "device.", "jax_preallocate", false);
   }
   return cfg;
 }

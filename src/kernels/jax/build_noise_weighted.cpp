@@ -82,7 +82,7 @@ void build_noise_weighted(const std::int64_t* pixels, const double* weights,
                           std::to_string(s.n_samp) +
                           ";nnz=" + std::to_string(nnz) +
                           ";mask=" + std::to_string(s.flag_mask);
-  const auto out = jit.call(ctx.jax(), args, key);
+  const auto out = jit.call(ctx.jax(), std::move(args), key);
   store_f64(out[0], zmap);
 }
 

@@ -47,7 +47,7 @@ void noise_weight(const double* det_weights,
   jit.set_donated_params({4});
   const std::string key = "maxlen=" + std::to_string(s.max_len) +
                           ";nsamp=" + std::to_string(s.n_samp);
-  const auto out = jit.call(ctx.jax(), args, key);
+  const auto out = jit.call(ctx.jax(), std::move(args), key);
   store_f64(out[0], signal);
 }
 

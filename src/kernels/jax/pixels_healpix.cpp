@@ -195,7 +195,7 @@ void pixels_healpix(const double* quats, const std::uint8_t* shared_flags,
       "maxlen=" + std::to_string(s.max_len) + ";nsamp=" +
       std::to_string(s.n_samp) + ";mask=" + std::to_string(s.flag_mask) +
       ";nside=" + std::to_string(nside) + ";nest=" + (nest ? "1" : "0");
-  const auto out = jit.call(ctx.jax(), args, key);
+  const auto out = jit.call(ctx.jax(), std::move(args), key);
   store_i64(out[0], pixels);
 }
 

@@ -86,7 +86,7 @@ void pointing_detector(const double* fp_quats, const double* boresight,
   const std::string key = "maxlen=" + std::to_string(s.max_len) +
                           ";nsamp=" + std::to_string(s.n_samp) +
                           ";mask=" + std::to_string(s.flag_mask);
-  const auto out = jit.call(ctx.jax(), args, key);
+  const auto out = jit.call(ctx.jax(), std::move(args), key);
   store_f64(out[0], quats);
 }
 

@@ -69,7 +69,7 @@ void scan_map(const double* sky_map, std::int64_t n_pix, std::int64_t nnz,
                           std::to_string(s.n_samp) +
                           ";nnz=" + std::to_string(nnz) +
                           ";scale=" + std::to_string(data_scale);
-  const auto out = jit.call(ctx.jax(), args, key);
+  const auto out = jit.call(ctx.jax(), std::move(args), key);
   store_f64(out[0], signal);
 }
 

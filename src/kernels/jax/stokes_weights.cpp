@@ -92,7 +92,7 @@ void stokes_weights_iqu(const double* quats, const double* hwp_angle,
   const std::string key = "maxlen=" + std::to_string(s.max_len) + ";nsamp=" +
                           std::to_string(s.n_samp) +
                           ";hwp=" + (s.has_hwp ? "1" : "0");
-  const auto out = jit.call(ctx.jax(), args, key);
+  const auto out = jit.call(ctx.jax(), std::move(args), key);
   store_f64(out[0], weights);
 }
 
@@ -115,7 +115,7 @@ void stokes_weights_i(std::span<const core::Interval> intervals,
   jit.set_donated_params({3});
   const std::string key = "maxlen=" + std::to_string(s.max_len) +
                           ";nsamp=" + std::to_string(s.n_samp);
-  const auto out = jit.call(ctx.jax(), args, key);
+  const auto out = jit.call(ctx.jax(), std::move(args), key);
   store_f64(out[0], weights);
 }
 

@@ -112,9 +112,7 @@ xla::Literal lit_i64(const std::int64_t* data, std::int64_t n) {
 
 xla::Literal lit_u8_as_i64(const std::uint8_t* data, std::int64_t n) {
   xla::Literal l(xla::Shape{n}, xla::DType::kI64);
-  for (std::int64_t i = 0; i < n; ++i) {
-    l.i64()[static_cast<std::size_t>(i)] = data[i];
-  }
+  std::copy_n(data, n, l.i64().data());
   return l;
 }
 

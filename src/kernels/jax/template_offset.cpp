@@ -80,7 +80,7 @@ void template_offset_add_to_signal(std::int64_t step_length,
                           std::to_string(s.n_samp) +
                           ";step=" + std::to_string(step_length) +
                           ";namp=" + std::to_string(n_amp_det);
-  const auto out = jit.call(ctx.jax(), args, key);
+  const auto out = jit.call(ctx.jax(), std::move(args), key);
   store_f64(out[0], signal);
 }
 
@@ -108,7 +108,7 @@ void template_offset_project_signal(
                           std::to_string(s.n_samp) +
                           ";step=" + std::to_string(step_length) +
                           ";namp=" + std::to_string(n_amp_det);
-  const auto out = jit.call(ctx.jax(), args, key);
+  const auto out = jit.call(ctx.jax(), std::move(args), key);
   store_f64(out[0], amplitudes);
 }
 
@@ -125,7 +125,7 @@ void template_offset_apply_diag_precond(const double* offset_var,
 
   auto& jit =
       registered_jit("template_offset_apply_diag_precond", precond_graph);
-  const auto out = jit.call(ctx.jax(), args, "");
+  const auto out = jit.call(ctx.jax(), std::move(args), "");
   store_f64(out[0], amp_out);
 }
 

@@ -171,6 +171,7 @@ std::vector<double> synthetic_sky(std::int64_t nside, std::int64_t nnz,
     const double x = std::sin(theta) * std::cos(phi);
     const double y = std::sin(theta) * std::sin(phi);
     const double z = std::cos(theta);
+    const std::int64_t pn = hp.ring2nest(p);
     // Dipole + quadrupole-ish smooth pattern per component.
     for (std::int64_t k = 0; k < nnz; ++k) {
       const std::size_t c = static_cast<std::size_t>(8 * (k % 3));
@@ -179,7 +180,6 @@ std::vector<double> synthetic_sky(std::int64_t nside, std::int64_t nnz,
                            coeff[c + 4] * y * z + coeff[c + 5] * x * z +
                            coeff[c + 6] * (z * z - 1.0 / 3.0) +
                            0.1 * coeff[c + 7];
-      const std::int64_t pn = hp.ring2nest(p);
       map[static_cast<std::size_t>(pn * nnz + k)] =
           1.0e-5 * value;  // Kelvin-ish CMB scale
     }

@@ -67,49 +67,47 @@ auto with_dtype(DType d, F&& f) {
   return f(std::uint8_t{});
 }
 
-/// out[i] = f(views[i]...) over the instruction's output.
+/// out[i] = f(views[i]...) over every output element.  `out` may share
+/// storage with a full-size view: element i is read before it is written.
 template <typename Out, typename F, typename... V>
-Literal map(const HloInstruction& in, F f, V... views) {
-  Literal out(in.shape, in.dtype);
+void map(Literal& out, F f, V... views) {
   Out* o = out_data<Out>(out);
   const std::int64_t n = out.num_elements();
   for (std::int64_t i = 0; i < n; ++i) o[i] = static_cast<Out>(f(views[i]...));
-  return out;
 }
 
 /// Elementwise op whose operands and result share the result dtype,
 /// f64 or i64.
 template <typename F, typename... L>
-Literal numeric(const HloInstruction& in, F f, const L&... ops) {
-  if (in.dtype == DType::kF64) return map<double>(in, f, view<double>(ops)...);
-  return map<std::int64_t>(in, f, view<std::int64_t>(ops)...);
+void numeric(Literal& out, F f, const L&... ops) {
+  if (out.dtype() == DType::kF64) return map<double>(out, f, view<double>(ops)...);
+  map<std::int64_t>(out, f, view<std::int64_t>(ops)...);
 }
 
 /// and/or/xor: `logical` on pred, `bitwise` on i64.
 template <typename P, typename B>
-Literal bits(const HloInstruction& in, P logical, B bitwise, const Literal& a,
-             const Literal& b) {
-  if (in.dtype == DType::kPred) {
-    return map<std::uint8_t>(in, logical, view<std::uint8_t>(a),
+void bits(Literal& out, P logical, B bitwise, const Literal& a,
+          const Literal& b) {
+  if (out.dtype() == DType::kPred) {
+    return map<std::uint8_t>(out, logical, view<std::uint8_t>(a),
                              view<std::uint8_t>(b));
   }
-  return map<std::int64_t>(in, bitwise, view<std::int64_t>(a),
-                           view<std::int64_t>(b));
+  map<std::int64_t>(out, bitwise, view<std::int64_t>(a),
+                    view<std::int64_t>(b));
 }
 
 template <typename F>
-Literal compare(const HloInstruction& in, F f, const Literal& a,
-                const Literal& b) {
+void compare(Literal& out, F f, const Literal& a, const Literal& b) {
   if (a.dtype() == DType::kI64) {
-    return map<std::uint8_t>(in, f, view<std::int64_t>(a),
+    return map<std::uint8_t>(out, f, view<std::int64_t>(a),
                              view<std::int64_t>(b));
   }
-  return map<std::uint8_t>(in, f, view<double>(a), view<double>(b));
+  map<std::uint8_t>(out, f, view<double>(a), view<double>(b));
 }
 
 template <typename F>
-Literal f64_unary(const HloInstruction& in, F f, const Literal& a) {
-  return map<double>(in, f, view<double>(a));
+void f64_unary(Literal& out, F f, const Literal& a) {
+  map<double>(out, f, view<double>(a));
 }
 
 struct Div {
@@ -126,89 +124,91 @@ struct Mod {
   }
 };
 
-Literal eval_unary(const HloInstruction& in, const Literal& a) {
+void eval_unary(const HloInstruction& in, const Literal& a, Literal& out) {
   switch (in.opcode) {
     case Opcode::kNeg:
-      return numeric(in, [](auto v) { return -v; }, a);
+      return numeric(out, [](auto v) { return -v; }, a);
     case Opcode::kAbs:
-      return numeric(in, [](auto v) { return std::abs(v); }, a);
+      return numeric(out, [](auto v) { return std::abs(v); }, a);
     case Opcode::kSign:
-      return numeric(in, [](auto v) { return (v > 0) - (v < 0); }, a);
+      return numeric(out, [](auto v) { return (v > 0) - (v < 0); }, a);
     case Opcode::kSqrt:
-      return f64_unary(in, [](double v) { return std::sqrt(v); }, a);
+      return f64_unary(out, [](double v) { return std::sqrt(v); }, a);
     case Opcode::kSin:
-      return f64_unary(in, [](double v) { return std::sin(v); }, a);
+      return f64_unary(out, [](double v) { return std::sin(v); }, a);
     case Opcode::kCos:
-      return f64_unary(in, [](double v) { return std::cos(v); }, a);
+      return f64_unary(out, [](double v) { return std::cos(v); }, a);
     case Opcode::kExp:
-      return f64_unary(in, [](double v) { return std::exp(v); }, a);
+      return f64_unary(out, [](double v) { return std::exp(v); }, a);
     case Opcode::kLog:
-      return f64_unary(in, [](double v) { return std::log(v); }, a);
+      return f64_unary(out, [](double v) { return std::log(v); }, a);
     case Opcode::kFloor:
-      return f64_unary(in, [](double v) { return std::floor(v); }, a);
+      return f64_unary(out, [](double v) { return std::floor(v); }, a);
     case Opcode::kTanh:
-      return f64_unary(in, [](double v) { return std::tanh(v); }, a);
+      return f64_unary(out, [](double v) { return std::tanh(v); }, a);
     case Opcode::kNot:
-      return map<std::uint8_t>(in, std::logical_not<>(),
+      return map<std::uint8_t>(out, std::logical_not<>(),
                                view<std::uint8_t>(a));
     case Opcode::kCastF64:
     case Opcode::kCastI64:
       return with_dtype(a.dtype(), [&](auto tag) {
         using T = decltype(tag);
         const auto identity = [](T v) { return v; };
-        return in.opcode == Opcode::kCastF64
-                   ? map<double>(in, identity, view<T>(a))
-                   : map<std::int64_t>(in, identity, view<T>(a));
+        if (in.opcode == Opcode::kCastF64) {
+          return map<double>(out, identity, view<T>(a));
+        }
+        map<std::int64_t>(out, identity, view<T>(a));
       });
     default:
       throw std::logic_error("eval: unexpected unary opcode");
   }
 }
 
-Literal eval_binary(const HloInstruction& in, const Literal& a,
-                    const Literal& b) {
+void eval_binary(const HloInstruction& in, const Literal& a, const Literal& b,
+                 Literal& out) {
   switch (in.opcode) {
     case Opcode::kAdd:
-      return numeric(in, std::plus<>(), a, b);
+      return numeric(out, std::plus<>(), a, b);
     case Opcode::kSub:
-      return numeric(in, std::minus<>(), a, b);
+      return numeric(out, std::minus<>(), a, b);
     case Opcode::kMul:
-      return numeric(in, std::multiplies<>(), a, b);
+      return numeric(out, std::multiplies<>(), a, b);
     case Opcode::kDiv:
-      return numeric(in, Div{}, a, b);
+      return numeric(out, Div{}, a, b);
     case Opcode::kMin:
-      return numeric(in, [](auto x, auto y) { return std::min(x, y); }, a, b);
+      return numeric(out, [](auto x, auto y) { return std::min(x, y); }, a, b);
     case Opcode::kMax:
-      return numeric(in, [](auto x, auto y) { return std::max(x, y); }, a, b);
+      return numeric(out, [](auto x, auto y) { return std::max(x, y); }, a, b);
     case Opcode::kAtan2:
-      return map<double>(in, [](double y, double x) { return std::atan2(y, x); },
+      return map<double>(out,
+                         [](double y, double x) { return std::atan2(y, x); },
                          view<double>(a), view<double>(b));
     case Opcode::kMod:
-      return numeric(in, Mod{}, a, b);
+      return numeric(out, Mod{}, a, b);
     case Opcode::kAnd:
-      return bits(in, std::logical_and<>(), std::bit_and<>(), a, b);
+      return bits(out, std::logical_and<>(), std::bit_and<>(), a, b);
     case Opcode::kOr:
-      return bits(in, std::logical_or<>(), std::bit_or<>(), a, b);
+      return bits(out, std::logical_or<>(), std::bit_or<>(), a, b);
     case Opcode::kXor:
-      return bits(in, std::not_equal_to<>(), std::bit_xor<>(), a, b);
+      return bits(out, std::not_equal_to<>(), std::bit_xor<>(), a, b);
     case Opcode::kShl:
-      return map<std::int64_t>(in, IntShl{}, view<std::int64_t>(a),
+      return map<std::int64_t>(out, IntShl{}, view<std::int64_t>(a),
                                view<std::int64_t>(b));
     case Opcode::kShr:
-      return map<std::int64_t>(in, IntShr{}, view<std::int64_t>(a),
+      return map<std::int64_t>(out, IntShr{}, view<std::int64_t>(a),
                                view<std::int64_t>(b));
     case Opcode::kLt:
-      return compare(in, std::less<>(), a, b);
+      return compare(out, std::less<>(), a, b);
     case Opcode::kLe:
-      return compare(in, std::less_equal<>(), a, b);
+      return compare(out, std::less_equal<>(), a, b);
     case Opcode::kGt:
-      return compare(in, std::greater<>(), a, b);
+      return compare(out, std::greater<>(), a, b);
     case Opcode::kGe:
-      return compare(in, std::greater_equal<>(), a, b);
+      return compare(out, std::greater_equal<>(), a, b);
     case Opcode::kEq:
-      return compare(in, std::equal_to<>(), a, b);
+      return compare(out, std::equal_to<>(), a, b);
     case Opcode::kNe:
-      return compare(in, std::not_equal_to<>(), a, b);
+      return compare(out, std::not_equal_to<>(), a, b);
     default:
       throw std::logic_error("eval: unexpected binary opcode");
   }
@@ -216,19 +216,16 @@ Literal eval_binary(const HloInstruction& in, const Literal& a,
 
 /// Full reduction (ReduceSum axis -1 or ReduceMax) to a scalar.
 template <typename T, typename F>
-Literal reduce_all(const HloInstruction& in, const Literal& a, T init, F f) {
-  Literal out(Shape{}, in.dtype);
+void reduce_all(const Literal& a, T init, F f, Literal& out) {
   T acc = init;
   for (const T v : elems<T>(a)) acc = f(acc, v);
   out_data<T>(out)[0] = acc;
-  return out;
 }
 
 template <typename T>
-Literal reduce_rows(const HloInstruction& in, const Literal& a) {
+void reduce_rows(const Literal& a, Literal& out) {
   const std::int64_t rows = a.shape().dim(0);
   const std::int64_t cols = a.shape().dim(1);
-  Literal out(in.shape, in.dtype);
   const T* src = elems<T>(a).data();
   T* o = out_data<T>(out);
   for (std::int64_t r = 0; r < rows; ++r) {
@@ -236,7 +233,6 @@ Literal reduce_rows(const HloInstruction& in, const Literal& a) {
     for (std::int64_t c = 0; c < cols; ++c) s += src[r * cols + c];
     o[r] = s;
   }
-  return out;
 }
 
 template <typename T>
@@ -272,45 +268,49 @@ void scatter_into(const HloInstruction& in, Literal& base,
   }
 }
 
-Literal evaluate_instruction(const HloInstruction& in,
-                             const std::vector<const Literal*>& ops) {
+void evaluate_instruction(const HloInstruction& in,
+                          const std::vector<const Literal*>& ops,
+                          Literal& out) {
   switch (in.opcode) {
     case Opcode::kParam:
       throw std::logic_error("eval: params are substituted by the executor");
     case Opcode::kConstant:
-      return *in.literal;
+      out = *in.literal;
+      return;
     case Opcode::kIota: {
-      Literal out(in.shape, DType::kI64);
       std::int64_t* o = out.i64().data();
       for (std::int64_t i = 0; i < in.i0; ++i) o[i] = i;
-      return out;
+      return;
     }
     case Opcode::kSelect:
       return with_dtype(in.dtype, [&](auto tag) {
         using T = decltype(tag);
-        return map<T>(
-            in, [](std::uint8_t p, T t, T f) { return p ? t : f; },
+        map<T>(
+            out, [](std::uint8_t p, T t, T f) { return p ? t : f; },
             view<std::uint8_t>(*ops[0]), view<T>(*ops[1]), view<T>(*ops[2]));
       });
     case Opcode::kClamp:
       return numeric(
-          in, [](auto v, auto lo, auto hi) { return std::clamp(v, lo, hi); },
+          out, [](auto v, auto lo, auto hi) { return std::clamp(v, lo, hi); },
           *ops[0], *ops[1], *ops[2]);
     case Opcode::kReshape:
-      return with_dtype(in.dtype, [&](auto tag) {
+    case Opcode::kScatterAdd:
+    case Opcode::kScatterSet:
+      with_dtype(in.dtype, [&](auto tag) {
         using T = decltype(tag);
-        Literal out(in.shape, in.dtype);
         const auto src = elems<T>(*ops[0]);
         std::copy(src.begin(), src.end(), out_data<T>(out));
-        return out;
       });
+      if (in.opcode != Opcode::kReshape) {
+        scatter_into(in, out, *ops[1], *ops[2]);
+      }
+      return;
     case Opcode::kBroadcastCol:
     case Opcode::kBroadcastRow:
       return with_dtype(in.dtype, [&](auto tag) {
         using T = decltype(tag);
         const std::int64_t rows = in.shape.dim(0);
         const std::int64_t cols = in.shape.dim(1);
-        Literal out(in.shape, in.dtype);
         const T* a = elems<T>(*ops[0]).data();
         T* o = out_data<T>(out);
         for (std::int64_t r = 0; r < rows; ++r) {
@@ -320,18 +320,15 @@ Literal evaluate_instruction(const HloInstruction& in,
             std::copy_n(a, cols, o + r * cols);
           }
         }
-        return out;
       });
     case Opcode::kSliceCol:
       return with_dtype(in.dtype, [&](auto tag) {
         using T = decltype(tag);
         const std::int64_t rows = in.shape.dim(0);
         const std::int64_t cols = ops[0]->shape().dim(1);
-        Literal out(in.shape, in.dtype);
         const T* a = elems<T>(*ops[0]).data();
         T* o = out_data<T>(out);
         for (std::int64_t r = 0; r < rows; ++r) o[r] = a[r * cols + in.i0];
-        return out;
       });
     case Opcode::kGather:
       return with_dtype(in.dtype, [&](auto tag) {
@@ -339,7 +336,6 @@ Literal evaluate_instruction(const HloInstruction& in,
         const auto table = elems<T>(*ops[0]);
         const std::int64_t t = static_cast<std::int64_t>(table.size());
         const std::int64_t* idx = elems<std::int64_t>(*ops[1]).data();
-        Literal out(in.shape, in.dtype);
         T* o = out_data<T>(out);
         const std::int64_t n = out.num_elements();
         for (std::int64_t i = 0; i < n; ++i) {
@@ -347,48 +343,42 @@ Literal evaluate_instruction(const HloInstruction& in,
           const std::int64_t j = std::clamp<std::int64_t>(idx[i], 0, t - 1);
           o[i] = table[static_cast<std::size_t>(j)];
         }
-        return out;
       });
-    case Opcode::kScatterAdd:
-    case Opcode::kScatterSet: {
-      Literal out = *ops[0];
-      scatter_into(in, out, *ops[1], *ops[2]);
-      return out;
-    }
     case Opcode::kReduceSum:
       if (in.i0 == -1) {
         return in.dtype == DType::kF64
-                   ? reduce_all(in, *ops[0], 0.0, std::plus<>())
-                   : reduce_all(in, *ops[0], std::int64_t{0}, std::plus<>());
+                   ? reduce_all(*ops[0], 0.0, std::plus<>(), out)
+                   : reduce_all(*ops[0], std::int64_t{0}, std::plus<>(), out);
       }
       // axis = 1 on rank 2.
-      return in.dtype == DType::kF64 ? reduce_rows<double>(in, *ops[0])
-                                     : reduce_rows<std::int64_t>(in, *ops[0]);
+      return in.dtype == DType::kF64 ? reduce_rows<double>(*ops[0], out)
+                                     : reduce_rows<std::int64_t>(*ops[0], out);
     case Opcode::kReduceMax: {
       const auto max = [](auto m, auto v) { return std::max(m, v); };
       return in.dtype == DType::kF64
-                 ? reduce_all(in, *ops[0],
-                              -std::numeric_limits<double>::infinity(), max)
-                 : reduce_all(in, *ops[0],
-                              std::numeric_limits<std::int64_t>::min(), max);
+                 ? reduce_all(*ops[0],
+                              -std::numeric_limits<double>::infinity(), max,
+                              out)
+                 : reduce_all(*ops[0],
+                              std::numeric_limits<std::int64_t>::min(), max,
+                              out);
     }
     case Opcode::kDot: {
       const auto a = elems<double>(*ops[0]);
       const double* b = elems<double>(*ops[1]).data();
-      Literal out(Shape{}, DType::kF64);
       double s = 0.0;
       for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
       out.f64()[0] = s;
-      return out;
+      return;
     }
     default:
       break;
   }
   if (in.operands.size() == 1) {
-    return eval_unary(in, *ops[0]);
+    return eval_unary(in, *ops[0], out);
   }
   if (in.operands.size() == 2) {
-    return eval_binary(in, *ops[0], *ops[1]);
+    return eval_binary(in, *ops[0], *ops[1], out);
   }
   throw std::logic_error("eval: unhandled instruction");
 }

@@ -13,14 +13,20 @@
 
 namespace toast::xla {
 
-/// Evaluate one instruction given its operand values.  kParam is not
-/// handled here (the executor substitutes arguments).
-Literal evaluate_instruction(const HloInstruction& instr,
-                             const std::vector<const Literal*>& operands);
+/// Evaluate one instruction given its operand values into `out`, which
+/// the caller sizes to the instruction's shape and dtype.  Every element
+/// of `out` is overwritten, so its prior contents never matter.  `out`
+/// may be the storage of an operand only for an elementwise op, or as a
+/// gather's index operand when the table is another value: each output
+/// element is then written after the last read of that operand element.
+/// kParam is not handled here (the executor substitutes arguments).
+void evaluate_instruction(const HloInstruction& instr,
+                          const std::vector<const Literal*>& operands,
+                          Literal& out);
 
 /// Scatter-add / scatter-set `updates` into `base` at `indices`, in place.
 /// evaluate_instruction scatters into a copy of its base operand; the
-/// executor calls this directly on a base it owns and nothing reads again.
+/// executor calls this directly on a base that dies at the scatter.
 void scatter_into(const HloInstruction& instr, Literal& base,
                   const Literal& indices, const Literal& updates);
 

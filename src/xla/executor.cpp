@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -37,6 +38,22 @@ Compiled compile(HloModule module) {
     max_group = std::max(max_group, g);
   }
   c.n_groups = max_group + 1;
+  for (const auto& in : c.module.instructions) {
+    if (in.opcode == Opcode::kParam || in.opcode == Opcode::kConstant) {
+      continue;
+    }
+    const std::int64_t count = in.shape.num_elements();
+    const auto cls =
+        std::find_if(c.buffer_classes.begin(), c.buffer_classes.end(),
+                     [&](const BufferClass& b) {
+                       return b.dtype == in.dtype && b.count == count;
+                     });
+    if (cls == c.buffer_classes.end()) {
+      c.buffer_classes.push_back({in.dtype, count, 1});
+    } else {
+      ++cls->keep;
+    }
+  }
   c.compile_seconds =
       kCompileBaseSeconds +
       kCompilePerInstructionSeconds * static_cast<double>(c.module.size());
@@ -303,19 +320,22 @@ ExecutionReport build_report(const Compiled& compiled,
 }  // namespace
 
 std::vector<Literal> execute(const Compiled& compiled,
-                             std::span<const Literal> args,
+                             std::vector<Literal> args, BufferPool& pool,
                              ExecutionReport* report) {
   const HloModule& m = compiled.module;
   validate_args(m, args);
+  pool.trim(compiled.buffer_classes);
 
-  // Params and constants are read in place; only computed values are
-  // owned, and each is freed after its last reader.  `owned` never
-  // resizes, so pointers into it stay valid.
+  // Params and computed values are owned; constants are read in place.
+  // `owned` never resizes, so pointers into it stay valid.  A value is
+  // alive while vals[i] == &owned[i].
   const std::size_t n = m.size();
-  // Last reader of each value.  Roots and the scatter-add index streams
-  // (the report's input) are read after the loop, so they stay alive.
-  std::vector<std::size_t> last_use(n, 0);
+  // Last reader of each value (itself when nothing reads it).  Roots and
+  // the scatter-add index streams (the report's input) are read after the
+  // loop, so they stay alive.
+  std::vector<std::size_t> last_use(n);
   for (std::size_t i = 0; i < n; ++i) {
+    last_use[i] = i;
     for (const auto op : m.instructions[i].operands) {
       last_use[static_cast<std::size_t>(op)] = i;
     }
@@ -331,42 +351,78 @@ std::vector<Literal> execute(const Compiled& compiled,
   std::vector<Literal> owned(n);
   std::vector<const Literal*> vals(n, nullptr);
   std::vector<const Literal*> ops;
+  const auto dies_here = [&](std::size_t o, std::size_t i) {
+    return vals[o] == &owned[o] && last_use[o] == i;
+  };
+  // Moves owned[o] into owned[i]; operands that read it now read owned[i].
+  const auto take_over = [&](std::size_t o, std::size_t i) {
+    owned[i] = std::move(owned[o]);
+    vals[o] = nullptr;
+    for (auto& p : ops) {
+      if (p == &owned[o]) p = &owned[i];
+    }
+  };
   for (std::size_t i = 0; i < n; ++i) {
     const HloInstruction& in = m.instructions[i];
-    if (in.opcode == Opcode::kParam) {
-      vals[i] = &args[static_cast<std::size_t>(in.i0)];
-      continue;
-    }
     if (in.opcode == Opcode::kConstant) {
       vals[i] = &*in.literal;
       continue;
     }
-    ops.clear();
-    for (const auto op : in.operands) {
-      ops.push_back(vals[static_cast<std::size_t>(op)]);
-    }
-    // A scatter updates a base it owns and nothing reads again in place,
-    // as XLA's buffer assignment does, instead of copying it.
-    const bool scatter = in.opcode == Opcode::kScatterAdd ||
-                         in.opcode == Opcode::kScatterSet;
-    const auto base = scatter ? static_cast<std::size_t>(in.operands[0]) : i;
-    const bool in_place = scatter && vals[base] == &owned[base] &&
-                          last_use[base] == i &&
-                          in.operands[1] != in.operands[0] &&
-                          in.operands[2] != in.operands[0];
-    if (in_place) {
-      owned[i] = std::move(owned[base]);
-      scatter_into(in, owned[i], *ops[1], *ops[2]);
+    if (in.opcode == Opcode::kParam) {
+      owned[i] = std::move(args[static_cast<std::size_t>(in.i0)]);
     } else {
-      owned[i] = evaluate_instruction(in, ops);
+      ops.clear();
+      for (const auto op : in.operands) {
+        ops.push_back(vals[static_cast<std::size_t>(op)]);
+      }
+      const bool scatter = in.opcode == Opcode::kScatterAdd ||
+                           in.opcode == Opcode::kScatterSet;
+      const auto& operands = in.operands;
+      if (scatter && dies_here(static_cast<std::size_t>(operands[0]), i) &&
+          operands[1] != operands[0] && operands[2] != operands[0]) {
+        // Update a dead base in place, as XLA's buffer assignment does.
+        take_over(static_cast<std::size_t>(operands[0]), i);
+        scatter_into(in, owned[i], *ops[1], *ops[2]);
+      } else {
+        // An elementwise op may write over any operand that dies here, a
+        // gather only over its index operand, and only when that is not
+        // also the table.
+        std::size_t k = 0;
+        std::size_t end = 0;
+        if (is_elementwise(in.opcode)) {
+          end = operands.size();
+        } else if (in.opcode == Opcode::kGather && operands[1] != operands[0]) {
+          k = 1;
+          end = 2;
+        }
+        const std::int64_t count = in.shape.num_elements();
+        for (; k < end; ++k) {
+          const auto o = static_cast<std::size_t>(operands[k]);
+          if (dies_here(o, i) && owned[o].dtype() == in.dtype &&
+              owned[o].num_elements() == count) {
+            take_over(o, i);
+            owned[i].reshape(in.shape);
+            break;
+          }
+        }
+        if (k == end) {
+          owned[i] = pool.take(in.shape, in.dtype);
+        }
+        evaluate_instruction(in, ops, owned[i]);
+      }
+      // Every operand this instruction read last goes back to the pool.
+      for (const auto op : operands) {
+        const auto o = static_cast<std::size_t>(op);
+        if (dies_here(o, i)) {
+          pool.give(std::move(owned[o]));
+          vals[o] = nullptr;
+        }
+      }
     }
     vals[i] = &owned[i];
-    // Free every owned operand this instruction read last.
-    for (const auto op : in.operands) {
-      const auto o = static_cast<std::size_t>(op);
-      if (last_use[o] == i && vals[o] == &owned[o]) {
-        owned[o] = Literal{};
-      }
+    if (last_use[i] == i) {  // nothing reads it
+      pool.give(std::move(owned[i]));
+      vals[i] = nullptr;
     }
   }
 
@@ -374,8 +430,9 @@ std::vector<Literal> execute(const Compiled& compiled,
     *report = build_report(compiled, vals);
   }
 
-  // A computed root is moved out at its last mention; params, constants
-  // and earlier mentions of a repeated root are copied.
+  // A root that is a param or computed value is moved out at its last
+  // mention; constants and earlier mentions of a repeated root are
+  // copied.
   std::vector<Literal> outputs;
   outputs.reserve(m.roots.size());
   for (auto r = m.roots.begin(); r != m.roots.end(); ++r) {
@@ -383,9 +440,14 @@ std::vector<Literal> execute(const Compiled& compiled,
     const bool last = std::find(r + 1, m.roots.end(), *r) == m.roots.end();
     if (last && vals[i] == &owned[i]) {
       outputs.push_back(std::move(owned[i]));
+      vals[i] = nullptr;
     } else {
       outputs.push_back(*vals[i]);
     }
+  }
+  // What stayed alive only for the report: the scatter-add index streams.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (vals[i] == &owned[i]) pool.give(std::move(owned[i]));
   }
   return outputs;
 }

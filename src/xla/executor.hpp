@@ -12,7 +12,6 @@
 // scatters pay atomics with the measured conflict rate.
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "accel/work.hpp"
@@ -34,6 +33,9 @@ struct Compiled {
   std::vector<int> group_of;  // fusion group per instruction, -1 = memory
   int n_groups = 0;
   PassStats pass_stats;
+  /// The (dtype, element count) of every value the module computes, with
+  /// how many it computes: the buffers a call may draw from its pool.
+  std::vector<BufferClass> buffer_classes;
   /// Modelled XLA compile time (charged once per cache entry).
   double compile_seconds = 0.0;
   /// Lazily-built shape-only part of the ExecutionReport (computed once
@@ -59,13 +61,21 @@ struct ExecutionReport {
   std::size_t peak_temp_bytes = 0;
 };
 
-/// Evaluate the compiled module.  `args` must match module params.  Each
-/// computed value is freed after its last reader; the report's
-/// shape-only part is built once per Compiled and cached, and only the
-/// scatter lowering (sortedness, unique targets, warp conflict rate) is
-/// recomputed per call from the executed index streams.
+/// Evaluate the compiled module.  `args` must match module params; they
+/// are owned by the call and, like every computed value, die after their
+/// last reader.  Output buffers are recycled, in order of preference:
+///   1. an elementwise op (or a gather, into its index operand) writes
+///      over an operand of its dtype and element count that dies there;
+///   2. a buffer of that dtype and count from `pool`;
+///   3. a new allocation.
+/// A scatter whose base dies there updates it in place.  Dead values go
+/// back to `pool`, which is first trimmed to the module's buffer
+/// classes.  The report's shape-only part is built once per Compiled and
+/// cached; only the scatter lowering (sortedness, unique targets, warp
+/// conflict rate) is recomputed per call from the executed index
+/// streams.
 std::vector<Literal> execute(const Compiled& compiled,
-                             std::span<const Literal> args,
+                             std::vector<Literal> args, BufferPool& pool,
                              ExecutionReport* report = nullptr);
 
 }  // namespace toast::xla

@@ -101,21 +101,22 @@ const Compiled& Jit::get_or_compile(Runtime& rt,
   return *pos->second;
 }
 
-std::vector<Literal> Jit::call_reported(Runtime& rt,
-                                        const std::vector<Literal>& args,
+std::vector<Literal> Jit::call_reported(Runtime& rt, std::vector<Literal> args,
                                         const std::string& static_key,
                                         ExecutionReport& report) {
   const Compiled& compiled = get_or_compile(rt, args, static_key);
-  std::vector<Literal> outputs = execute(compiled, args, &report);
-
   // Memory accounting: temporaries live for the duration of the call.
-  // Donated parameter buffers are recycled for outputs.
+  // Donated parameter buffers are recycled for outputs.  Summed before
+  // execute() takes the arguments.
   std::size_t donated_bytes = 0;
   for (const int p : donated_) {
     if (p >= 0 && static_cast<std::size_t>(p) < args.size()) {
       donated_bytes += args[static_cast<std::size_t>(p)].byte_size();
     }
   }
+  std::vector<Literal> outputs =
+      execute(compiled, std::move(args), rt.buffers(), &report);
+
   const std::size_t temp =
       report.peak_temp_bytes > donated_bytes
           ? report.peak_temp_bytes - donated_bytes
@@ -238,10 +239,10 @@ std::vector<Literal> Jit::call_reported(Runtime& rt,
   return outputs;
 }
 
-std::vector<Literal> Jit::call(Runtime& rt, const std::vector<Literal>& args,
+std::vector<Literal> Jit::call(Runtime& rt, std::vector<Literal> args,
                                const std::string& static_key) {
   ExecutionReport report;
-  return call_reported(rt, args, static_key, report);
+  return call_reported(rt, std::move(args), static_key, report);
 }
 
 }  // namespace toast::xla

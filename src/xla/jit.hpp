@@ -77,6 +77,10 @@ class Runtime {
 
   std::size_t pool_bytes() const { return prealloc_bytes_; }
 
+  /// Host buffers of dead XLA values, recycled by every jitted call on
+  /// this runtime.
+  BufferPool& buffers() { return buffers_; }
+
   /// Force the XLA *CPU* backend (paper §4.2): fusion groups execute on
   /// the host model instead of the device.  The CPU backend parallelizes
   /// only heavy ops (reductions/dots); elementwise groups run single
@@ -102,6 +106,7 @@ class Runtime {
   accel::HostModel host_model_;
   int cpu_heavy_threads_ = 1;
   int cpu_socket_active_ = 1;
+  BufferPool buffers_;
 };
 
 using TracedFn =
@@ -119,13 +124,14 @@ class Jit {
   }
 
   /// Execute.  `static_key` distinguishes traces that depend on static
-  /// (non-array) arguments, e.g. the padded interval length.
-  std::vector<Literal> call(Runtime& rt, const std::vector<Literal>& args,
+  /// (non-array) arguments, e.g. the padded interval length.  The call
+  /// owns `args`: their buffers are recycled once dead, so a caller that
+  /// is done with them passes them with std::move.
+  std::vector<Literal> call(Runtime& rt, std::vector<Literal> args,
                             const std::string& static_key = "");
 
   /// Like call, and also expose the execution report (for tests/benches).
-  std::vector<Literal> call_reported(Runtime& rt,
-                                     const std::vector<Literal>& args,
+  std::vector<Literal> call_reported(Runtime& rt, std::vector<Literal> args,
                                      const std::string& static_key,
                                      ExecutionReport& report);
 

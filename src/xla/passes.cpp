@@ -61,7 +61,8 @@ HloModule fold_constants(HloModule module, int* folded) {
       for (const auto op : in.operands) {
         ops.push_back(&*out.at(op).literal);
       }
-      Literal value = evaluate_instruction(in, ops);
+      Literal value(in.shape, in.dtype);
+      evaluate_instruction(in, ops, value);
       HloInstruction cst;
       cst.opcode = Opcode::kConstant;
       cst.dtype = in.dtype;

@@ -1,5 +1,6 @@
 #include "xla/types.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace toast::xla {
@@ -74,21 +75,31 @@ Literal Literal::scalar_pred(bool v) {
 }
 
 Literal Literal::from_f64(Shape shape, std::span<const double> data) {
-  Literal l(std::move(shape), DType::kF64);
-  if (static_cast<std::int64_t>(data.size()) != l.num_elements()) {
+  if (static_cast<std::int64_t>(data.size()) != shape.num_elements()) {
     throw std::invalid_argument("Literal::from_f64: size mismatch");
   }
-  std::copy(data.begin(), data.end(), l.f64().begin());
+  Literal l;
+  l.shape_ = std::move(shape);
+  l.data_ = std::vector<double>(data.begin(), data.end());
   return l;
 }
 
 Literal Literal::from_i64(Shape shape, std::span<const std::int64_t> data) {
-  Literal l(std::move(shape), DType::kI64);
-  if (static_cast<std::int64_t>(data.size()) != l.num_elements()) {
+  if (static_cast<std::int64_t>(data.size()) != shape.num_elements()) {
     throw std::invalid_argument("Literal::from_i64: size mismatch");
   }
-  std::copy(data.begin(), data.end(), l.i64().begin());
+  Literal l;
+  l.shape_ = std::move(shape);
+  l.dtype_ = DType::kI64;
+  l.data_ = std::vector<std::int64_t>(data.begin(), data.end());
   return l;
+}
+
+void Literal::reshape(Shape shape) {
+  if (shape.num_elements() != num_elements()) {
+    throw std::invalid_argument("Literal::reshape: element count mismatch");
+  }
+  shape_ = std::move(shape);
 }
 
 std::span<double> Literal::f64() {
@@ -121,6 +132,43 @@ double Literal::as_double(std::int64_t i) const {
       return static_cast<double>(pred()[idx]);
   }
   return 0.0;
+}
+
+Literal BufferPool::take(const Shape& shape, DType dtype) {
+  const auto it = free_.find({dtype, shape.num_elements()});
+  if (it == free_.end() || it->second.empty()) {
+    return Literal(shape, dtype);
+  }
+  Literal l = std::move(it->second.back());
+  it->second.pop_back();
+  l.reshape(shape);
+  return l;
+}
+
+void BufferPool::give(Literal l) {
+  free_[{l.dtype(), l.num_elements()}].push_back(std::move(l));
+}
+
+void BufferPool::trim(std::span<const BufferClass> keep) {
+  for (auto it = free_.begin(); it != free_.end();) {
+    const auto [dtype, count] = it->first;
+    const auto k = std::find_if(keep.begin(), keep.end(), [&](const auto& c) {
+      return c.dtype == dtype && c.count == count;
+    });
+    const std::size_t n = k == keep.end() ? 0 : k->keep;
+    if (n == 0) {
+      it = free_.erase(it);
+      continue;
+    }
+    if (it->second.size() > n) it->second.resize(n);
+    ++it;
+  }
+}
+
+std::size_t BufferPool::buffers() const {
+  std::size_t n = 0;
+  for (const auto& [cls, free] : free_) n += free.size();
+  return n;
 }
 
 }  // namespace toast::xla

@@ -8,9 +8,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <map>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -76,6 +78,10 @@ class Literal {
     return static_cast<std::size_t>(num_elements()) * dtype_size(dtype_);
   }
 
+  /// Reinterpret the storage as `shape`, which must hold as many
+  /// elements.
+  void reshape(Shape shape);
+
   std::span<double> f64();
   std::span<const double> f64() const;
   std::span<std::int64_t> i64();
@@ -92,6 +98,37 @@ class Literal {
   std::variant<std::vector<double>, std::vector<std::int64_t>,
                std::vector<std::uint8_t>>
       data_;
+};
+
+/// A (dtype, element count) buffer class and how many buffers of it a
+/// BufferPool may keep.
+struct BufferClass {
+  DType dtype = DType::kF64;
+  std::int64_t count = 0;
+  std::size_t keep = 0;
+};
+
+/// Dead literal buffers kept for reuse, keyed by dtype and element count,
+/// the way XLA's buffer assignment and JAX's preallocated pool avoid a
+/// round trip to the allocator per value.  One pool belongs to one
+/// xla::Runtime; it is not shared between threads.
+class BufferPool {
+ public:
+  /// A literal of `shape` and `dtype` with unspecified contents: a pooled
+  /// buffer of that dtype and element count when one is free, else a new
+  /// one.
+  Literal take(const Shape& shape, DType dtype);
+  /// Keep the buffer of `l` for a later take().
+  void give(Literal l);
+  /// Drop every buffer of a class not listed in `keep`, and all but
+  /// `keep` buffers of each listed class.
+  void trim(std::span<const BufferClass> keep);
+
+  /// Buffers held, over all classes.
+  std::size_t buffers() const;
+
+ private:
+  std::map<std::pair<DType, std::int64_t>, std::vector<Literal>> free_;
 };
 
 }  // namespace toast::xla

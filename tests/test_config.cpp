@@ -11,6 +11,7 @@
 #include "bench_model/problem.hpp"
 #include "config/schedule.hpp"
 #include "mpisim/job.hpp"
+#include "tune/library.hpp"
 
 namespace {
 
@@ -173,6 +174,66 @@ TEST(ScheduleConfig, RejectsInvalidValues) {
               "shape": {"nodes": -1}})");
   rejects(R"({"schema": "toastcase-schedule-v1",
               "solver": {"async_comm": "async"}})");
+}
+
+/// `doc` is rejected with an error that names `path` and `expected`.
+void expect_rejected(const std::string& doc, const std::string& path,
+                     const std::string& expected) {
+  try {
+    (void)ScheduleConfig::parse(doc);
+    ADD_FAILURE() << "accepted: " << doc;
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find(expected), std::string::npos) << what;
+  }
+}
+
+TEST(ScheduleConfig, RejectsStringStreams) {
+  expect_rejected(R"({"schema": "toastcase-schedule-v1", "streams": "4"})",
+                  "streams", "must be a number");
+}
+
+TEST(ScheduleConfig, RejectsFractionalStreams) {
+  expect_rejected(R"({"schema": "toastcase-schedule-v1", "streams": 2.7})",
+                  "streams", "must be an integer");
+}
+
+TEST(ScheduleConfig, RejectsOutOfRangeStreams) {
+  expect_rejected(R"({"schema": "toastcase-schedule-v1", "streams": 1e10})",
+                  "streams", "must be an integer in [1, 2147483647]");
+}
+
+TEST(ScheduleConfig, RejectsNonBooleanStagingFlags) {
+  expect_rejected(R"({"schema": "toastcase-schedule-v1",
+                      "staging": {"prefetch": 1}})",
+                  "staging.prefetch", "must be a boolean");
+  expect_rejected(R"({"schema": "toastcase-schedule-v1",
+                      "staging": {"prefetch": "yes"}})",
+                  "staging.prefetch", "must be a boolean");
+}
+
+TEST(ScheduleConfig, RejectsNonStringBackend) {
+  expect_rejected(R"({"schema": "toastcase-schedule-v1", "backend": 5})",
+                  "backend", "must be a string");
+}
+
+TEST(ScheduleConfig, RejectsFractionalShape) {
+  expect_rejected(R"({"schema": "toastcase-schedule-v1",
+                      "shape": {"nodes": 1.5}})",
+                  "shape.nodes", "must be an integer");
+}
+
+TEST(ScheduleConfig, CheckedInSchedulesLoad) {
+  const std::string dir =
+      std::string(TOASTCASE_SOURCE_DIR) + "/bench/schedules/";
+  const ScheduleConfig tuned =
+      ScheduleConfig::load_file(dir + "tuned_large_omp.json");
+  EXPECT_EQ(tuned.backend, "omp-target");
+  EXPECT_TRUE(tuned.staging.prefetch);
+  const auto lib = toast::tune::ScheduleLibrary::load_file(dir + "index.json");
+  ASSERT_EQ(lib.entries().size(), 1u);
+  EXPECT_EQ(lib.entries()[0].schedule, tuned);
 }
 
 TEST(ScheduleConfig, BackendSlotRoundTripsThroughManifest) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <type_traits>
@@ -597,7 +598,8 @@ template <typename T, typename Ref>
 void expect_matches(const xla::Compiled& c, const std::vector<Literal>& args,
                     Ref ref, const std::string& what) {
   const Shape& shape = c.module.at(c.module.roots[0]).shape;
-  const auto out = xla::execute(c, args);
+  xla::BufferPool pool;
+  const auto out = xla::execute(c, args, pool);
   ASSERT_EQ(out[0].shape(), shape) << what;
   for (std::int64_t k = 0; k < out[0].num_elements(); ++k) {
     const auto i = static_cast<std::size_t>(k);
@@ -1049,9 +1051,10 @@ TEST(XlaEval, ReductionsAndDot) {
 }
 
 TEST(XlaEval, ScatterChainsUpdateOwnedBasesOnlyWhenDead) {
-  // s2 updates the dead s1 in place; every other scatter must copy its
-  // base: a parameter (s1), a value read again later (s3, s5), or a base
-  // that is also the updates (s5, s6).
+  // s1 updates its dead parameter base in place (the call owns its
+  // arguments, never the caller's copy) and s2 the dead s1; every other
+  // scatter must copy its base: a value read again later (s3, s5), or a
+  // base that is also the updates (s5, s6).
   xla::Jit fn("chain", [](const std::vector<Array>& in) {
     const Array s1 = xla::scatter_add(in[0], in[1], in[2]);
     const Array s2 = xla::scatter_set(s1, in[1], in[2]);
@@ -1126,9 +1129,10 @@ TEST(XlaEval, ScatterConflictRateOverSeveralWarps) {
       one_op(Op::kScatterAdd, DType::kF64, Shape{8}, args);
   ASSERT_EQ(c.n_groups, 1);
   const double rate = 29.0 / 34.0;
+  xla::BufferPool pool;
   for (int call = 0; call < 2; ++call) {  // the second reuses the cache
     xla::ExecutionReport r;
-    xla::execute(c, args, &r);
+    xla::execute(c, args, pool, &r);
     EXPECT_FALSE(r.segment_lowering_used);
     EXPECT_EQ(r.group_work[0].atomic_ops, 34.0);
     EXPECT_EQ(r.group_work[0].atomic_conflict_rate, rate * 34.0 / 34.0);
@@ -1145,14 +1149,15 @@ TEST(XlaEval, ShapeReportIsBuiltOncePerCompiled) {
   const xla::Compiled c =
       one_op(Op::kScatterAdd, DType::kF64, Shape{2}, args);
   EXPECT_EQ(c.shape_report, nullptr);
-  xla::execute(c, args);  // no report requested: nothing cached
+  xla::BufferPool pool;
+  xla::execute(c, args, pool);  // no report requested: nothing cached
   EXPECT_EQ(c.shape_report, nullptr);
   xla::ExecutionReport first;
-  xla::execute(c, args, &first);
+  xla::execute(c, args, pool, &first);
   const auto cached = c.shape_report;
   ASSERT_NE(cached, nullptr);
   xla::ExecutionReport second;
-  xla::execute(c, args, &second);
+  xla::execute(c, args, pool, &second);
   EXPECT_EQ(c.shape_report, cached);
   expect_report_equal(first, second);
 }
@@ -1340,4 +1345,274 @@ TEST(XlaIntSemantics, ConstantFoldingUsesTheSameValues) {
   for (std::size_t k = 0; k < expected.size(); ++k) {
     EXPECT_EQ(out[k].i64()[0], expected[k]) << "root " << k;
   }
+}
+
+// ---------------------------------------------------------------------------
+// execute() recycles buffers: an elementwise op or a gather's index
+// operand writes over an operand that dies there, other values draw from
+// the Runtime's pool, and dead values go back to it.  Each case is checked
+// bitwise against plain loops and against a fresh Runtime, and repeated on
+// a Runtime whose pool starts full of poisoned buffers.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+bool same_bits(const Literal& a, const Literal& b) {
+  if (a.dtype() != b.dtype() || a.shape() != b.shape()) return false;
+  const auto bytes = [](const Literal& l) -> const void* {
+    switch (l.dtype()) {
+      case DType::kF64:
+        return l.f64().data();
+      case DType::kI64:
+        return l.i64().data();
+      case DType::kPred:
+        break;
+    }
+    return l.pred().data();
+  };
+  return std::memcmp(bytes(a), bytes(b), a.byte_size()) == 0;
+}
+
+/// Two buffers of every class `c` computes, all bytes 0xA5, so a value
+/// that reads its buffer's old contents shows.
+void poison(xla::BufferPool& pool, const xla::Compiled& c) {
+  for (const auto& cls : c.buffer_classes) {
+    for (int k = 0; k < 2; ++k) {
+      Literal l(Shape{cls.count}, cls.dtype);
+      switch (cls.dtype) {
+        case DType::kF64:
+          std::memset(l.f64().data(), 0xA5, l.byte_size());
+          break;
+        case DType::kI64:
+          std::memset(l.i64().data(), 0xA5, l.byte_size());
+          break;
+        case DType::kPred:
+          std::memset(l.pred().data(), 0xA5, l.byte_size());
+          break;
+      }
+      pool.give(std::move(l));
+    }
+  }
+}
+
+/// `fn` on a fresh Runtime, then twice on one whose pool starts poisoned:
+/// all three give the same bits, and the caller's `args` are untouched.
+std::vector<Literal> call_recycled(xla::Jit& fn,
+                                   const std::vector<Literal>& args) {
+  const std::vector<Literal> before = args;
+  Fixture fresh;
+  const auto expected = fn.call(fresh.rt, args);
+  Fixture reused;
+  const xla::Compiled* c = fn.lookup(args);
+  EXPECT_NE(c, nullptr);
+  if (c != nullptr) poison(reused.rt.buffers(), *c);
+  for (int call = 0; call < 2; ++call) {
+    const auto out = fn.call(reused.rt, args);
+    EXPECT_EQ(out.size(), expected.size());
+    for (std::size_t k = 0; k < std::min(out.size(), expected.size()); ++k) {
+      EXPECT_TRUE(same_bits(out[k], expected[k]))
+          << "call " << call << " root " << k;
+    }
+  }
+  for (std::size_t p = 0; p < args.size(); ++p) {
+    EXPECT_TRUE(same_bits(args[p], before[p])) << "argument " << p;
+  }
+  return expected;
+}
+
+std::vector<I64> ivalues(const Literal& l) {
+  return {l.i64().begin(), l.i64().end()};
+}
+
+}  // namespace
+
+TEST(XlaRecycle, OperandReadAgainLaterIsNeverOverwritten) {
+  // `a` and the parameter are both read again after `b`, so `b` may not
+  // write over either; `c` may write over the dead `b`.
+  xla::Jit fn("reread", [](const std::vector<Array>& in) {
+    const Array a = in[0] * 2.0;
+    const Array b = a + 1.0;
+    const Array c = b * in[0];
+    return std::vector<Array>{c - a};
+  });
+  const std::vector<double> x = {0.5, -1.0, 2.0, 3.5};
+  std::vector<double> expected;
+  for (const double v : x) {
+    const double a = v * 2.0;
+    expected.push_back((a + 1.0) * v - a);
+  }
+  const auto out = call_recycled(fn, {vec({0.5, -1.0, 2.0, 3.5})});
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(values(out[0]), expected);
+}
+
+TEST(XlaRecycle, OneValueAsBothOperands) {
+  // `t` dies at `t * t` and at `select(p, u, u)`: the output may take its
+  // buffer although both operand slots read it.
+  xla::Jit fn("both", [](const std::vector<Array>& in) {
+    const Array t = in[0] + 0.5;
+    const Array u = t * t;
+    const Array w = xla::select(xla::lt(in[0], xla::constant(1.0)), u, u);
+    return std::vector<Array>{w - in[0]};
+  });
+  const std::vector<double> x = {0.5, -1.0, 2.0, 3.5};
+  std::vector<double> expected;
+  for (const double v : x) expected.push_back((v + 0.5) * (v + 0.5) - v);
+  const auto out = call_recycled(fn, {vec({0.5, -1.0, 2.0, 3.5})});
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(values(out[0]), expected);
+}
+
+TEST(XlaRecycle, GatherWhoseTableIsItsIndices) {
+  // gather(x, x) reads the table at every lane: it must not write over
+  // its index operand.  gather(g, z) may write over the dead `z`.
+  xla::Jit fn("self_gather", [](const std::vector<Array>& in) {
+    const Array x = in[0] + xla::constant_i64(1);
+    const Array g = xla::gather(x, x);
+    const Array z = in[0] * xla::constant_i64(2);
+    return std::vector<Array>{g, xla::gather(g, z)};
+  });
+  const std::vector<I64> in = {2, 0, 4, 1, 3};
+  std::vector<I64> x, g, expected;
+  for (const I64 v : in) x.push_back(v + 1);
+  for (const I64 j : x) g.push_back(x[static_cast<std::size_t>(std::clamp<I64>(j, 0, 4))]);
+  for (const I64 v : in) {
+    expected.push_back(g[static_cast<std::size_t>(std::clamp<I64>(2 * v, 0, 4))]);
+  }
+  const auto out = call_recycled(fn, {ivec({2, 0, 4, 1, 3})});
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(ivalues(out[0]), g);
+  EXPECT_EQ(ivalues(out[1]), expected);
+}
+
+TEST(XlaRecycle, ParameterScatterBaseThatDiesAtTheScatter) {
+  // The call owns its arguments: a parameter base that dies at the
+  // scatter is updated in place, never the caller's copy.
+  xla::Jit fn("param_base", [](const std::vector<Array>& in) {
+    return std::vector<Array>{xla::scatter_add(in[0], in[1], in[2]) * 2.0};
+  });
+  const std::vector<double> base = {1.0, 2.0, 3.0, 4.0};
+  const std::vector<I64> idx = {3, 0, 3, 7};
+  const std::vector<double> upd = {10.0, 20.0, 30.0, 40.0};
+  std::vector<double> expected = base;
+  for (std::size_t k = 0; k < idx.size(); ++k) {
+    if (idx[k] >= 0 && idx[k] < 4) expected[static_cast<std::size_t>(idx[k])] += upd[k];
+  }
+  for (auto& v : expected) v *= 2.0;
+  const auto out = call_recycled(
+      fn, {vec({1.0, 2.0, 3.0, 4.0}), ivec({3, 0, 3, 7}),
+           vec({10.0, 20.0, 30.0, 40.0})});
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(values(out[0]), expected);
+}
+
+TEST(XlaRecycle, ParameterScatterBaseReadAgainAfterTheScatter) {
+  xla::Jit fn("param_base_reread", [](const std::vector<Array>& in) {
+    const Array s = xla::scatter_set(in[0], in[1], in[2]);
+    return std::vector<Array>{s + in[0]};
+  });
+  const std::vector<double> base = {1.0, 2.0, 3.0, 4.0};
+  const std::vector<I64> idx = {2, -1, 0};
+  const std::vector<double> upd = {10.0, 20.0, 30.0};
+  std::vector<double> s = base;
+  for (std::size_t k = 0; k < idx.size(); ++k) {
+    if (idx[k] >= 0 && idx[k] < 4) s[static_cast<std::size_t>(idx[k])] = upd[k];
+  }
+  std::vector<double> expected;
+  for (std::size_t k = 0; k < base.size(); ++k) expected.push_back(s[k] + base[k]);
+  const auto out = call_recycled(
+      fn, {vec({1.0, 2.0, 3.0, 4.0}), ivec({2, -1, 0}),
+           vec({10.0, 20.0, 30.0})});
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(values(out[0]), expected);
+}
+
+TEST(XlaRecycle, ScatterIndexStreamIsNotHandedOutBeforeTheReport) {
+  // After the scatter, `t` is an i64 value of the index stream's class
+  // that draws its buffer from the pool (its operand is read again):
+  // were the stream handed to the pool at its last in-module reader, `t`
+  // would overwrite it before the report reads it.
+  xla::Jit fn("stream", [](const std::vector<Array>& in) {
+    const Array idx = xla::maximum(in[1], xla::constant_i64(-100));
+    const Array s = xla::scatter_add(in[0], idx, in[2]);
+    const Array t = in[3] * xla::constant_i64(3);
+    return std::vector<Array>{s, t + in[3]};
+  });
+  // One warp of 5 valid lanes over {2, 0, 2, 1, 2}: 3 distinct targets,
+  // 2 conflicts.
+  const std::vector<Literal> args = {vec({0.0, 0.0, 0.0}),
+                                     ivec({2, 0, 2, 1, 2}),
+                                     vec({1.0, 2.0, 3.0, 4.0, 5.0}),
+                                     ivec({0, 0, 0, 0, 0})};
+  const auto out = call_recycled(fn, args);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(values(out[0]), (std::vector<double>{2.0, 4.0, 9.0}));
+  EXPECT_EQ(ivalues(out[1]), (std::vector<I64>{0, 0, 0, 0, 0}));
+  Fixture f;
+  poison(f.rt.buffers(), *fn.lookup(args));
+  for (int call = 0; call < 2; ++call) {
+    xla::ExecutionReport report;
+    fn.call_reported(f.rt, args, "", report);
+    EXPECT_FALSE(report.segment_lowering_used);
+    EXPECT_EQ(report.total.atomic_ops, 5.0) << "call " << call;
+    EXPECT_EQ(report.total.atomic_conflict_rate, 2.0 / 5.0) << "call " << call;
+  }
+}
+
+TEST(XlaRecycle, SecondCallOnOneRuntimeRepeatsOutputsAndReport) {
+  xla::Jit fn("repeat", [](const std::vector<Array>& in) {
+    const Array g = xla::gather(in[0], in[1]);
+    const Array s = xla::scatter_add(in[0] * 0.5, in[1], g * 3.0);
+    return std::vector<Array>{s, xla::reduce_sum(g), xla::sqrt(g * g)};
+  });
+  const std::vector<Literal> args = {vec({1.0, -2.0, 3.0, -4.0}),
+                                     ivec({3, 1, 1, 0, 9, 2})};
+  Fixture f;
+  xla::ExecutionReport first;
+  const auto a = fn.call_reported(f.rt, args, "", first);
+  EXPECT_GT(f.rt.buffers().buffers(), 0u);
+  xla::ExecutionReport second;
+  const auto b = fn.call_reported(f.rt, args, "", second);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    EXPECT_TRUE(same_bits(a[k], b[k])) << "root " << k;
+  }
+  expect_report_equal(first, second);
+  call_recycled(fn, args);
+}
+
+TEST(XlaRecycle, CallThatThrowsLeavesTheRuntimeUsable) {
+  const std::vector<Literal> good = {vec({1.0, 2.0, 3.0}),
+                                     vec({0.5, 0.25, 4.0})};
+  const xla::Compiled c = one_op(Op::kMul, DType::kF64, Shape{3}, good);
+  Fixture f;
+  xla::BufferPool& pool = f.rt.buffers();
+  const auto expected = xla::execute(c, good, pool);
+  EXPECT_THROW(xla::execute(c, {vec({1.0, 2.0}), vec({1.0, 2.0})}, pool),
+               std::invalid_argument);
+  EXPECT_THROW(xla::execute(c, {good[0]}, pool), std::invalid_argument);
+  const auto again = xla::execute(c, good, pool);
+  ASSERT_EQ(again.size(), 1u);
+  EXPECT_TRUE(same_bits(again[0], expected[0]));
+  EXPECT_EQ(values(again[0]), (std::vector<double>{0.5, 0.5, 12.0}));
+}
+
+TEST(XlaRecycle, PoolKeepsOnlyTheModuleBufferClasses) {
+  // At call start the pool drops classes the module never computes and
+  // keeps at most as many buffers of a class as the module computes.
+  const std::vector<Literal> args = {vec({1.0, 2.0, 3.0})};
+  const xla::Compiled c = one_op(Op::kNeg, DType::kF64, Shape{3}, args);
+  ASSERT_EQ(c.buffer_classes.size(), 1u);
+  EXPECT_EQ(c.buffer_classes[0].count, 3);
+  EXPECT_EQ(c.buffer_classes[0].keep, 1u);
+  xla::BufferPool pool;
+  for (int k = 0; k < 4; ++k) pool.give(Literal(Shape{3}, DType::kF64));
+  pool.give(Literal(Shape{5}, DType::kF64));
+  pool.give(Literal(Shape{3}, DType::kI64));
+  EXPECT_EQ(pool.buffers(), 6u);
+  const auto out = xla::execute(c, args, pool);
+  EXPECT_EQ(values(out[0]), (std::vector<double>{-1.0, -2.0, -3.0}));
+  // The trim left one f64[3]; the neg wrote over its dead parameter and
+  // did not draw from the pool, so that buffer is still there.
+  EXPECT_EQ(pool.buffers(), 1u);
 }
