@@ -1,33 +1,13 @@
 #include "kernels/common.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+
+#include "accel/work.hpp"
 
 namespace toast::kernels {
 
-double estimate_conflict_rate(std::span<const std::int64_t> indices,
-                              std::int64_t window) {
-  if (indices.empty()) {
-    return 0.0;
-  }
-  double conflicts = 0.0;
-  double valid = 0.0;
-  std::unordered_map<std::int64_t, int> seen;
-  const auto n = static_cast<std::int64_t>(indices.size());
-  for (std::int64_t start = 0; start < n; start += window) {
-    seen.clear();
-    const std::int64_t stop = std::min(n, start + window);
-    for (std::int64_t i = start; i < stop; ++i) {
-      if (indices[i] < 0) {
-        continue;
-      }
-      valid += 1.0;
-      if (++seen[indices[i]] > 1) {
-        conflicts += 1.0;
-      }
-    }
-  }
-  return valid > 0.0 ? conflicts / valid : 0.0;
+double estimate_conflict_rate(std::span<const std::int64_t> indices) {
+  return accel::count_window_conflicts(indices).rate();
 }
 
 std::int64_t total_interval_samples(std::span<const core::Interval> ivals) {

@@ -1,10 +1,10 @@
 #include "sim/satellite.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <numbers>
-
 #include <complex>
+#include <numbers>
 
 #include "fft/fft.hpp"
 #include "healpix/healpix.hpp"
@@ -192,10 +192,12 @@ void SynthSkyOp::exec(core::Observation& ob, core::ExecContext& ctx,
   (void)accel;
   (void)backend;
   if (!ob.has_field(core::fields::kSkyMap)) {
-    const auto map = synthetic_sky(nside_, nnz_);
+    if (map_.empty()) {
+      map_ = synthetic_sky(nside_, nnz_);
+    }
     auto& f = ob.create_buffer(core::fields::kSkyMap, core::FieldType::kF64,
-                               static_cast<std::int64_t>(map.size()));
-    std::copy(map.begin(), map.end(), f.f64().begin());
+                               static_cast<std::int64_t>(map_.size()));
+    std::copy(map_.begin(), map_.end(), f.f64().begin());
   }
   // Host-side generation cost: map domain, so it scales with the map
   // resolution ratio, not the sample ratio.
@@ -224,32 +226,48 @@ void SimNoiseOp::exec(core::Observation& ob, core::ExecContext& ctx,
   const double df =
       fp.sample_rate / static_cast<double>(n_fft);
 
+  if (memo_.size() < static_cast<std::size_t>(ob.n_detectors())) {
+    memo_.resize(static_cast<std::size_t>(ob.n_detectors()));
+  }
   for (std::int64_t det = 0; det < ob.n_detectors(); ++det) {
     const auto d = static_cast<std::size_t>(det);
-    // Shape a Gaussian random spectrum by the detector PSD:
-    //   P(f) = NET^2 * (1 + (f_knee / f)^alpha), f >= f_min.
-    std::vector<std::complex<double>> spectrum(n_fft / 2 + 1);
-    std::vector<double> re(n_fft / 2 + 1), im(n_fft / 2 + 1);
-    rng::random_gaussian(seed_, static_cast<std::uint64_t>(det), 0, 0, re);
-    rng::random_gaussian(seed_, static_cast<std::uint64_t>(det), 1, 0, im);
-    for (std::size_t bin = 0; bin < spectrum.size(); ++bin) {
-      const double f = std::max(df * static_cast<double>(bin), fp.fmin[d]);
-      const double psd =
-          fp.net[d] * fp.net[d] *
-          (1.0 + std::pow(fp.fknee[d] / f, fp.alpha[d]));
-      const double amp = std::sqrt(0.5 * psd * fp.sample_rate *
-                                   static_cast<double>(n_fft)) /
-                         std::sqrt(static_cast<double>(n_fft));
-      spectrum[bin] = {amp * re[bin], amp * im[bin]};
+    const NoiseKey key{static_cast<std::uint64_t>(n_samp),
+                       std::bit_cast<std::uint64_t>(fp.sample_rate),
+                       std::bit_cast<std::uint64_t>(fp.net[d]),
+                       std::bit_cast<std::uint64_t>(fp.fknee[d]),
+                       std::bit_cast<std::uint64_t>(fp.fmin[d]),
+                       std::bit_cast<std::uint64_t>(fp.alpha[d])};
+    auto& memo = memo_[d];
+    if (memo.addend.empty() || memo.key != key) {
+      // Shape a Gaussian random spectrum by the detector PSD:
+      //   P(f) = NET^2 * (1 + (f_knee / f)^alpha), f >= f_min.
+      std::vector<std::complex<double>> spectrum(n_fft / 2 + 1);
+      std::vector<double> re(n_fft / 2 + 1), im(n_fft / 2 + 1);
+      rng::random_gaussian(seed_, static_cast<std::uint64_t>(det), 0, 0, re);
+      rng::random_gaussian(seed_, static_cast<std::uint64_t>(det), 1, 0, im);
+      for (std::size_t bin = 0; bin < spectrum.size(); ++bin) {
+        const double f = std::max(df * static_cast<double>(bin), fp.fmin[d]);
+        const double psd =
+            fp.net[d] * fp.net[d] *
+            (1.0 + std::pow(fp.fknee[d] / f, fp.alpha[d]));
+        const double amp = std::sqrt(0.5 * psd * fp.sample_rate *
+                                     static_cast<double>(n_fft)) /
+                           std::sqrt(static_cast<double>(n_fft));
+        spectrum[bin] = {amp * re[bin], amp * im[bin]};
+      }
+      spectrum[0] = {0.0, 0.0};  // zero mean
+      spectrum.back() = {spectrum.back().real(), 0.0};
+      const auto noise = fft::irfft(spectrum, n_fft);
+      memo.key = key;
+      ++realizations_;
+      memo.addend.resize(static_cast<std::size_t>(n_samp));
+      for (std::size_t s = 0; s < memo.addend.size(); ++s) {
+        memo.addend[s] = noise[s] * std::sqrt(static_cast<double>(n_fft));
+      }
     }
-    spectrum[0] = {0.0, 0.0};  // zero mean
-    spectrum.back() = {spectrum.back().real(), 0.0};
-    const auto noise = fft::irfft(spectrum, n_fft);
     auto signal = ob.det_f64(core::fields::kSignal, det);
-    for (std::int64_t s = 0; s < n_samp; ++s) {
-      signal[static_cast<std::size_t>(s)] +=
-          noise[static_cast<std::size_t>(s)] *
-          std::sqrt(static_cast<double>(n_fft));
+    for (std::size_t s = 0; s < memo.addend.size(); ++s) {
+      signal[s] += memo.addend[s];
     }
   }
 

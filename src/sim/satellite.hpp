@@ -6,6 +6,7 @@
 // the boresight opening out from the spin axis - plus a hexagonal
 // focalplane, scan intervals, a synthetic sky and 1/f detector noise.
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -47,7 +48,9 @@ core::Observation simulate_satellite(const std::string& name,
 std::vector<double> synthetic_sky(std::int64_t nside, std::int64_t nnz,
                                   std::uint64_t seed = 42);
 
-/// Operator: attach the synthetic sky to each observation.
+/// Operator: attach the synthetic sky to each observation.  The map is a
+/// pure function of (nside, nnz), so it is built once, on first use, and
+/// copied into every later observation.
 class SynthSkyOp : public core::Operator {
  public:
   SynthSkyOp(std::int64_t nside, std::int64_t nnz = 3)
@@ -62,11 +65,18 @@ class SynthSkyOp : public core::Operator {
  private:
   std::int64_t nside_;
   std::int64_t nnz_;
+  std::vector<double> map_;  // empty until first needed
 };
 
 /// Operator: simulate 1/f + white detector noise into "signal" using the
 /// counter-based RNG and the FFT substrate (host only, like TOAST's
 /// sim_noise at the time of the paper).
+///
+/// The RNG key is (seed, detector index), with no observation component,
+/// so a detector's noise depends only on the sample count and its
+/// focalplane noise parameters.  The op keeps the last noise it computed
+/// for each detector index and adds it again when those inputs are
+/// bit-identical.
 class SimNoiseOp : public core::Operator {
  public:
   explicit SimNoiseOp(std::uint64_t seed = 1234567) : seed_(seed) {}
@@ -77,9 +87,22 @@ class SimNoiseOp : public core::Operator {
   void ensure_fields(core::Observation& ob) override;
   void exec(core::Observation& ob, core::ExecContext& ctx,
             core::AccelStore* accel, core::Backend backend) override;
+  /// Per-detector noise realizations computed so far (the rest of the
+  /// detector-observations reused a kept one).
+  std::int64_t realizations() const { return realizations_; }
 
  private:
+  /// n_samples, then the bit patterns of sample_rate, net, fknee, fmin
+  /// and alpha: equal keys mean bit-identical noise.
+  using NoiseKey = std::array<std::uint64_t, 6>;
+  struct NoiseMemo {
+    NoiseKey key{};
+    std::vector<double> addend;  // per-sample noise; empty = unfilled
+  };
+
   std::uint64_t seed_;
+  std::vector<NoiseMemo> memo_;  // indexed by detector
+  std::int64_t realizations_ = 0;
 };
 
 }  // namespace toast::sim

@@ -255,32 +255,10 @@ void add_scatter_lowering(const Compiled& compiled, InstrId scatter,
   if (segment_reduce) {
     local.segment_lowering_used = true;
   } else {
-    // Conflict probability measured over warp-sized windows of the
-    // actual update stream: an update conflicts when an earlier lane of
-    // its window targets the same element.
-    constexpr std::size_t kWarp = 32;
-    std::int64_t seen[kWarp] = {};
-    double valid = 0.0;
-    double conflicts = 0.0;
-    for (std::size_t w0 = 0; w0 < span.size(); w0 += kWarp) {
-      std::size_t distinct = 0;
-      const std::size_t w1 = std::min(span.size(), w0 + kWarp);
-      for (std::size_t k = w0; k < w1; ++k) {
-        const auto j = span[k];
-        if (j < 0 || j >= base_n) continue;
-        valid += 1.0;
-        // Newest first: neighbouring lanes usually share a target.
-        std::size_t s = distinct;
-        while (s > 0 && seen[s - 1] != j) --s;
-        if (s > 0) {
-          conflicts += 1.0;
-        } else {
-          seen[distinct++] = j;
-        }
-      }
-    }
+    const auto counted = accel::count_window_conflicts(span, base_n);
+    const auto valid = static_cast<double>(counted.valid);
+    const double rate = counted.rate();
     const double prior_atomics = work.atomic_ops;
-    const double rate = valid > 0.0 ? conflicts / valid : 0.0;
     work.atomic_conflict_rate =
         (work.atomic_conflict_rate * prior_atomics + rate * valid) /
         std::max(1.0, prior_atomics + valid);

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <random>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
+#include "accel/work.hpp"
 #include "kernels/common.hpp"
 #include "kernels/cpu.hpp"
 #include "kernels/jax.hpp"
@@ -269,4 +274,104 @@ TEST(KernelEdge, ConflictRateHelper) {
   EXPECT_DOUBLE_EQ(estimate_conflict_rate(flagged), 0.0);
   const std::vector<std::int64_t> empty;
   EXPECT_DOUBLE_EQ(estimate_conflict_rate(empty), 0.0);
+}
+
+namespace {
+
+// The earlier hash-map counter, kept as the oracle of the window scan.
+double hash_map_conflict_rate(std::span<const std::int64_t> indices,
+                              std::int64_t window = 32) {
+  if (indices.empty()) {
+    return 0.0;
+  }
+  double conflicts = 0.0;
+  double valid = 0.0;
+  std::unordered_map<std::int64_t, int> seen;
+  const auto n = static_cast<std::int64_t>(indices.size());
+  for (std::int64_t start = 0; start < n; start += window) {
+    seen.clear();
+    const std::int64_t stop = std::min(n, start + window);
+    for (std::int64_t i = start; i < stop; ++i) {
+      if (indices[i] < 0) {
+        continue;
+      }
+      valid += 1.0;
+      if (++seen[indices[i]] > 1) {
+        conflicts += 1.0;
+      }
+    }
+  }
+  return valid > 0.0 ? conflicts / valid : 0.0;
+}
+
+std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+// Lanes in [-4, range): about 1 in 8 negative (flagged), runs of up to 40
+// repeats of one target, the rest spread over `range` targets.
+std::vector<std::int64_t> conflict_stream(std::uint64_t seed, std::size_t n,
+                                          std::int64_t range) {
+  std::uint64_t state = seed;
+  std::vector<std::int64_t> out;
+  out.reserve(n);
+  while (out.size() < n) {
+    const std::uint64_t r = splitmix64(state);
+    auto lane = static_cast<std::int64_t>(
+        r % static_cast<std::uint64_t>(range));
+    if ((r >> 40) % 8 == 0) {
+      lane = -1 - static_cast<std::int64_t>((r >> 50) % 4);
+    }
+    std::size_t run = 1;
+    if ((r >> 44) % 5 == 0) run = 2 + static_cast<std::size_t>((r >> 52) % 39);
+    for (std::size_t k = 0; k < run && out.size() < n; ++k) out.push_back(lane);
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(KernelEdge, ConflictRateMatchesHashMapOracle) {
+  using toast::kernels::estimate_conflict_rate;
+  const std::size_t lengths[] = {1, 5, 31, 32, 33, 63, 100, 257, 1000, 4099};
+  const std::int64_t ranges[] = {1, 3, 17, 40, 1000, 1 << 20};
+  std::uint64_t seed = 1;
+  for (const auto n : lengths) {
+    for (const auto range : ranges) {
+      const auto stream = conflict_stream(seed++, n, range);
+      EXPECT_EQ(estimate_conflict_rate(stream),
+                hash_map_conflict_rate(stream))
+          << "n=" << n << " range=" << range;
+    }
+  }
+}
+
+TEST(KernelEdge, BoundedWindowConflictsMatchHashMapOracle) {
+  // The XLA scatter lowering drops lanes >= the base length too; the
+  // oracle sees them as flagged.
+  const std::size_t lengths[] = {1, 31, 32, 33, 95, 256, 1001};
+  const std::int64_t ranges[] = {4, 40, 300};
+  std::uint64_t seed = 100;
+  for (const auto n : lengths) {
+    for (const auto range : ranges) {
+      const auto stream = conflict_stream(seed++, n, range);
+      for (const std::int64_t bound : {range / 2, range, range + 1}) {
+        std::vector<std::int64_t> masked = stream;
+        std::int64_t in_range = 0;
+        for (auto& lane : masked) {
+          if (lane >= bound) lane = -1;
+          if (lane >= 0) ++in_range;
+        }
+        const auto counted =
+            toast::accel::count_window_conflicts(stream, bound);
+        EXPECT_EQ(counted.valid, in_range)
+            << "n=" << n << " range=" << range << " bound=" << bound;
+        EXPECT_EQ(counted.rate(), hash_map_conflict_rate(masked))
+            << "n=" << n << " range=" << range << " bound=" << bound;
+      }
+    }
+  }
 }

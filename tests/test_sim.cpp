@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <set>
+#include <vector>
 
 #include "core/context.hpp"
 #include "sim/satellite.hpp"
@@ -184,6 +187,194 @@ TEST(SimNoise, DetectorsAreIndependent) {
     n1 += s1[i] * s1[i];
   }
   EXPECT_LT(std::abs(dot) / std::sqrt(n0 * n1), 0.2);
+}
+
+namespace {
+
+std::vector<std::uint64_t> bits(std::span<const double> v) {
+  std::vector<std::uint64_t> out;
+  out.reserve(v.size());
+  for (const double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+std::vector<std::uint64_t> signal_bits(core::Observation& ob) {
+  std::vector<std::uint64_t> out;
+  for (std::int64_t det = 0; det < ob.n_detectors(); ++det) {
+    const auto b = bits(ob.det_f64(core::fields::kSignal, det));
+    out.insert(out.end(), b.begin(), b.end());
+  }
+  return out;
+}
+
+// Run a sky + noise pair over one observation, as the benchmark pipeline
+// does.
+void run_sim(sim::SynthSkyOp& sky, sim::SimNoiseOp& noise,
+             core::Observation& ob) {
+  core::ExecConfig cfg;
+  core::ExecContext ctx(cfg);
+  sky.ensure_fields(ob);
+  sky.exec(ob, ctx, nullptr, core::Backend::kCpu);
+  noise.ensure_fields(ob);
+  noise.exec(ob, ctx, nullptr, core::Backend::kCpu);
+}
+
+// The same observation run through fresh op instances: the reference
+// every kept map and noise realization must reproduce bit for bit.
+void run_fresh(core::Observation& ob) {
+  sim::SynthSkyOp sky(8, 3);
+  sim::SimNoiseOp noise(4242);
+  run_sim(sky, noise, ob);
+}
+
+core::Observation memo_obs(const core::Focalplane& fp, std::int64_t n_samp,
+                           std::uint64_t seed) {
+  return sim::simulate_satellite("memo" + std::to_string(seed), fp, n_samp,
+                                 {}, seed);
+}
+
+}  // namespace
+
+TEST(SimMemo, ObservationsOfOneJobMatchFreshOps) {
+  const auto fp = sim::hex_focalplane(4, 37.0);
+  sim::SynthSkyOp sky(8, 3);
+  sim::SimNoiseOp noise(4242);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    auto ob = memo_obs(fp, 1000, 10 + i);
+    auto ref = memo_obs(fp, 1000, 10 + i);
+    run_sim(sky, noise, ob);
+    run_fresh(ref);
+    EXPECT_EQ(bits(ob.field(core::fields::kSkyMap).f64()),
+              bits(ref.field(core::fields::kSkyMap).f64()))
+        << "observation " << i;
+    EXPECT_EQ(signal_bits(ob), signal_bits(ref)) << "observation " << i;
+  }
+  // One realization per detector, reused by the three later observations.
+  EXPECT_EQ(noise.realizations(), 4);
+}
+
+TEST(SimMemo, ChangedNoiseParameterRecomputesThatDetectorOnly) {
+  const auto fp = sim::hex_focalplane(4, 37.0);
+  struct Change {
+    const char* what;
+    std::vector<double> core::Focalplane::*param;
+    double value;
+  };
+  const Change changes[] = {
+      {"fknee", &core::Focalplane::fknee, 0.3},
+      {"net", &core::Focalplane::net, 70.0e-6},
+      {"alpha", &core::Focalplane::alpha, 1.7},
+      {"fmin", &core::Focalplane::fmin, 0.1},
+  };
+  for (const auto& c : changes) {
+    sim::SynthSkyOp sky(8, 3);
+    sim::SimNoiseOp noise(4242);
+    auto first = memo_obs(fp, 1000, 20);
+    run_sim(sky, noise, first);
+    auto fp2 = fp;
+    (fp2.*c.param)[2] = c.value;
+    auto ob = memo_obs(fp2, 1000, 21);
+    auto ref = memo_obs(fp2, 1000, 21);
+    run_sim(sky, noise, ob);
+    run_fresh(ref);
+    EXPECT_EQ(noise.realizations(), 5) << c.what;
+    EXPECT_EQ(signal_bits(ob), signal_bits(ref)) << c.what;
+    EXPECT_NE(bits(ob.det_f64(core::fields::kSignal, 2)),
+              bits(first.det_f64(core::fields::kSignal, 2)))
+        << c.what << " does not change the noise";
+  }
+}
+
+TEST(SimMemo, NegativeZeroFminDoesNotAlias) {
+  auto fp = sim::hex_focalplane(2, 37.0);
+  fp.fmin[1] = 0.0;
+  sim::SynthSkyOp sky(8, 3);
+  sim::SimNoiseOp noise(4242);
+  auto first = memo_obs(fp, 512, 30);
+  run_sim(sky, noise, first);
+  ASSERT_EQ(noise.realizations(), 2);
+  fp.fmin[1] = -0.0;
+  auto ob = memo_obs(fp, 512, 31);
+  auto ref = memo_obs(fp, 512, 31);
+  run_sim(sky, noise, ob);
+  run_fresh(ref);
+  // Equal as doubles, different bit patterns: the key compares bits.
+  EXPECT_EQ(noise.realizations(), 3);
+  EXPECT_EQ(signal_bits(ob), signal_bits(ref));
+}
+
+TEST(SimMemo, SampleCountOrRateChangeRecomputes) {
+  const auto fp = sim::hex_focalplane(3, 37.0);
+  sim::SynthSkyOp sky(8, 3);
+  sim::SimNoiseOp noise(4242);
+  auto first = memo_obs(fp, 1000, 40);
+  run_sim(sky, noise, first);
+  ASSERT_EQ(noise.realizations(), 3);
+
+  // Same FFT length (1024), different sample count.
+  auto shorter = memo_obs(fp, 999, 41);
+  auto shorter_ref = memo_obs(fp, 999, 41);
+  run_sim(sky, noise, shorter);
+  run_fresh(shorter_ref);
+  EXPECT_EQ(noise.realizations(), 6);
+  EXPECT_EQ(signal_bits(shorter), signal_bits(shorter_ref));
+
+  auto fp_rate = fp;
+  fp_rate.sample_rate = 19.0;
+  auto slower = memo_obs(fp_rate, 999, 42);
+  auto slower_ref = memo_obs(fp_rate, 999, 42);
+  run_sim(sky, noise, slower);
+  run_fresh(slower_ref);
+  EXPECT_EQ(noise.realizations(), 9);
+  EXPECT_EQ(signal_bits(slower), signal_bits(slower_ref));
+}
+
+TEST(SimMemo, KeptNoiseIsAddedToExistingSignal) {
+  const auto fp = sim::hex_focalplane(2, 37.0);
+  sim::SynthSkyOp sky(8, 3);
+  sim::SimNoiseOp noise(4242);
+  auto first = memo_obs(fp, 700, 50);
+  run_sim(sky, noise, first);
+
+  auto prefill = [](core::Observation& ob) {
+    sim::SimNoiseOp(4242).ensure_fields(ob);
+    for (std::int64_t det = 0; det < ob.n_detectors(); ++det) {
+      auto sig = ob.det_f64(core::fields::kSignal, det);
+      for (std::size_t s = 0; s < sig.size(); ++s) {
+        sig[s] = 1.0e-3 * static_cast<double>(s % 13) -
+                 2.0e-4 * static_cast<double>(det);
+      }
+    }
+  };
+  auto ob = memo_obs(fp, 700, 51);
+  auto ref = memo_obs(fp, 700, 51);
+  prefill(ob);
+  prefill(ref);
+  run_sim(sky, noise, ob);
+  run_fresh(ref);
+  EXPECT_EQ(noise.realizations(), 2);  // reused, not recomputed
+  EXPECT_EQ(signal_bits(ob), signal_bits(ref));
+  EXPECT_NE(signal_bits(ob), signal_bits(first));
+}
+
+TEST(SimMemo, ExistingSkyMapIsKept) {
+  const auto fp = sim::hex_focalplane(2, 37.0);
+  sim::SynthSkyOp sky(8, 3);
+  sim::SimNoiseOp noise(4242);
+  auto first = memo_obs(fp, 300, 60);
+  run_sim(sky, noise, first);
+
+  auto ob = memo_obs(fp, 300, 61);
+  auto& own = ob.create_buffer(core::fields::kSkyMap, core::FieldType::kF64,
+                               12 * 8 * 8 * 3);
+  auto own_span = own.f64();
+  for (std::size_t i = 0; i < own_span.size(); ++i) {
+    own_span[i] = -static_cast<double>(i);
+  }
+  const auto before = bits(own_span);
+  run_sim(sky, noise, ob);
+  EXPECT_EQ(bits(ob.field(core::fields::kSkyMap).f64()), before);
+  EXPECT_NE(bits(first.field(core::fields::kSkyMap).f64()), before);
 }
 
 TEST(Workflow, BenchmarkPipelineComposition) {

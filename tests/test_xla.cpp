@@ -16,6 +16,8 @@
 #include <utility>
 #include <vector>
 
+#include "kernels/common.hpp"
+
 namespace xla = toast::xla;
 namespace accel = toast::accel;
 using xla::Array;
@@ -1281,6 +1283,38 @@ TEST(XlaEval, EarlyReadScatterIndexStreamStillFeedsTheReport) {
     EXPECT_EQ(report.total.atomic_conflict_rate, 2.0 / 5.0)
         << "computed=" << computed;
   }
+}
+
+TEST(XlaEval, ScatterConflictRateMatchesKernelHelper) {
+  // One unsorted scatter-add of 300 in-range lanes over 24 targets, with
+  // runs of repeats: the report's rate is the kernels' rate of the stream.
+  std::vector<std::int64_t> idx(300);
+  std::uint64_t state = 7;
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    idx[i] = (i % 9 < 3 && i > 0)
+                 ? idx[i - 1]
+                 : static_cast<std::int64_t>((state >> 33) % 24);
+  }
+  ASSERT_FALSE(std::is_sorted(idx.begin(), idx.end()));
+  const std::vector<double> updates(idx.size(), 1.0);
+  xla::Jit fn("conflicts", [](const std::vector<Array>& in) {
+    return std::vector<Array>{xla::scatter_add(in[0], in[1], in[2])};
+  });
+  Fixture f;
+  xla::ExecutionReport report;
+  fn.call_reported(
+      f.rt,
+      {Literal::from_f64(Shape{24}, std::vector<double>(24, 0.0)),
+       Literal::from_i64(Shape{static_cast<std::int64_t>(idx.size())}, idx),
+       Literal::from_f64(Shape{static_cast<std::int64_t>(updates.size())},
+                         updates)},
+      "", report);
+  EXPECT_FALSE(report.segment_lowering_used);
+  EXPECT_EQ(report.total.atomic_ops, 300.0);
+  const double rate = toast::kernels::estimate_conflict_rate(idx);
+  EXPECT_GT(rate, 0.0);
+  EXPECT_EQ(report.total.atomic_conflict_rate, rate);
 }
 
 // ---------------------------------------------------------------------------
