@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -331,11 +332,14 @@ int main(int argc, char** argv) {
       w.kv("tuned_not_worse", row.tuned_not_worse);
       w.kv("tuned_config_hash", row.tuned_hash);
       w.kv("tuned_evaluations", row.tuned_evaluations);
-      // The winning schedule, re-usable via --schedule.
+      // The winning schedule, re-usable via --schedule.  It lands next
+      // to the JSON, which names it relative to itself so the output
+      // does not depend on where the bench ran.
       const std::string schedule_path =
           toast::bench::suffixed_path(opt.json_path, row.name + ".schedule");
       row.tuned_config.save_file(schedule_path);
-      w.kv("tuned_schedule_file", schedule_path);
+      w.kv("tuned_schedule_file",
+           std::filesystem::path(schedule_path).filename().string());
       w.obj_close();
     }
     w.arr_close();
