@@ -1,17 +1,18 @@
-// Async task-graph runtime bench (schema toastcase-bench-async-v1).
+// Async runtime bench (schema toastcase-bench-async-v1).
 //
-// Three sections:
+// Four sections:
 //   - "plan": the benchmark workflow run twice per case — once through
-//     staged plan replay (Pipeline::exec) and once through the task-graph
-//     runtime (async::run_plan_async, serial mode) — including under a
-//     deterministic launch-chaos plan that forces a mid-run degrade.  The
-//     serial task schedule must reproduce staged replay bit for bit:
-//     identical virtual runtime, TimeLog and science products.  Each row
-//     also reports the lowered graph's structure (task counts, critical
-//     path over the data deps, achievable overlap fraction).
-//   - "pipeline_overlap": the same pipeline driven through the engine's
-//     overlap mode — products and TimeLog must stay bitwise equal to
-//     the serial graph run while the placed makespan may only shrink.
+//     staged plan replay (Pipeline::exec) and once with a step log
+//     (Pipeline::exec with a core::StepLog) — including under a
+//     deterministic launch-chaos plan that forces a mid-run degrade.
+//     Recording the log must not move a bit: identical virtual runtime,
+//     TimeLog and science products.  Each row also reports the log's
+//     structure (step counts, critical path over the data deps,
+//     achievable overlap fraction).
+//   - "pipeline_overlap": the same pipeline with its step log placed on
+//     a LaneSchedule (async::run_overlap) — products and TimeLog must
+//     stay bitwise equal to staged replay while the placed makespan may
+//     only shrink.
 //   - "solver": the distributed destriper CG in its three comm modes.
 //     kSync (serial engine) must be bitwise equal to kStaged; kOverlap
 //     must keep the products bitwise and beat kStaged by the pipelining
@@ -20,7 +21,7 @@
 //   - "chaos": staged-vs-sync parity again under a pinned rank-failure
 //     plan that exercises checkpoint restore + in-flight task re-enqueue.
 //
-// --dump-tasks <path> writes the lowered task graph of one observation as
+// --dump-tasks <path> writes the step log of one observation as
 // toastcase-tasks-v1 JSON (`toast-trace tasks` reads it).
 
 #include <cmath>
@@ -32,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "async/lower.hpp"
+#include "async/overlap.hpp"
 #include "bench_util.hpp"
 #include "fault/fault.hpp"
 #include "kernels/jax.hpp"
@@ -88,20 +89,20 @@ bool logs_equal(const toast::accel::TimeLog& a,
   return true;
 }
 
-// --- plan replay vs task graph ---------------------------------------------
+// --- staged replay vs logged replay ----------------------------------------
 
 struct DirectResult {
   double runtime = 0.0;
   toast::accel::TimeLog log;
   double signal_sum = 0.0;
   double zmap_sum = 0.0;
-  async::GraphReport report;  // task-graph runs only
+  async::GraphReport report;  // logged runs only
 };
 
+enum class Drive { kStaged, kLogged, kOverlap };
+
 DirectResult run_direct(Backend backend, core::Pipeline::Staging staging,
-                        const toast::fault::FaultPlan& fplan,
-                        bool task_graph,
-                        async::Mode mode = async::Mode::kSerial) {
+                        const toast::fault::FaultPlan& fplan, Drive drive) {
   auto data = make_data();
   core::ExecConfig cfg;
   cfg.backend = backend;
@@ -113,15 +114,16 @@ DirectResult run_direct(Backend backend, core::Pipeline::Staging staging,
   wf.map_iterations = 2;
   auto pipeline = sim::make_benchmark_pipeline(wf, staging);
   DirectResult r;
-  if (task_graph) {
-    core::PlanStats stats;
-    async::Options aopt;
-    aopt.mode = mode;
-    for (auto& ob : data.observations) {
-      r.report.merge(async::run_plan_async(pipeline, ob, ctx, stats, aopt));
+  for (auto& ob : data.observations) {
+    if (drive == Drive::kStaged) {
+      pipeline.exec(ob, ctx);
+    } else if (drive == Drive::kLogged) {
+      core::StepLog log;
+      pipeline.exec(ob, ctx, log);
+      r.report.merge(async::report(log));
+    } else {
+      r.report.merge(async::run_overlap(pipeline, ob, ctx));
     }
-  } else {
-    pipeline.exec(data, ctx);
   }
   r.runtime = ctx.clock().now();
   r.log = ctx.log();
@@ -253,9 +255,9 @@ int main(int argc, char** argv) {
   const std::string& json_path = opt.json_path;
 
   toast::bench::print_header(
-      "Async task-graph runtime: replay parity + comm/compute overlap");
+      "Async runtime: step-log parity + comm/compute overlap");
 
-  // --- plan replay vs task graph -------------------------------------------
+  // --- staged replay vs logged replay --------------------------------------
   struct DirectRow {
     std::string name;
     DirectResult staged;
@@ -283,15 +285,15 @@ int main(int argc, char** argv) {
 
   std::vector<DirectRow> direct;
   std::printf("%-20s %14s %14s %7s %6s %9s %8s\n", "plan case", "staged",
-              "task graph", "equal", "tasks", "critical", "overlap");
+              "logged", "equal", "steps", "critical", "overlap");
   std::printf(
       "---------------------------------------------------------------------"
       "-----\n");
   for (const auto& c : direct_cases) {
     DirectRow row;
     row.name = c.name;
-    row.staged = run_direct(c.backend, c.staging, c.faults, false);
-    row.graph = run_direct(c.backend, c.staging, c.faults, true);
+    row.staged = run_direct(c.backend, c.staging, c.faults, Drive::kStaged);
+    row.graph = run_direct(c.backend, c.staging, c.faults, Drive::kLogged);
     row.runtime_equal = row.staged.runtime == row.graph.runtime;
     row.log_equal = logs_equal(row.staged.log, row.graph.log);
     row.products_equal =
@@ -308,11 +310,10 @@ int main(int argc, char** argv) {
     direct.push_back(std::move(row));
   }
 
-  // --- pipeline graph overlap ----------------------------------------------
-  // Overlap mode re-times the executed tasks against the dependency
-  // structure: products and TimeLog must stay bitwise equal to the
-  // serial graph run (which is itself bitwise equal to staged replay,
-  // checked above), while the placed makespan may only shrink.
+  // --- pipeline overlap ----------------------------------------------------
+  // Overlap re-times the logged steps against their data dependencies:
+  // products and TimeLog must stay bitwise equal to staged replay, while
+  // the placed makespan may only shrink.
   struct OverlapRow {
     std::string name;
     DirectResult serial;
@@ -329,7 +330,7 @@ int main(int argc, char** argv) {
       {"jax_pipelined", Backend::kJax},
   };
   std::vector<OverlapRow> overlap_rows;
-  std::printf("\n%-20s %14s %14s %8s %7s\n", "overlap case", "serial",
+  std::printf("\n%-20s %14s %14s %8s %7s\n", "overlap case", "staged",
               "overlap", "speedup", "parity");
   std::printf(
       "----------------------------------------------------------------\n");
@@ -337,9 +338,9 @@ int main(int argc, char** argv) {
     OverlapRow row;
     row.name = c.name;
     row.serial = run_direct(c.backend, core::Pipeline::Staging::kPipelined,
-                            no_faults, true, async::Mode::kSerial);
+                            no_faults, Drive::kStaged);
     row.overlap = run_direct(c.backend, core::Pipeline::Staging::kPipelined,
-                             no_faults, true, async::Mode::kOverlap);
+                             no_faults, Drive::kOverlap);
     row.products_equal =
         row.serial.signal_sum == row.overlap.signal_sum &&
         row.serial.zmap_sum == row.overlap.zmap_sum;
@@ -386,7 +387,7 @@ int main(int argc, char** argv) {
               chaos_equal ? "[bitwise]" : "[SYNC MISMATCH]");
 
   if (!dump_tasks_path.empty()) {
-    // Lower one observation's plan and dump the executed graph.
+    // Dump one observation's step log.
     auto data = make_data(1);
     core::ExecConfig cfg;
     cfg.backend = Backend::kOmpTarget;
@@ -395,21 +396,13 @@ int main(int argc, char** argv) {
     wf.nside = 32;
     wf.map_iterations = 2;
     auto pipeline = sim::make_benchmark_pipeline(wf);
-    auto& ob = data.observations.front();
-    const auto plan = pipeline.plan_for(ob, ctx);
-    core::PlanStats stats;
-    core::PlanExecutor pe(*plan, pipeline.metadata(), ob, ctx,
-                          pipeline.backend_override(), stats);
-    async::TaskGraph graph =
-        async::lower_plan(*plan, pipeline.metadata(), pe);
-    async::Engine engine(ctx.clock(), &ctx.tracer(), {});
-    const auto report = engine.run(graph);
-    pe.finish(toast::obs::kInvalidSpan);
+    core::StepLog log;
+    pipeline.exec(data.observations.front(), ctx, log);
     std::ofstream out(dump_tasks_path);
     if (!out) {
       throw std::runtime_error("cannot open " + dump_tasks_path);
     }
-    async::write_tasks_json(out, graph, report);
+    async::write_tasks_json(out, log, async::report(log));
     std::printf("wrote %s\n", dump_tasks_path.c_str());
   }
 

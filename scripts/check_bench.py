@@ -301,37 +301,37 @@ def check_async(path):
     warn_unknown_keys(doc, {"plan", "pipeline_overlap", "solver", "chaos"},
                       path)
 
-    # The task-graph oracle contract: the serial schedule of the lowered
-    # graph reproduces staged plan replay bit for bit — virtual runtime,
-    # TimeLog and science products — including under the launch-chaos
-    # plan that forces a mid-run degrade onto the patch tasks.
+    # Recording the step log must not move a bit: the logged run
+    # reproduces staged plan replay — virtual runtime, TimeLog and
+    # science products — including under the launch-chaos plan that
+    # forces a mid-run degrade onto the patch steps.
     for row in non_empty(doc["plan"], "plan"):
         name = row["name"]
         check(row["runtime_equal"],
-              f"{name}: task-graph runtime bitwise-equal to staged replay")
+              f"{name}: logged runtime bitwise-equal to staged replay")
         check(row["timelog_equal"],
-              f"{name}: task-graph TimeLog identical to staged replay")
+              f"{name}: logged TimeLog identical to staged replay")
         check(row["products_equal"],
               f"{name}: science products identical to staged replay")
-        check(row["n_tasks"] > 0, f"{name}: tasks actually executed")
+        check(row["n_tasks"] > 0, f"{name}: steps actually executed")
         check(0.0 < row["critical_path_s"] <= row["total_busy_s"],
               f"{name}: critical path within (0, busy] seconds")
         check(0.0 <= row["overlap_fraction"] < 1.0,
               f"{name}: overlap fraction in [0, 1)")
     chaos_rows = [r for r in doc["plan"] if "chaos" in r["name"]]
     check(bool(chaos_rows) and all(r["patched"] > 0 for r in chaos_rows),
-          "chaos plan rows re-routed groups to their patch tasks")
+          "chaos plan rows re-routed groups to their patch steps")
 
-    # Overlap-mode graph runs: post-hoc placement may only shorten the
-    # virtual clock, and never at the cost of bitwise parity.
+    # Overlap runs: placing the step log may only shorten the virtual
+    # clock, and never at the cost of bitwise parity.
     for row in non_empty(doc["pipeline_overlap"], "pipeline_overlap"):
         name = row["name"]
         check(row["products_equal"],
-              f"{name}: overlap graph run keeps products bitwise")
+              f"{name}: overlap run keeps products bitwise")
         check(row["timelog_equal"],
-              f"{name}: overlap graph run keeps TimeLog identical")
+              f"{name}: overlap run keeps TimeLog identical")
         check(row["no_slower"],
-              f"{name}: overlap run no slower than serial graph run")
+              f"{name}: overlap run no slower than staged replay")
         check(row["speedup"] > 0.0,
               f"{name}: overlap speedup {row['speedup']:.3f}x positive")
 

@@ -1,58 +1,9 @@
 #include "async/engine.hpp"
 
 #include <algorithm>
-#include <iomanip>
-#include <optional>
-#include <ostream>
 #include <stdexcept>
 
-#include "obs/json.hpp"
-
 namespace toast::async {
-
-namespace {
-
-/// Numbers are written with enough digits to round-trip a double.
-struct Num {
-  double v;
-};
-
-std::ostream& operator<<(std::ostream& out, Num n) {
-  const auto flags = out.flags();
-  const auto prec = out.precision();
-  out << std::setprecision(17) << n.v;
-  out.flags(flags);
-  out.precision(prec);
-  return out;
-}
-
-}  // namespace
-
-void GraphReport::merge(const GraphReport& other) {
-  n_tasks += other.n_tasks;
-  n_groups += other.n_groups;
-  patched += other.patched;
-  for (int k = 0; k < kNumTaskKinds; ++k) {
-    by_kind[static_cast<std::size_t>(k)] +=
-        other.by_kind[static_cast<std::size_t>(k)];
-  }
-  total_busy_s += other.total_busy_s;
-  makespan_s += other.makespan_s;
-  critical_path_s += other.critical_path_s;
-  overlap_fraction =
-      total_busy_s > 0.0 ? 1.0 - critical_path_s / total_busy_s : 0.0;
-  for (const LaneStat& l : other.lanes) {
-    auto it = std::find_if(lanes.begin(), lanes.end(), [&](const LaneStat& m) {
-      return m.name == l.name;
-    });
-    if (it == lanes.end()) {
-      lanes.push_back(l);
-    } else {
-      it->tasks += l.tasks;
-      it->busy_s += l.busy_s;
-    }
-  }
-}
 
 Engine::Engine(accel::VirtualClock& clock, obs::Tracer* tracer, Options opt)
     : clock_(clock), tracer_(tracer), opt_(opt) {}
@@ -67,7 +18,7 @@ int Engine::lane(const std::string& name) {
   lane_names_.push_back(name);
   lane_ready_.push_back(clock_.now());
   if (tracer_ != nullptr) {
-    tracer_->set_stream_name(opt_.lane_base + id, "async:" + name);
+    tracer_->set_stream_name(kLaneStreamBase + id, "async:" + name);
   }
   return id;
 }
@@ -90,7 +41,7 @@ Future Engine::submit(int lane, const std::string& name,
     const double end = clock_.now();
     lane_ready_[static_cast<std::size_t>(lane)] = end;
     submitted_ends_.push_back(end);
-    return Future{id, 0, end};
+    return Future{id, end};
   }
   // Overlap: place on the lane without advancing the caller's clock.
   double start = clock_.now();
@@ -108,9 +59,9 @@ Future Engine::submit(int lane, const std::string& name,
     const obs::SpanId span =
         tracer_->record_at(name, category, start, t, {}, nullptr,
                            /*logged=*/true);
-    tracer_->set_stream(span, opt_.lane_base + lane);
+    tracer_->set_stream(span, kLaneStreamBase + lane);
   }
-  return Future{id, 0, end};
+  return Future{id, end};
 }
 
 double Engine::await(const Future& f, const std::string& label) {
@@ -172,256 +123,6 @@ int Engine::pending_count() const {
     }
   }
   return n;
-}
-
-void Engine::run_task(Task& t, bool recovering) {
-  const double t0 = clock_.now();
-  t.run(recovering);
-  t.start = t0;
-  t.seconds = clock_.now() - t0;
-  t.ran = true;
-  // Overlap graph runs re-time tasks afterwards; the structural span is
-  // emitted at the placed start by place_overlap instead.
-  const bool defer = graph_running_ && opt_.mode == Mode::kOverlap;
-  if (!defer && opt_.trace_tasks && tracer_ != nullptr && t.seconds > 0.0) {
-    const obs::SpanId span =
-        tracer_->record_at(to_string(t.kind) + (":" + t.name), "task",
-                           t.start, t.seconds, {}, nullptr,
-                           /*logged=*/false);
-    tracer_->set_stream(span, opt_.lane_base + t.lane);
-  }
-}
-
-void Engine::run_range(std::vector<Task>& tasks, int begin, int end,
-                       bool recovering, bool alt) {
-  const bool record = graph_running_ && opt_.mode == Mode::kOverlap;
-  if (record && alt && begin < end) {
-    // Entering a patch range is a placement barrier (recovery
-    // serializes against everything in flight) — and so is leaving it.
-    graph_order_.push_back(ExecRecord{false, true, 0});
-  }
-  for (int i = begin; i < end; ++i) {
-    run_task(tasks[static_cast<std::size_t>(i)], recovering);
-    if (record) {
-      graph_order_.push_back(ExecRecord{alt, false, i});
-    }
-  }
-  if (record && alt && begin < end) {
-    graph_order_.push_back(ExecRecord{false, true, 0});
-  }
-}
-
-double Engine::place_overlap(TaskGraph& graph, double run_start) {
-  std::vector<double> lane_end(graph.lane_names.size(), run_start);
-  std::vector<double> task_end(graph.tasks.size(), run_start);
-  double global_end = run_start;
-  for (const ExecRecord& rec : graph_order_) {
-    if (rec.barrier) {
-      // Recovery serializes: nothing placed after this point may start
-      // before everything placed so far has finished.
-      for (double& e : lane_end) {
-        e = global_end;
-      }
-      continue;
-    }
-    Task& t = rec.alt ? graph.alt_tasks[static_cast<std::size_t>(rec.index)]
-                      : graph.tasks[static_cast<std::size_t>(rec.index)];
-    if (static_cast<std::size_t>(t.lane) >= lane_end.size()) {
-      lane_end.resize(static_cast<std::size_t>(t.lane) + 1, run_start);
-    }
-    double start = std::max(run_start, lane_end[static_cast<std::size_t>(
-                                           t.lane)]);
-    if (!rec.alt) {
-      // Patch tasks carry no derived deps (they replace a body that
-      // never committed); main tasks wait on their data dependencies.
-      for (int d : t.deps) {
-        start = std::max(start, task_end[static_cast<std::size_t>(d)]);
-      }
-    }
-    const double end = start + t.seconds;
-    t.start = start;
-    lane_end[static_cast<std::size_t>(t.lane)] = end;
-    if (!rec.alt) {
-      task_end[static_cast<std::size_t>(rec.index)] = end;
-    }
-    global_end = std::max(global_end, end);
-    if (opt_.trace_tasks && tracer_ != nullptr && t.seconds > 0.0) {
-      const obs::SpanId span =
-          tracer_->record_at(to_string(t.kind) + (":" + t.name), "task",
-                             t.start, t.seconds, {}, nullptr,
-                             /*logged=*/false);
-      tracer_->set_stream(span, opt_.lane_base + t.lane);
-    }
-  }
-  return global_end - run_start;
-}
-
-GraphReport Engine::run(TaskGraph& graph) {
-  const double run_start = clock_.now();
-  if (tracer_ != nullptr) {
-    for (std::size_t i = 0; i < graph.lane_names.size(); ++i) {
-      tracer_->set_stream_name(opt_.lane_base + static_cast<int>(i),
-                               "async:" + graph.lane_names[i]);
-    }
-  }
-  graph_running_ = true;
-  graph_order_.clear();
-  int patched = 0;
-  for (TaskGroup& g : graph.groups) {
-    if (!g.decide) {
-      run_range(graph.tasks, g.begin, g.end, false);
-      continue;
-    }
-    std::optional<obs::ScopedSpan> span;
-    if (tracer_ != nullptr && !g.name.empty()) {
-      span.emplace(*tracer_, g.name, "operator");
-    }
-    run_range(graph.tasks, g.begin, g.body_begin, false);
-    if (!g.decide()) {
-      // Host dispatch: the graph re-routes to the patch tasks.
-      run_range(graph.alt_tasks, g.alt_begin, g.alt_end, false,
-                /*alt=*/true);
-      if (g.expect_accel) {
-        ++patched;
-      }
-    } else {
-      const char* reason = g.attempt([&] {
-        run_range(graph.tasks, g.body_begin, g.post_begin, false);
-      });
-      if (reason != nullptr) {
-        // Recovery is a graph edit: degrade, then re-enqueue the
-        // group as its patch tasks.
-        g.on_fault(reason);
-        run_range(graph.alt_tasks, g.alt_begin, g.alt_end, true,
-                  /*alt=*/true);
-        ++patched;
-      } else {
-        run_range(graph.tasks, g.post_begin, g.tail_begin, false);
-      }
-    }
-    run_range(graph.tasks, g.tail_begin, g.end, false);
-  }
-  GraphReport rep = report(graph);
-  rep.patched = patched;
-  if (opt_.mode == Mode::kOverlap) {
-    // The functional pass above charged the serial sum; re-time against
-    // the dependency structure and land the clock on the placed
-    // makespan instead (products and TimeLog are already final and
-    // bit-for-bit the serial run).
-    const double serial_s = clock_.now() - run_start;
-    const double placed_s = place_overlap(graph, run_start);
-    clock_.advance(placed_s - serial_s);
-    rep.makespan_s = placed_s;
-  } else {
-    rep.makespan_s = clock_.now() - run_start;
-  }
-  graph_running_ = false;
-  graph_order_.clear();
-  return rep;
-}
-
-GraphReport Engine::report(const TaskGraph& graph) const {
-  GraphReport rep;
-  rep.n_groups = static_cast<int>(graph.groups.size());
-  rep.lanes.resize(graph.lane_names.size());
-  for (std::size_t i = 0; i < graph.lane_names.size(); ++i) {
-    rep.lanes[i].name = graph.lane_names[i];
-  }
-  auto count = [&](const Task& t) {
-    ++rep.n_tasks;
-    ++rep.by_kind[static_cast<std::size_t>(t.kind)];
-    rep.total_busy_s += t.seconds;
-    if (static_cast<std::size_t>(t.lane) < rep.lanes.size()) {
-      ++rep.lanes[static_cast<std::size_t>(t.lane)].tasks;
-      rep.lanes[static_cast<std::size_t>(t.lane)].busy_s += t.seconds;
-    }
-  };
-  // Longest data-dependency chain over executed tasks.  Patch tasks
-  // carry no derived deps (they replace a body that never committed)
-  // and run serially on the host lane, so they add to busy time but
-  // chain as a block via the driver, not the dep graph.
-  std::vector<double> path(graph.tasks.size(), 0.0);
-  for (std::size_t i = 0; i < graph.tasks.size(); ++i) {
-    const Task& t = graph.tasks[i];
-    if (!t.ran) {
-      continue;
-    }
-    count(t);
-    double at = 0.0;
-    for (int d : t.deps) {
-      at = std::max(at, path[static_cast<std::size_t>(d)]);
-    }
-    path[i] = at + t.seconds;
-    rep.critical_path_s = std::max(rep.critical_path_s, path[i]);
-  }
-  double alt_busy = 0.0;
-  for (const Task& t : graph.alt_tasks) {
-    if (!t.ran) {
-      continue;
-    }
-    count(t);
-    alt_busy += t.seconds;
-  }
-  rep.critical_path_s += alt_busy;
-  rep.overlap_fraction =
-      rep.total_busy_s > 0.0 ? 1.0 - rep.critical_path_s / rep.total_busy_s
-                             : 0.0;
-  return rep;
-}
-
-void write_tasks_json(std::ostream& out, const TaskGraph& graph,
-                      const GraphReport& report) {
-  out << "{\"schema\":\"toastcase-tasks-v1\"";
-  out << ",\"n_tasks\":" << report.n_tasks
-      << ",\"n_groups\":" << report.n_groups
-      << ",\"patched\":" << report.patched
-      << ",\"total_busy_s\":" << Num{report.total_busy_s}
-      << ",\"makespan_s\":" << Num{report.makespan_s}
-      << ",\"critical_path_s\":" << Num{report.critical_path_s}
-      << ",\"overlap_fraction\":" << Num{report.overlap_fraction};
-  out << ",\"by_kind\":{";
-  bool first = true;
-  for (int k = 0; k < kNumTaskKinds; ++k) {
-    const int n = report.by_kind[static_cast<std::size_t>(k)];
-    if (n == 0) {
-      continue;
-    }
-    out << (first ? "" : ",") << "\""
-        << to_string(static_cast<TaskKind>(k)) << "\":" << n;
-    first = false;
-  }
-  out << "},\"lanes\":[";
-  for (std::size_t i = 0; i < report.lanes.size(); ++i) {
-    const LaneStat& l = report.lanes[i];
-    out << (i == 0 ? "" : ",") << "{\"name\":\""
-        << obs::json::escape(l.name) << "\",\"tasks\":" << l.tasks
-        << ",\"busy_s\":" << Num{l.busy_s} << "}";
-  }
-  out << "],\"tasks\":[";
-  bool first_task = true;
-  auto dump = [&](const Task& t, bool alt) {
-    if (!t.ran) {
-      return;
-    }
-    out << (first_task ? "" : ",") << "\n{\"id\":" << t.id
-        << ",\"kind\":\"" << to_string(t.kind) << "\",\"name\":\""
-        << obs::json::escape(t.name) << "\",\"lane\":" << t.lane
-        << ",\"alt\":" << (alt ? "true" : "false")
-        << ",\"start_s\":" << Num{t.start}
-        << ",\"seconds\":" << Num{t.seconds} << ",\"deps\":[";
-    for (std::size_t d = 0; d < t.deps.size(); ++d) {
-      out << (d == 0 ? "" : ",") << t.deps[d];
-    }
-    out << "]}";
-    first_task = false;
-  };
-  for (const Task& t : graph.tasks) {
-    dump(t, false);
-  }
-  for (const Task& t : graph.alt_tasks) {
-    dump(t, true);
-  }
-  out << "\n]}\n";
 }
 
 }  // namespace toast::async

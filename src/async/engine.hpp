@@ -1,45 +1,26 @@
 #pragma once
 
-// Deterministic async task engine (docs/MODEL.md §11).
+// Deterministic async task engine (docs/MODEL.md §11): incremental
+// dataflow for ad-hoc work (the destriper's pipelined CG).
 //
-// One runtime, two faces, one virtual clock:
-//
-//  - run(TaskGraph&): execute a lowered pipeline graph.  The serial
-//    schedule visits tasks in id order inside each group's driver
-//    ranges — by construction the exact step order of staged replay
-//    (core::execute_plan), so products, TimeLog and final clock are
-//    bitwise identical, including when a group faults and re-routes to
-//    its patch tasks.  The report then computes what the dependency
-//    structure would allow: critical path over the data deps, lane
-//    busy time, achievable overlap.  In Mode::kOverlap the same driver
-//    runs in the same functional order (products, TimeLog and fault
-//    decisions stay bit-for-bit the serial run), then the executed
-//    tasks are re-timed against the dependency structure and the clock
-//    lands on the placed makespan — pipeline graph runs overlap whole
-//    jobs without changing a single science bit.
-//
-//  - submit()/await(): incremental dataflow for ad-hoc work (the
-//    destriper's pipelined CG).  In Mode::kSerial a submit charges the
-//    clock immediately — bit-for-bit what the blocking code did.  In
-//    Mode::kOverlap a submit places the task on its lane at
-//    max(now, lane ready, dep futures ready) and only await() advances
-//    the clock, charging the remaining slack as an explicit "wait"
-//    span — latency the caller failed to hide.
+// In Mode::kSerial a submit charges the clock immediately — bit-for-bit
+// what the blocking code did.  In Mode::kOverlap a submit places the task
+// on its lane at max(now, lane ready, dep futures ready) and only await()
+// advances the clock, charging the remaining slack as an explicit "wait"
+// span — latency the caller failed to hide.  Pipelines overlap through
+// their step log instead (async/overlap.hpp).
 //
 // Determinism: placement is a pure fold over submission order (the
 // fixed tie-break is task id, i.e. submission order); costs are pure
 // functions of the start time; no wall clock, no randomness.  Replays
 // are bitwise.
 
-#include <array>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "accel/sim_device.hpp"
 #include "async/future.hpp"
-#include "async/task.hpp"
 #include "obs/trace.hpp"
 
 namespace toast::async {
@@ -51,47 +32,15 @@ enum class Mode {
 
 struct Options {
   Mode mode = Mode::kSerial;
-  /// First Tracer stream id for engine lanes (clear of the sched
-  /// stream ids, which start at 0).
-  int lane_base = 32;
-  /// Emit per-task structural spans on their lane during graph runs
-  /// (trace-only; never enters the TimeLog).
-  bool trace_tasks = true;
 };
+
+/// First Tracer stream id of the async lanes (clear of the sched stream
+/// ids, which start at 0).
+inline constexpr int kLaneStreamBase = 32;
 
 /// Cost of a task as a pure function of its start time (virtual
 /// seconds).  Purity is what makes overlap placement replayable.
 using CostFn = std::function<double(double start)>;
-
-struct LaneStat {
-  std::string name;
-  int tasks = 0;
-  double busy_s = 0.0;
-};
-
-struct GraphReport {
-  int n_tasks = 0;   ///< tasks executed (including patch tasks)
-  int n_groups = 0;
-  int patched = 0;   ///< groups re-routed to their patch
-  std::array<int, kNumTaskKinds> by_kind{};
-  double total_busy_s = 0.0;      ///< sum of executed task durations
-  double makespan_s = 0.0;        ///< clock delta across the run
-  double critical_path_s = 0.0;   ///< longest data-dep chain
-  /// 1 - critical/busy: the fraction of busy time the dependency
-  /// structure allows off the critical path (0 = fully serial).
-  double overlap_fraction = 0.0;
-  std::vector<LaneStat> lanes;
-
-  /// Fold another observation's report into this one (serial
-  /// composition: busy/makespan/critical path add, counts add).
-  void merge(const GraphReport& other);
-};
-
-/// Dump "toastcase-tasks-v1" JSON: the report plus every executed
-/// task with kind/lane/start/seconds/deps (toast-trace tasks reads
-/// this).
-void write_tasks_json(std::ostream& out, const TaskGraph& graph,
-                      const GraphReport& report);
 
 class Engine {
  public:
@@ -99,8 +48,6 @@ class Engine {
          Options opt = {});
 
   Mode mode() const { return opt_.mode; }
-
-  // --- incremental face -------------------------------------------------
 
   /// Find-or-create a named lane; names the tracer stream on creation.
   int lane(const std::string& name);
@@ -132,43 +79,13 @@ class Engine {
   /// Submitted tasks whose completion lies after the current clock.
   int pending_count() const;
 
-  // --- graph face -------------------------------------------------------
-
-  /// Execute a lowered pipeline graph.  Serial mode is the bitwise
-  /// oracle (see file comment).  Overlap mode runs the *same* driver in
-  /// the same functional order — products, TimeLog and every fault
-  /// decision are bit-for-bit the serial run — then re-times the
-  /// executed tasks against the dependency structure (a task starts at
-  /// max(lane ready, deps' placed ends); patch ranges are placement
-  /// barriers because recovery serializes) and advances the clock by
-  /// the placed makespan instead of the serial sum.  Task `start`
-  /// fields and the structural trace spans carry the placed times.
-  GraphReport run(TaskGraph& graph);
-
  private:
-  /// One executed-task record in driver order (overlap re-timing).
-  struct ExecRecord {
-    bool alt = false;      ///< task lives in graph.alt_tasks
-    bool barrier = false;  ///< recovery point: serialize placement
-    int index = 0;
-  };
-
-  void run_task(Task& t, bool recovering);
-  void run_range(std::vector<Task>& tasks, int begin, int end,
-                 bool recovering, bool alt = false);
-  GraphReport report(const TaskGraph& graph) const;
-  /// Overlap re-timing pass over graph_order_; returns the placed
-  /// makespan (seconds past run_start).
-  double place_overlap(TaskGraph& graph, double run_start);
-
   accel::VirtualClock& clock_;
   obs::Tracer* tracer_;
   Options opt_;
   std::vector<std::string> lane_names_;
   std::vector<double> lane_ready_;
   std::vector<double> submitted_ends_;
-  bool graph_running_ = false;
-  std::vector<ExecRecord> graph_order_;
 };
 
 }  // namespace toast::async

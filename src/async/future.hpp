@@ -3,15 +3,9 @@
 // Futures over the virtual timeline (docs/MODEL.md §11).
 //
 // A Future is the handle a submitted task returns: which task produces
-// the value, which *epoch* (version) of the underlying resource that is,
-// and when the value is ready on the virtual clock.  Epochs are the
-// versioning scheme the task registry keeps per resource — every write
-// bumps the resource's epoch, so a future pinned to epoch k can never be
-// confused with the value a later writer produces.  Completion is a pure
-// function of the submission order and the cost model: nothing here reads
-// wall clock or randomness, which is what keeps replays bitwise.
-
-#include <cstdint>
+// the value and when it is ready on the virtual clock.  Completion is a
+// pure function of the submission order and the cost model: nothing here
+// reads wall clock or randomness, which is what keeps replays bitwise.
 
 namespace toast::async {
 
@@ -19,8 +13,6 @@ struct Future {
   /// Producing task id in the submitting engine (-1: no task, already
   /// resolved — await() is a no-op).
   int task = -1;
-  /// Version of the produced value (the resource epoch at production).
-  std::int64_t epoch = 0;
   /// Completion time on the virtual timeline (absolute seconds).
   double ready = 0.0;
 

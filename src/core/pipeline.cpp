@@ -130,6 +130,11 @@ void Pipeline::exec(Observation& ob, ExecContext& ctx) {
   execute_plan(*plan, meta_, ob, ctx, backend_override_, plan_stats_);
 }
 
+void Pipeline::exec(Observation& ob, ExecContext& ctx, StepLog& log) {
+  const auto plan = plan_for(ob, ctx);
+  execute_plan(*plan, meta_, ob, ctx, backend_override_, plan_stats_, &log);
+}
+
 // --- the interpreter (equivalence oracle) ----------------------------------
 
 void Pipeline::exec_interpreted(Data& data, ExecContext& ctx) {

@@ -95,6 +95,10 @@ class Pipeline {
   /// cache, then run the ExecutionPlan.
   void exec(Data& data, ExecContext& ctx);
   void exec(Observation& ob, ExecContext& ctx);
+  /// Planned execution that also records the step log (docs/MODEL.md
+  /// §11): the functional pass of an overlap run.  Always replays the
+  /// plan (the interpreter keeps no log), whatever the executor ladder.
+  void exec(Observation& ob, ExecContext& ctx, StepLog& log);
 
   /// The historical interpreter: places every transfer greedily at exec
   /// time.  Kept as the equivalence oracle; the default plan reproduces

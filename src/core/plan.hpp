@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -38,7 +37,6 @@
 #include "core/observation.hpp"
 #include "core/operator.hpp"
 #include "core/types.hpp"
-#include "sched/scheduler.hpp"
 
 namespace toast::core {
 
@@ -82,6 +80,9 @@ enum class StepKind : std::uint8_t {
   kEvict,           ///< drop the device mapping
   kSyncTransfers,   ///< drain the prefetch copy engine
 };
+
+inline constexpr int kNumStepKinds =
+    static_cast<int>(StepKind::kSyncTransfers) + 1;
 
 const char* to_string(StepKind k);
 
@@ -182,75 +183,63 @@ ExecutionPlan build_plan(const std::vector<OpMeta>& meta,
                          const std::vector<Backend>& backends,
                          const std::vector<char>& on_accel, std::string key);
 
-/// Execute a plan on one observation.  Re-evaluates each group's dispatch
-/// at runtime: a kernel degraded since plan build runs the group's
-/// host-fallback patch (counted as a replan) instead of the accel body.
+/// Placement lanes of a step log (docs/MODEL.md §11): the serial host
+/// driver, the device compute engine and the copy engine.  No plan step
+/// uses the comm lane; reports list it so every log has the same lanes.
+enum StepLane : int { kLaneHost, kLaneCompute, kLaneCopy, kLaneComm };
+inline constexpr int kNumStepLanes = 4;
+inline constexpr const char* kStepLaneNames[kNumStepLanes] = {
+    "host", "compute", "copy", "comm"};
+
+/// One entry of a step log: an executed step, or a barrier.  Barriers
+/// bracket every patch range that ran: recovery serializes against
+/// everything in flight, so placement starts nothing after a barrier
+/// before everything ahead of it has ended.
+struct StepRecord {
+  StepKind kind = StepKind::kLaunch;
+  bool barrier = false;
+  bool alt = false;  ///< `id` indexes alt_steps (patch: host lane, no deps)
+  int id = -1;       ///< index into steps (or alt_steps)
+  int lane = kLaneHost;
+  std::string name;  ///< field, operator, or "pipeline"
+  double start = 0.0;    ///< serial start; placement overwrites it
+  double seconds = 0.0;  ///< clock time the step charged
+  /// Data dependencies (RAW/WAW/WAR): sorted ids of earlier steps,
+  /// derived over the whole plan, so they may name steps that never ran.
+  std::vector<int> deps;
+};
+
+/// What one execute_plan run did, in execution order.
+struct StepLog {
+  double begin = 0.0;  ///< clock when the group walk started
+  double end = 0.0;    ///< clock when it ended (before the final drain)
+  int n_groups = 0;
+  int patched = 0;  ///< groups re-routed to their patch
+  std::vector<StepRecord> records;
+};
+
+/// One declared use of a named resource by a step.
+struct ResourceUse {
+  std::string name;
+  bool write = false;
+};
+
+/// Data dependencies of a sequence of uses, one entry per step: reads
+/// depend on the last writer (RAW), writes on the last writer (WAW) and
+/// on every reader since it (WAR).  Lists are sorted and deduplicated.
+std::vector<std::vector<int>> derive_deps(
+    const std::vector<std::vector<ResourceUse>>& uses);
+
+/// Execute a plan on one observation: the one plan driver.  Each group
+/// runs decide -> accel body under the recovery filter -> (patch on a
+/// host dispatch or a recoverable fault) -> tail.  A kernel degraded
+/// since plan build runs the group's host-fallback patch (counted as a
+/// replan) instead of the accel body.  With a `log`, every executed step
+/// is also recorded with its lane, serial start, duration and data deps;
+/// without one, staged replay pays nothing for it.
 void execute_plan(const ExecutionPlan& plan, const std::vector<OpMeta>& meta,
                   Observation& ob, ExecContext& ctx,
                   const std::optional<Backend>& backend_override,
-                  PlanStats& stats);
-
-/// Step-level executor for one (plan, observation) run: owns the device
-/// store, per-field validity state, the optional prefetch copy engine and
-/// the degrade bookkeeping.  Both drivers — execute_plan's staged replay
-/// loop and the async task-graph lowering (src/async/lower.*) — run every
-/// step through this class, so "what a step does" is defined exactly once
-/// and the two runtimes stay bit-for-bit interchangeable; a driver only
-/// decides *when* each step runs.
-class PlanExecutor {
- public:
-  PlanExecutor(const ExecutionPlan& plan, const std::vector<OpMeta>& meta,
-               Observation& ob, ExecContext& ctx,
-               const std::optional<Backend>& backend_override,
-               PlanStats& stats);
-
-  /// Run one plan (or alt) step.  `recovering` lets downloads swallow
-  /// persistent transfer faults, as the interpreter's recovery path did.
-  void run_step(const PlanStep& s, bool recovering);
-
-  /// Run a group's host-fallback patch [alt_begin, alt_end).
-  void run_patch(const PlanGroup& g, bool recovering);
-
-  /// Resolve the group's dispatch at run time; returns whether the accel
-  /// body should execute.  When the plan staged the group for the device
-  /// but the kernel has since degraded, the replan is counted here.
-  bool decide(const PlanGroup& g);
-
-  /// Run `body` under the recovery filter: returns nullptr when it ran
-  /// clean, else the degrade reason of the recoverable fault (persistent
-  /// retry exhaustion, injected OOM) that aborted it.  Non-recoverable
-  /// exceptions propagate.
-  const char* attempt(const std::function<void()>& body);
-
-  /// Mid-body degrade bookkeeping: fallback + replan notes, pin the
-  /// kernel to the CPU.  The caller then runs the patch (recovering).
-  void mark_degraded(const PlanGroup& g, const char* reason);
-
-  /// Drain in-flight prefetches, fold the plan counters into the stats
-  /// and the pipeline span, release the device store.
-  void finish(obs::SpanId pipeline_span);
-
-  const ExecutionPlan& plan() const { return plan_; }
-
- private:
-  Field* field_ptr(int idx);
-  void download(Field& f, bool swallow);
-
-  struct FieldRt {
-    bool host_valid = true;
-    bool device_valid = false;
-  };
-
-  const ExecutionPlan& plan_;
-  const std::vector<OpMeta>& meta_;
-  Observation& ob_;
-  ExecContext& ctx_;
-  const std::optional<Backend> backend_override_;
-  PlanStats& stats_;
-  AccelStore store_;
-  std::map<Field*, FieldRt> state_;
-  std::optional<sched::Scheduler> engine_;
-  Backend cur_backend_ = Backend::kCpu;
-};
+                  PlanStats& stats, StepLog* log = nullptr);
 
 }  // namespace toast::core

@@ -205,7 +205,7 @@ class FaultInjector final : public accel::FaultHook {
   void note_async_retries(FaultKind kind, const std::string& site,
                           double start, const ProbeResult& r);
   /// A recovery rolled back `count` in-flight async tasks, which were
-  /// re-enqueued for replay (task-graph runtime).  Trace-only.
+  /// re-enqueued for replay (async engine).  Trace-only.
   void note_task_requeue(const std::string& site, int count);
 
   // --- degradation bookkeeping --------------------------------------------

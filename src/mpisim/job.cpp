@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "async/lower.hpp"
+#include "async/overlap.hpp"
 #include "core/context.hpp"
 #include "kernels/jax.hpp"
 #include "mpisim/comm.hpp"
@@ -146,19 +146,13 @@ JobResult run_benchmark_job(const JobConfig& cfg) {
   auto pipeline =
       sim::make_benchmark_pipeline(wf, cfg.schedule.staging.mode);
   pipeline.set_schedule(cfg.schedule);
-  core::PlanStats graph_stats;
   auto run_pipeline = [&](core::Observation& ob) {
     if (cfg.interpret) {
       pipeline.exec_interpreted(ob, ctx);
-    } else if (cfg.pipeline_run != PipelineRun::kStaged) {
-      // Task-graph drive: the serial schedule is the bitwise oracle of
-      // staged replay; overlap re-times against the dependency
-      // structure, shrinking runtime while products stay bitwise.
-      async::Options aopt;
-      aopt.mode = cfg.pipeline_run == PipelineRun::kGraphOverlap
-                      ? async::Mode::kOverlap
-                      : async::Mode::kSerial;
-      async::run_plan_async(pipeline, ob, ctx, graph_stats, aopt);
+    } else if (cfg.pipeline_run == PipelineRun::kGraphOverlap) {
+      // Staged replay with a step log, then placed against the data
+      // dependencies: runtime shrinks while products stay bitwise.
+      async::run_overlap(pipeline, ob, ctx);
     } else {
       pipeline.exec(ob, ctx);
     }
@@ -338,15 +332,7 @@ JobResult run_benchmark_job(const JobConfig& cfg) {
   }
   result.world_ranks = world;
   if (!cfg.interpret) {
-    // Graph-driven runs accumulate executor stats into graph_stats (the
-    // pipeline only sees plan_for's cache traffic); fold them together.
-    core::PlanStats ps = pipeline.plan_stats();
-    ps.replans += graph_stats.replans;
-    ps.transfers_avoided += graph_stats.transfers_avoided;
-    ps.evictions += graph_stats.evictions;
-    ps.prefetched_uploads += graph_stats.prefetched_uploads;
-    ps.peak_mapped_bytes =
-        std::max(ps.peak_mapped_bytes, graph_stats.peak_mapped_bytes);
+    const core::PlanStats& ps = pipeline.plan_stats();
     result.plan_counters = {
         {"plan_cache_hits", ps.cache_hits},
         {"plan_cache_misses", ps.cache_misses},

@@ -43,14 +43,13 @@ namespace toast::mpisim {
 /// name.
 using CommMode = config::CommMode;
 
-/// How the pipeline body of each observation is driven.  Not a schedule
-/// axis (toastcase-schedule-v1 is pinned by its canonical hash): the
-/// graph modes are execution strategies whose products must be bitwise
-/// identical to staged replay, so they live beside `interpret`.
+/// How the pipeline body of each observation is timed.  Not a schedule
+/// axis (toastcase-schedule-v1 is pinned by its canonical hash): both
+/// run the same plan driver (core::execute_plan) and produce bitwise
+/// identical products, so they live beside `interpret`.
 enum class PipelineRun {
-  kStaged,        ///< Pipeline::exec staged replay (the historical path)
-  kGraphSerial,   ///< async::Engine serial graph run (bitwise oracle)
-  kGraphOverlap,  ///< async::Engine overlap graph run (placed makespan)
+  kStaged,        ///< staged replay: the serial sum of the steps
+  kGraphOverlap,  ///< step log placed on a LaneSchedule (placed makespan)
 };
 
 struct JobConfig {
@@ -67,10 +66,10 @@ struct JobConfig {
   /// (the equivalence oracle the plan bench compares against; not a
   /// schedule axis — it must not change any result bit).
   bool interpret = false;
-  /// Drive observation pipelines through the async task-graph engine
-  /// (ignored when `interpret` is set).  Serial is the bitwise oracle;
-  /// overlap re-times the executed tasks against the dependency
-  /// structure, so runtime may shrink while products stay bitwise.
+  /// Overlap observation pipelines (ignored when `interpret` is set):
+  /// the executed steps are re-timed against their data dependencies
+  /// (async::run_overlap), so runtime may shrink while products and
+  /// TimeLog stay bitwise those of staged replay.
   PipelineRun pipeline_run = PipelineRun::kStaged;
   /// Override the workflow (0 keeps the calibrated default).
   int map_iterations = 0;

@@ -134,14 +134,11 @@ mpisim::PipelineRun pipeline_from_string(const std::string& s,
   if (s == "staged") {
     return mpisim::PipelineRun::kStaged;
   }
-  if (s == "graph") {
-    return mpisim::PipelineRun::kGraphSerial;
-  }
   if (s == "overlap") {
     return mpisim::PipelineRun::kGraphOverlap;
   }
-  throw std::runtime_error(where +
-                           ": 'pipeline' must be staged|graph|overlap");
+  throw std::runtime_error(where + ": 'pipeline' must be staged|overlap, got '" +
+                           s + "'");
 }
 
 JobSpec job_from_value(const Value& v, const std::string& where) {

@@ -26,7 +26,7 @@
 //     {"name": "j0", "tenant": "cmb-a", "workload": "tiny",
 //      "backend": "omp-target", "submit_s": 0.0, "priority": 3,
 //      "seed": 2023, "map_iterations": 2, "tuned": false,
-//      "pipeline": "staged" | "graph" | "overlap",
+//      "pipeline": "staged" | "overlap",
 //      "schedule": { ...toastcase-schedule-v1... }}
 //   ]
 // }
@@ -98,7 +98,7 @@ struct JobSpec {
   /// Explicit per-job schedule (wins over `tuned` and `backend`).
   config::ScheduleConfig schedule;
   bool has_schedule = false;
-  /// Pipeline drive: staged replay, serial task graph, or overlap.
+  /// Pipeline timing: staged replay, or overlap of its step log.
   mpisim::PipelineRun pipeline = mpisim::PipelineRun::kStaged;
 };
 

@@ -7,7 +7,7 @@
 //   toast-trace faults <file>       fault/recovery events and totals
 //   toast-trace comm <file>         per-rank NIC-lane occupancy (comm engine)
 //   toast-trace plan <file>         ExecutionPlan dump (toastcase-plan-v1)
-//   toast-trace tasks <file>        task-graph dump (toastcase-tasks-v1)
+//   toast-trace tasks <file>        step-log dump (toastcase-tasks-v1)
 //   toast-trace serve <file>        job-service day (toastcase-serve-result-v1)
 //
 // summarize/top/diff accept either a metrics file ("toastcase-metrics-v1",

@@ -136,6 +136,23 @@ TEST(ServeSpec, RejectsUnknownKeysAtEveryNestingLevel) {
                           "backend": "cpu", "streemz": 2}}]})");
 }
 
+TEST(ServeSpec, RejectsGraphPipelineNamingKeyPathAndValues) {
+  // "graph" (the serial task graph) is gone: staged replay is that run.
+  try {
+    ServiceSpec::parse(R"({"schema": "toastcase-serve-v1",
+        "tenants": [{"name": "a"}],
+        "jobs": [{"name": "j0", "tenant": "a"},
+                 {"name": "j1", "tenant": "a", "pipeline": "graph"}]})");
+    FAIL() << "\"pipeline\": \"graph\" was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("jobs[1]"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'pipeline'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("staged|overlap"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'graph'"), std::string::npos) << msg;
+  }
+}
+
 TEST(ServeSpec, ValidatesCrossReferencesAndRanges) {
   const auto reject = [](const std::string& body) {
     EXPECT_THROW(ServiceSpec::parse(body), std::runtime_error) << body;
