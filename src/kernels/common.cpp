@@ -2,13 +2,7 @@
 
 #include <algorithm>
 
-#include "accel/work.hpp"
-
 namespace toast::kernels {
-
-double estimate_conflict_rate(std::span<const std::int64_t> indices) {
-  return accel::count_window_conflicts(indices).rate();
-}
 
 std::int64_t total_interval_samples(std::span<const core::Interval> ivals) {
   std::int64_t total = 0;

@@ -10,12 +10,6 @@
 
 namespace toast::kernels {
 
-/// Fraction of scatter updates that collide with an earlier update to the
-/// same address within a warp of concurrent atomics; negative (flagged)
-/// indices are dropped.  Drives the atomic-contention model; measured from
-/// the actual index stream by accel::count_window_conflicts.
-double estimate_conflict_rate(std::span<const std::int64_t> indices);
-
 /// Total samples covered by a set of intervals.
 std::int64_t total_interval_samples(std::span<const core::Interval> ivals);
 

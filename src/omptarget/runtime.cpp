@@ -141,46 +141,6 @@ accel::WorkEstimate Runtime::charge(const std::string& name, double executed,
   return scaled;
 }
 
-accel::WorkEstimate Runtime::target_for_collapse3(
-    const std::string& name, std::int64_t na, std::int64_t nb,
-    std::int64_t nc, const IterCost& cost,
-    const std::function<bool(std::int64_t, std::int64_t, std::int64_t)>&
-        body, const LaunchOptions& opts) {
-  double executed = 0.0;
-  double cut = 0.0;
-  for (std::int64_t a = 0; a < na; ++a) {
-    for (std::int64_t b = 0; b < nb; ++b) {
-      for (std::int64_t c = 0; c < nc; ++c) {
-        if (body(a, b, c)) {
-          executed += 1.0;
-        } else {
-          cut += 1.0;
-        }
-      }
-    }
-  }
-  return charge(name, executed, cut,
-                static_cast<double>(na) * static_cast<double>(nb) *
-                    static_cast<double>(nc),
-                cost, opts);
-}
-
-accel::WorkEstimate Runtime::target_for(
-    const std::string& name, std::int64_t n, const IterCost& cost,
-    const std::function<bool(std::int64_t)>& body,
-    const LaunchOptions& opts) {
-  double executed = 0.0;
-  double cut = 0.0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (body(i)) {
-      executed += 1.0;
-    } else {
-      cut += 1.0;
-    }
-  }
-  return charge(name, executed, cut, static_cast<double>(n), cost, opts);
-}
-
 ScopedDataRegion::ScopedDataRegion(Runtime& rt, std::vector<MapSpec> maps)
     : rt_(rt), maps_(std::move(maps)) {
   for (const auto& m : maps_) {

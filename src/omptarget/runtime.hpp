@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -141,21 +140,53 @@ class Runtime {
 
   /// #pragma omp target teams distribute parallel for collapse(3).
   ///
-  /// Executes body(a, b, c) over [0,na) x [0,nb) x [0,nc); the body returns
-  /// false when the interval guard cut the iteration.  Charges the device
-  /// model with the measured executed/cut mix and logs the virtual time
-  /// under `name`.  Returns the (scaled) work estimate for inspection.
-  accel::WorkEstimate target_for_collapse3(
-      const std::string& name, std::int64_t na, std::int64_t nb,
-      std::int64_t nc, const IterCost& cost,
-      const std::function<bool(std::int64_t, std::int64_t, std::int64_t)>&
-          body, const LaunchOptions& opts = {});
+  /// Executes body(a, b, c) over [0,na) x [0,nb) x [0,nc), `c` fastest;
+  /// the body returns false when the interval guard cut the iteration.
+  /// Charges the device model with the measured executed/cut mix and logs
+  /// the virtual time under `name`.  Returns the (scaled) work estimate
+  /// for inspection.  The body is a template parameter, so the loop
+  /// inlines it as the compiler inlines a real target region's body.
+  template <typename Body>
+  accel::WorkEstimate target_for_collapse3(const std::string& name,
+                                           std::int64_t na, std::int64_t nb,
+                                           std::int64_t nc,
+                                           const IterCost& cost, Body&& body,
+                                           const LaunchOptions& opts = {}) {
+    double executed = 0.0;
+    double cut = 0.0;
+    for (std::int64_t a = 0; a < na; ++a) {
+      for (std::int64_t b = 0; b < nb; ++b) {
+        for (std::int64_t c = 0; c < nc; ++c) {
+          if (body(a, b, c)) {
+            executed += 1.0;
+          } else {
+            cut += 1.0;
+          }
+        }
+      }
+    }
+    return charge(name, executed, cut,
+                  static_cast<double>(na) * static_cast<double>(nb) *
+                      static_cast<double>(nc),
+                  cost, opts);
+  }
 
   /// Single collapsed loop (used by the amplitude-space kernels).
-  accel::WorkEstimate target_for(
-      const std::string& name, std::int64_t n, const IterCost& cost,
-      const std::function<bool(std::int64_t)>& body,
-      const LaunchOptions& opts = {});
+  template <typename Body>
+  accel::WorkEstimate target_for(const std::string& name, std::int64_t n,
+                                 const IterCost& cost, Body&& body,
+                                 const LaunchOptions& opts = {}) {
+    double executed = 0.0;
+    double cut = 0.0;
+    for (std::int64_t i = 0; i < n; ++i) {
+      if (body(i)) {
+        executed += 1.0;
+      } else {
+        cut += 1.0;
+      }
+    }
+    return charge(name, executed, cut, static_cast<double>(n), cost, opts);
+  }
 
   // --- streams and events (the OpenMP task-graph surface) ----------------
 

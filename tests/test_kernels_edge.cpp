@@ -259,7 +259,9 @@ TEST(KernelEdge, IntervalCoveringEverything) {
 }
 
 TEST(KernelEdge, ConflictRateHelper) {
-  using toast::kernels::estimate_conflict_rate;
+  const auto estimate_conflict_rate = [](std::span<const std::int64_t> s) {
+    return toast::accel::count_window_conflicts(s).rate();
+  };
   // Distinct indices in each window: no conflicts.
   std::vector<std::int64_t> distinct(64);
   for (std::size_t i = 0; i < distinct.size(); ++i) {
@@ -335,7 +337,9 @@ std::vector<std::int64_t> conflict_stream(std::uint64_t seed, std::size_t n,
 }  // namespace
 
 TEST(KernelEdge, ConflictRateMatchesHashMapOracle) {
-  using toast::kernels::estimate_conflict_rate;
+  const auto estimate_conflict_rate = [](std::span<const std::int64_t> s) {
+    return toast::accel::count_window_conflicts(s).rate();
+  };
   const std::size_t lengths[] = {1, 5, 31, 32, 33, 63, 100, 257, 1000, 4099};
   const std::int64_t ranges[] = {1, 3, 17, 40, 1000, 1 << 20};
   std::uint64_t seed = 1;

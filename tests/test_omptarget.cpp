@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -324,6 +326,81 @@ TEST(OmpTargetLaunch, ExecutesFullIndexSpace) {
   for (const int h : hits) {
     EXPECT_EQ(h, 1);
   }
+}
+
+TEST(OmpTargetLaunch, VisitsRowMajorWithLastIndexFastest) {
+  Fixture f;
+  const std::int64_t na = 2, nb = 3, nc = 4;
+  std::vector<std::array<std::int64_t, 3>> order;
+  f.rt.target_for_collapse3("k", na, nb, nc, omp::IterCost{},
+                            [&](std::int64_t a, std::int64_t b,
+                                std::int64_t c) {
+                              order.push_back({a, b, c});
+                              return true;
+                            });
+  std::vector<std::array<std::int64_t, 3>> want;
+  for (std::int64_t a = 0; a < na; ++a) {
+    for (std::int64_t b = 0; b < nb; ++b) {
+      for (std::int64_t c = 0; c < nc; ++c) {
+        want.push_back({a, b, c});
+      }
+    }
+  }
+  EXPECT_EQ(order, want);
+}
+
+TEST(OmpTargetLaunch, StatefulMoveOnlyBodyRuns) {
+  Fixture f;
+  omp::IterCost cost;
+  cost.flops = 1.0;
+  // The body owns its state and cannot be copied; the launch runs the
+  // caller's object in place, so the state it leaves is visible after.
+  auto owned = std::make_unique<std::int64_t>(0);
+  const std::int64_t* visits = owned.get();
+  auto body = [state = std::move(owned)](std::int64_t) mutable {
+    return ++*state % 2 == 0;
+  };
+  const auto w = f.rt.target_for("k", 10, cost, body);
+  EXPECT_EQ(*visits, 10);
+  EXPECT_DOUBLE_EQ(w.flops, 5.0 * 1.0 + 5.0 * cost.guard_flops);
+  f.rt.target_for_collapse3(
+      "k3", 2, 2, 2, cost,
+      [state = std::make_unique<int>(0)](std::int64_t, std::int64_t,
+                                         std::int64_t) mutable {
+        return ++*state <= 8;
+      });
+  EXPECT_EQ(f.tracer.calls("k3"), 1);
+}
+
+TEST(OmpTargetLaunch, ExecutedAndCutCountsReachTheEstimate) {
+  Fixture f;
+  omp::IterCost cost;
+  cost.flops = 10.0;
+  cost.bytes_read = 24.0;
+  cost.bytes_written = 8.0;
+  cost.guard_flops = 3.0;
+  cost.divergence = 1.5;
+  cost.atomic_ops = 2.0;
+  cost.atomic_conflict_rate = 0.25;
+  // 4 x 5 x 6 = 120 iterations; c < 4 executes: 80 executed, 40 cut.
+  const auto w = f.rt.target_for_collapse3(
+      "k", 4, 5, 6, cost,
+      [](std::int64_t, std::int64_t, std::int64_t c) { return c < 4; });
+  EXPECT_EQ(w.flops, 80.0 * 10.0 + 40.0 * 3.0);
+  EXPECT_EQ(w.bytes_read, 80.0 * 24.0);
+  EXPECT_EQ(w.bytes_written, 80.0 * 8.0);
+  EXPECT_EQ(w.atomic_ops, 80.0 * 2.0);
+  EXPECT_EQ(w.atomic_conflict_rate, 0.25);
+  EXPECT_EQ(w.divergence, 1.5);
+  EXPECT_EQ(w.parallel_items, 120.0);
+  EXPECT_EQ(w.launches, 1.0);
+  // The flat loop over the same mix charges the same estimate.
+  const auto flat = f.rt.target_for(
+      "k", 120, cost, [](std::int64_t i) { return i % 6 < 4; });
+  EXPECT_EQ(flat.flops, w.flops);
+  EXPECT_EQ(flat.bytes_read, w.bytes_read);
+  EXPECT_EQ(flat.atomic_ops, w.atomic_ops);
+  EXPECT_EQ(flat.parallel_items, w.parallel_items);
 }
 
 TEST(OmpTargetLaunch, GuardCutIterationsChargeOnlyGuard) {

@@ -16,7 +16,7 @@
 #include <utility>
 #include <vector>
 
-#include "kernels/common.hpp"
+#include "accel/work.hpp"
 
 namespace xla = toast::xla;
 namespace accel = toast::accel;
@@ -1312,7 +1312,7 @@ TEST(XlaEval, ScatterConflictRateMatchesKernelHelper) {
       "", report);
   EXPECT_FALSE(report.segment_lowering_used);
   EXPECT_EQ(report.total.atomic_ops, 300.0);
-  const double rate = toast::kernels::estimate_conflict_rate(idx);
+  const double rate = toast::accel::count_window_conflicts(idx).rate();
   EXPECT_GT(rate, 0.0);
   EXPECT_EQ(report.total.atomic_conflict_rate, rate);
 }
