@@ -78,6 +78,7 @@ void build_noise_weighted(const std::int64_t* pixels, const double* weights,
 
   auto& jit = registered_jit("build_noise_weighted", graph);
   jit.set_donated_params({8});
+  jit.set_invariant_params({0, 1, 2, 3, 4, 6, 7});
   const std::string key = "maxlen=" + std::to_string(s.max_len) + ";nsamp=" +
                           std::to_string(s.n_samp) +
                           ";nnz=" + std::to_string(nnz) +

@@ -45,6 +45,7 @@ void noise_weight(const double* det_weights,
 
   auto& jit = registered_jit("noise_weight", graph);
   jit.set_donated_params({4});
+  jit.set_invariant_params({0, 1, 2, 3});
   const std::string key = "maxlen=" + std::to_string(s.max_len) +
                           ";nsamp=" + std::to_string(s.n_samp);
   const auto out = jit.call(ctx.jax(), std::move(args), key);

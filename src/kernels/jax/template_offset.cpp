@@ -76,6 +76,7 @@ void template_offset_add_to_signal(std::int64_t step_length,
 
   auto& jit = registered_jit("template_offset_add_to_signal", add_graph);
   jit.set_donated_params({4});
+  jit.set_invariant_params({0, 1, 2});
   const std::string key = "maxlen=" + std::to_string(s.max_len) + ";nsamp=" +
                           std::to_string(s.n_samp) +
                           ";step=" + std::to_string(step_length) +
@@ -104,6 +105,7 @@ void template_offset_project_signal(
 
   auto& jit = registered_jit("template_offset_project_signal", project_graph);
   jit.set_donated_params({4});
+  jit.set_invariant_params({0, 1, 2});
   const std::string key = "maxlen=" + std::to_string(s.max_len) + ";nsamp=" +
                           std::to_string(s.n_samp) +
                           ";step=" + std::to_string(step_length) +

@@ -1,6 +1,7 @@
 #include "xla/executor.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <span>
@@ -74,6 +75,7 @@ struct ShapeReport {
 
 namespace {
 
+using detail::ScatterLowering;
 using detail::ShapeReport;
 
 void validate_args(const HloModule& m, std::span<const Literal> args) {
@@ -229,18 +231,10 @@ ShapeReport build_shape_report(const Compiled& compiled) {
 /// Lowering decision from the data, as XLA:GPU takes it: sorted valid
 /// indices -> segmented reduction (no atomics); unsorted -> atomics with
 /// the measured conflict rate.
-void add_scatter_lowering(const Compiled& compiled, InstrId scatter,
-                          std::span<const std::int64_t> span,
-                          ExecutionReport& local) {
-  const HloModule& m = compiled.module;
-  const HloInstruction& in = m.at(scatter);
-  auto& work = local.group_work[static_cast<std::size_t>(
-      compiled.group_of[static_cast<std::size_t>(scatter)])];
-  const double updates =
-      static_cast<double>(m.at(in.operands[1]).shape.num_elements());
-  const std::int64_t base_n = m.at(in.operands[0]).shape.num_elements();
+ScatterLowering measure_scatter(std::span<const std::int64_t> span,
+                                std::int64_t base_n) {
+  ScatterLowering l;
   bool sorted = true;
-  double unique_targets = 0.0;
   std::int64_t prev = std::numeric_limits<std::int64_t>::min();
   for (const auto j : span) {
     if (j < 0 || j >= base_n) continue;  // dropped lanes
@@ -248,46 +242,62 @@ void add_scatter_lowering(const Compiled& compiled, InstrId scatter,
       sorted = false;
       break;
     }
-    if (j != prev) unique_targets += 1.0;
+    if (j != prev) l.unique_targets += 1.0;
     prev = j;
   }
-  const bool segment_reduce = sorted && span.size() > 1;
-  if (segment_reduce) {
+  l.segment = sorted && span.size() > 1;
+  if (!l.segment) {
+    const auto counted = accel::count_window_conflicts(span, base_n);
+    l.valid = static_cast<double>(counted.valid);
+    l.conflict_rate = counted.rate();
+  }
+  return l;
+}
+
+/// Fold one scatter-add's lowering into its group's work.
+void fold_scatter(const Compiled& compiled, InstrId scatter,
+                  const ScatterLowering& l, ExecutionReport& local) {
+  const HloModule& m = compiled.module;
+  const HloInstruction& in = m.at(scatter);
+  auto& work = local.group_work[static_cast<std::size_t>(
+      compiled.group_of[static_cast<std::size_t>(scatter)])];
+  const double updates =
+      static_cast<double>(m.at(in.operands[1]).shape.num_elements());
+  if (l.segment) {
     local.segment_lowering_used = true;
   } else {
-    const auto counted = accel::count_window_conflicts(span, base_n);
-    const auto valid = static_cast<double>(counted.valid);
-    const double rate = counted.rate();
     const double prior_atomics = work.atomic_ops;
-    work.atomic_conflict_rate =
-        (work.atomic_conflict_rate * prior_atomics + rate * valid) /
-        std::max(1.0, prior_atomics + valid);
-    work.atomic_ops += valid;
+    work.atomic_conflict_rate = (work.atomic_conflict_rate * prior_atomics +
+                                 l.conflict_rate * l.valid) /
+                                std::max(1.0, prior_atomics + l.valid);
+    work.atomic_ops += l.valid;
   }
   // XLA buffer assignment updates the base in place (the operand is dead
   // after this op in our kernels): only the touched elements are stored,
   // not the whole buffer.  A segmented reduction stores one value per
   // *unique* target (the linear-algebra lowering of the paper's
   // offset_project anomaly); atomics store one per update.
-  work.bytes_written += (segment_reduce ? unique_targets : updates) *
+  work.bytes_written += (l.segment ? l.unique_targets : updates) *
                         static_cast<double>(dtype_size(in.dtype));
 }
 
-/// The full report: the cached shape-only part plus the scatter-add
-/// lowering of this call's index streams (`vals` holds every value the
-/// execution kept alive), folded in SSA order, then summed into `total`.
-ExecutionReport build_report(const Compiled& compiled,
-                             const std::vector<const Literal*>& vals) {
+const ShapeReport& shape_report_of(const Compiled& compiled) {
   if (!compiled.shape_report) {
     compiled.shape_report =
         std::make_shared<const ShapeReport>(build_shape_report(compiled));
   }
-  const ShapeReport& shape = *compiled.shape_report;
+  return *compiled.shape_report;
+}
+
+/// The full report: the cached shape-only part plus this call's
+/// scatter-add lowerings (one per ShapeReport::scatter_adds) folded in SSA
+/// order, then summed into `total`.
+ExecutionReport build_report(const Compiled& compiled,
+                             std::span<const ScatterLowering> lowerings) {
+  const ShapeReport& shape = shape_report_of(compiled);
   ExecutionReport local = shape.report;
-  for (const InstrId s : shape.scatter_adds) {
-    const auto idx = compiled.module.at(s).operands[1];
-    add_scatter_lowering(compiled, s,
-                         vals[static_cast<std::size_t>(idx)]->i64(), local);
+  for (std::size_t k = 0; k < shape.scatter_adds.size(); ++k) {
+    fold_scatter(compiled, shape.scatter_adds[k], lowerings[k], local);
   }
   for (const auto& w : local.group_work) {
     local.total += w;
@@ -297,34 +307,167 @@ ExecutionReport build_report(const Compiled& compiled,
 
 }  // namespace
 
+namespace detail {
+
+struct Invariance {
+  /// The declared params this was built for.
+  std::vector<int> params;
+  /// The value depends only on declared params and constants.
+  std::vector<bool> fixed;
+  /// Fixed and computed, not a root: skipped on a hit.
+  std::vector<bool> invariant;
+  /// Invariant values read by an instruction that is not, in SSA order,
+  /// and each instruction's index among them (-1 if not one).
+  std::vector<InstrId> frontier;
+  std::vector<int> slot;
+};
+
+}  // namespace detail
+
+namespace {
+
+using detail::Invariance;
+
+Invariance build_invariance(const HloModule& m, std::vector<int> params) {
+  const std::size_t n = m.size();
+  std::vector<bool> declared(m.params.size(), false);
+  for (const int p : params) {
+    if (p < 0 || static_cast<std::size_t>(p) >= declared.size()) {
+      throw std::invalid_argument("xla: invariant param " + std::to_string(p) +
+                                  " out of range");
+    }
+    declared[static_cast<std::size_t>(p)] = true;
+  }
+  const std::unordered_set<InstrId> roots(m.roots.begin(), m.roots.end());
+  Invariance inv;
+  inv.params = std::move(params);
+  inv.fixed.assign(n, false);
+  inv.invariant.assign(n, false);
+  inv.slot.assign(n, -1);
+  std::vector<bool> read_by_evaluated(n, false);
+  for (std::size_t i = 0; i < n; ++i) {
+    const HloInstruction& in = m.instructions[i];
+    if (in.opcode == Opcode::kParam) {
+      inv.fixed[i] = declared[static_cast<std::size_t>(in.i0)];
+    } else if (in.opcode == Opcode::kConstant) {
+      inv.fixed[i] = true;
+    } else {
+      inv.fixed[i] = std::all_of(
+          in.operands.begin(), in.operands.end(),
+          [&](InstrId op) { return inv.fixed[static_cast<std::size_t>(op)]; });
+      inv.invariant[i] =
+          inv.fixed[i] && roots.count(static_cast<InstrId>(i)) == 0;
+    }
+    if (!inv.invariant[i]) {
+      for (const auto op : in.operands) {
+        read_by_evaluated[static_cast<std::size_t>(op)] = true;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (inv.invariant[i] && read_by_evaluated[i]) {
+      inv.slot[i] = static_cast<int>(inv.frontier.size());
+      inv.frontier.push_back(static_cast<InstrId>(i));
+    }
+  }
+  return inv;
+}
+
+const Invariance& invariance_of(const Compiled& compiled,
+                                const std::vector<int>& params) {
+  if (!compiled.invariance || compiled.invariance->params != params) {
+    compiled.invariance = std::make_shared<const Invariance>(
+        build_invariance(compiled.module, params));
+  }
+  return *compiled.invariance;
+}
+
+bool same_bits(const Literal& a, const Literal& b) {
+  if (a.dtype() != b.dtype() || a.shape() != b.shape()) return false;
+  switch (a.dtype()) {
+    case DType::kF64:
+      return std::memcmp(a.f64().data(), b.f64().data(), a.byte_size()) == 0;
+    case DType::kI64:
+      return std::memcmp(a.i64().data(), b.i64().data(), a.byte_size()) == 0;
+    case DType::kPred:
+      break;
+  }
+  return std::memcmp(a.pred().data(), b.pred().data(), a.byte_size()) == 0;
+}
+
+bool reusable(const ReuseEntry& e, const Compiled& compiled,
+              const std::vector<Literal>& args) {
+  if (e.compiled != &compiled) return false;
+  for (std::size_t k = 0; k < e.params.size(); ++k) {
+    if (!same_bits(args[static_cast<std::size_t>(e.params[k])],
+                   e.param_copies[k])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A miss: the entry belongs to no Compiled until the call completes, its
+/// old values go back to the pool, and the declared params are copied.
+void restart(ReuseEntry& e, const std::vector<Literal>& args,
+             BufferPool& pool) {
+  e.compiled = nullptr;
+  for (auto& v : e.values) pool.give(std::move(v));
+  e.values.clear();
+  e.lowerings.clear();
+  e.param_copies.resize(e.params.size());
+  for (std::size_t k = 0; k < e.params.size(); ++k) {
+    e.param_copies[k] = args[static_cast<std::size_t>(e.params[k])];
+  }
+}
+
+}  // namespace
+
 std::vector<Literal> execute(const Compiled& compiled,
                              std::vector<Literal> args, BufferPool& pool,
-                             ExecutionReport* report) {
+                             ExecutionReport* report, ReuseEntry* reuse) {
   const HloModule& m = compiled.module;
   validate_args(m, args);
+  const Invariance* inv =
+      reuse != nullptr ? &invariance_of(compiled, reuse->params) : nullptr;
+  const bool hit = inv != nullptr && reusable(*reuse, compiled, args);
+  if (inv != nullptr && !hit) {
+    restart(*reuse, args, pool);
+  }
   pool.trim(compiled.buffer_classes);
+  const auto skipped = [&](std::size_t i) {
+    return hit && inv->invariant[i];
+  };
 
-  // Params and computed values are owned; constants are read in place.
-  // `owned` never resizes, so pointers into it stay valid.  A value is
-  // alive while vals[i] == &owned[i].
+  // Params and computed values are owned; constants and kept values are
+  // read in place.  `owned` never resizes, so pointers into it stay
+  // valid.  A value is alive while vals[i] == &owned[i].
   const std::size_t n = m.size();
-  // Last reader of each value (itself when nothing reads it).  Roots and
-  // the scatter-add index streams (the report's input) are read after the
-  // loop, so they stay alive.
+  // Last reader of each value (itself when nothing reads it); skipped
+  // instructions read nothing.  Roots, the scatter-add index streams (the
+  // report's input) and, on a miss, the frontier values are read after
+  // the loop, so they stay alive.
   std::vector<std::size_t> last_use(n);
   for (std::size_t i = 0; i < n; ++i) {
     last_use[i] = i;
+    if (skipped(i)) continue;
     for (const auto op : m.instructions[i].operands) {
       last_use[static_cast<std::size_t>(op)] = i;
     }
   }
-  for (const auto& in : m.instructions) {
-    if (in.opcode == Opcode::kScatterAdd) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const HloInstruction& in = m.instructions[i];
+    if (in.opcode == Opcode::kScatterAdd && !skipped(i)) {
       last_use[static_cast<std::size_t>(in.operands[1])] = n;
     }
   }
   for (const auto r : m.roots) {
     last_use[static_cast<std::size_t>(r)] = n;
+  }
+  if (inv != nullptr && !hit) {
+    for (const auto f : inv->frontier) {
+      last_use[static_cast<std::size_t>(f)] = n;
+    }
   }
   std::vector<Literal> owned(n);
   std::vector<const Literal*> vals(n, nullptr);
@@ -344,6 +487,11 @@ std::vector<Literal> execute(const Compiled& compiled,
     const HloInstruction& in = m.instructions[i];
     if (in.opcode == Opcode::kConstant) {
       vals[i] = &*in.literal;
+      continue;
+    }
+    if (skipped(i)) {
+      const int s = inv->slot[i];
+      vals[i] = s < 0 ? nullptr : &reuse->values[static_cast<std::size_t>(s)];
       continue;
     }
     if (in.opcode == Opcode::kParam) {
@@ -404,8 +552,24 @@ std::vector<Literal> execute(const Compiled& compiled,
     }
   }
 
+  // This call's scatter-add lowerings: a stream the declared params fix
+  // is measured on a miss and taken from the entry on a hit.
+  std::vector<ScatterLowering> lowerings;
+  if (report != nullptr || inv != nullptr) {
+    const ShapeReport& shape = shape_report_of(compiled);
+    for (std::size_t k = 0; k < shape.scatter_adds.size(); ++k) {
+      const HloInstruction& in = m.at(shape.scatter_adds[k]);
+      const auto idx = static_cast<std::size_t>(in.operands[1]);
+      if (hit && inv->fixed[idx]) {
+        lowerings.push_back(reuse->lowerings[k]);
+      } else {
+        lowerings.push_back(measure_scatter(
+            vals[idx]->i64(), m.at(in.operands[0]).shape.num_elements()));
+      }
+    }
+  }
   if (report != nullptr) {
-    *report = build_report(compiled, vals);
+    *report = build_report(compiled, lowerings);
   }
 
   // A root that is a param or computed value is moved out at its last
@@ -422,6 +586,16 @@ std::vector<Literal> execute(const Compiled& compiled,
     } else {
       outputs.push_back(*vals[i]);
     }
+  }
+  if (hit) {
+    ++reuse->hits;
+  } else if (inv != nullptr) {
+    for (const auto f : inv->frontier) {
+      reuse->values.push_back(std::move(owned[static_cast<std::size_t>(f)]));
+      vals[static_cast<std::size_t>(f)] = nullptr;
+    }
+    reuse->lowerings = std::move(lowerings);
+    reuse->compiled = &compiled;
   }
   // What stayed alive only for the report: the scatter-add index streams.
   for (std::size_t i = 0; i < n; ++i) {

@@ -36,6 +36,24 @@ void Runtime::set_cpu_backend(accel::HostSpec spec, int heavy_threads,
   dispatch_overhead_ = 4.0e-5;
 }
 
+void Jit::set_invariant_params(std::vector<int> params) {
+  std::sort(params.begin(), params.end());
+  params.erase(std::unique(params.begin(), params.end()), params.end());
+  if (params != reuse_.params) {
+    reset_reuse(std::move(params));
+  }
+}
+
+void Jit::clear_cache() {
+  cache_.clear();
+  reset_reuse(std::move(reuse_.params));
+}
+
+void Jit::reset_reuse(std::vector<int> params) {
+  reuse_ = ReuseEntry{};
+  reuse_.params = std::move(params);
+}
+
 std::string Jit::signature(const std::vector<Literal>& args,
                            const std::string& static_key) const {
   std::ostringstream key;
@@ -115,7 +133,8 @@ std::vector<Literal> Jit::call_reported(Runtime& rt, std::vector<Literal> args,
     }
   }
   std::vector<Literal> outputs =
-      execute(compiled, std::move(args), rt.buffers(), &report);
+      execute(compiled, std::move(args), rt.buffers(), &report,
+              reuse_.params.empty() ? nullptr : &reuse_);
 
   const std::size_t temp =
       report.peak_temp_bytes > donated_bytes

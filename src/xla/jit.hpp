@@ -123,6 +123,16 @@ class Jit {
     donated_ = std::move(params);
   }
 
+  /// Parameters that stay bit-identical across a loop of calls (the
+  /// interval index, pointing and flags of the map-making kernels, where
+  /// only the timestream or amplitudes change).  The Jit keeps one
+  /// ReuseEntry: what the last call computed from these params alone, for
+  /// the next call on the same executable to read instead of recomputing
+  /// (see xla::execute).  Outputs, report and every virtual charge are the
+  /// same with or without the declaration; a declared param that does
+  /// change only costs a miss.  Redeclaring the same set keeps the entry.
+  void set_invariant_params(std::vector<int> params);
+
   /// Execute.  `static_key` distinguishes traces that depend on static
   /// (non-array) arguments, e.g. the padded interval length.  The call
   /// owns `args`: their buffers are recycled once dead, so a caller that
@@ -137,10 +147,14 @@ class Jit {
 
   const std::string& name() const { return name_; }
   std::size_t cache_size() const { return cache_.size(); }
+  /// Calls that reused the kept invariant values since the cache was
+  /// last cleared.
+  std::size_t reuse_hits() const { return reuse_.hits; }
 
-  /// Drop all compiled executables (a fresh process has an empty JIT
-  /// cache; the multi-process simulation resets between ranks).
-  void clear_cache() { cache_.clear(); }
+  /// Drop all compiled executables and the kept invariant values (a fresh
+  /// process has an empty JIT cache; the multi-process simulation resets
+  /// between ranks).
+  void clear_cache();
 
   /// Inspect a cached executable (nullptr if that signature was never
   /// compiled).
@@ -150,6 +164,8 @@ class Jit {
  private:
   std::string signature(const std::vector<Literal>& args,
                         const std::string& static_key) const;
+  /// An empty entry for `params`.
+  void reset_reuse(std::vector<int> params);
   const Compiled& get_or_compile(Runtime& rt,
                                  const std::vector<Literal>& args,
                                  const std::string& static_key);
@@ -158,6 +174,7 @@ class Jit {
   TracedFn fn_;
   std::vector<int> donated_;
   std::map<std::string, std::unique_ptr<Compiled>> cache_;
+  ReuseEntry reuse_;
 };
 
 }  // namespace toast::xla

@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <string>
 #include <random>
 #include <vector>
 
 #include "kernels/cpu.hpp"
 #include "kernels/jax.hpp"
+#include "kernels/jax/support.hpp"
 #include "kernels/omptarget.hpp"
 #include "qarray/qarray.hpp"
 
@@ -472,4 +476,113 @@ TEST(KernelBehaviour, ProjectSignalLowersToSegmentedReduce) {
   const double t_omp = ctx_omp.log().seconds("template_offset_project_signal");
   const double t_jax = ctx_jax.log().seconds("template_offset_project_signal");
   EXPECT_GT(t_omp, t_jax);
+}
+
+// ---------------------------------------------------------------------------
+// The map-making loop of the JAX ports: only the timestream and the
+// amplitudes change between iterations, so each declared kernel reuses
+// what it computed from its index inputs.  The products and every TimeLog
+// category must equal a loop with cold JIT caches before every call, which
+// cannot reuse anything (it pays the compile charge on every call).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+const char* const kMapMakingKernels[] = {
+    "noise_weight", "build_noise_weighted", "template_offset_project_signal",
+    "template_offset_add_to_signal"};
+
+struct MapMakingRun {
+  std::vector<double> signal, zmap, amps;
+  toast::accel::TimeLog log;
+  std::map<std::string, std::size_t> hits;
+};
+
+/// `iterations` passes of noise_weight -> build_noise_weighted ->
+/// project_signal -> add_to_signal on one observation.  `cold` clears the
+/// JIT caches before every call; `touch_pixels` changes one pixel in place
+/// before every build_noise_weighted call but the first.
+MapMakingRun run_map_making(const TestData& d, int iterations, bool cold,
+                            bool touch_pixels = false) {
+  const std::int64_t nside = 16, nnz = 3, step = 32;
+  const std::int64_t n_pix = 12 * nside * nside;
+  const std::int64_t n_amp_det = (d.n_samp + step - 1) / step;
+  const std::vector<double> det_w = {0.5, 2.0, 1.5};
+  const std::vector<double> det_scale = {1.0, 0.8, 1.2};
+  std::vector<std::int64_t> pixels = d.pixels;
+  MapMakingRun run;
+  run.signal = d.signal;
+  run.zmap.assign(static_cast<std::size_t>(n_pix * nnz), 0.0);
+  run.amps.assign(static_cast<std::size_t>(d.n_det * n_amp_det), 0.0);
+  k::jax::clear_jit_caches();
+  auto ctx = make_ctx(Backend::kJax);
+  const auto before_call = [&] {
+    if (cold) k::jax::clear_jit_caches();
+  };
+  for (int it = 0; it < iterations; ++it) {
+    before_call();
+    k::jax::noise_weight(det_w.data(), d.intervals, d.n_det, d.n_samp,
+                         run.signal.data(), ctx);
+    if (touch_pixels && it > 0) pixels[7] = (pixels[7] + 1) % n_pix;
+    before_call();
+    k::jax::build_noise_weighted(pixels.data(), d.weights.data(), n_pix, nnz,
+                                 run.signal.data(), det_scale.data(),
+                                 d.flags.data(), 1, d.intervals, d.n_det,
+                                 d.n_samp, run.zmap.data(), ctx);
+    before_call();
+    k::jax::template_offset_project_signal(step, run.signal.data(),
+                                           d.intervals, d.n_det, d.n_samp,
+                                           run.amps.data(), n_amp_det, ctx);
+    before_call();
+    k::jax::template_offset_add_to_signal(step, run.amps.data(), n_amp_det,
+                                          d.intervals, d.n_det, d.n_samp,
+                                          run.signal.data(), ctx);
+  }
+  run.log = ctx.log();
+  for (const char* name : kMapMakingKernels) {
+    run.hits[name] = k::jax::registered_jit(name, nullptr).reuse_hits();
+  }
+  return run;
+}
+
+void expect_same_bits(const std::vector<double>& a,
+                      const std::vector<double>& b, const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+      << what;
+}
+
+void expect_same_run(const MapMakingRun& reused, const MapMakingRun& cold) {
+  expect_same_bits(reused.signal, cold.signal, "signal");
+  expect_same_bits(reused.zmap, cold.zmap, "zmap");
+  expect_same_bits(reused.amps, cold.amps, "amplitudes");
+  EXPECT_EQ(reused.log.categories(), cold.log.categories());
+  for (const auto& cat : cold.log.categories()) {
+    if (cat == "jit_compile") continue;
+    EXPECT_EQ(reused.log.seconds(cat), cold.log.seconds(cat)) << cat;
+    EXPECT_EQ(reused.log.calls(cat), cold.log.calls(cat)) << cat;
+  }
+}
+
+}  // namespace
+
+TEST(KernelReuse, MapMakingLoopReusesIndexWork) {
+  TestData d;
+  const MapMakingRun reused = run_map_making(d, 5, /*cold=*/false);
+  const MapMakingRun cold = run_map_making(d, 5, /*cold=*/true);
+  expect_same_run(reused, cold);
+  EXPECT_EQ(reused.log.calls("jit_compile"), 4);
+  EXPECT_EQ(cold.log.calls("jit_compile"), 20);
+  for (const char* name : kMapMakingKernels) {
+    EXPECT_EQ(reused.hits.at(name), 4u) << name;
+  }
+}
+
+TEST(KernelReuse, PixelsChangedInPlaceRecompute) {
+  TestData d;
+  const MapMakingRun reused = run_map_making(d, 3, false, /*touch=*/true);
+  const MapMakingRun cold = run_map_making(d, 3, true, /*touch=*/true);
+  expect_same_run(reused, cold);
+  EXPECT_EQ(reused.hits.at("build_noise_weighted"), 0u);
+  EXPECT_EQ(reused.hits.at("noise_weight"), 2u);
 }

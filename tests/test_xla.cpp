@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -1649,4 +1650,270 @@ TEST(XlaRecycle, PoolKeepsOnlyTheModuleBufferClasses) {
   // The trim left one f64[3]; the neg wrote over its dead parameter and
   // did not draw from the pool, so that buffer is still there.
   EXPECT_EQ(pool.buffers(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// A Jit that declares loop-invariant params keeps what it computed from
+// them and skips that work while they stay bit-identical.  Every case is
+// compared bitwise (outputs, report, clock, TimeLog) with a Jit that
+// declares nothing.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// in[0] (i64 rows) and in[1] (f64 table) are the loop-invariant inputs;
+/// in[2] (signal) and in[3] (map) change.  The scatter's index stream and
+/// the gathered weights depend on in[0] and in[1] only.
+std::vector<Array> map_step(const std::vector<Array>& in) {
+  const Array idx = in[0] * xla::constant_i64(3) + xla::constant_i64(1);
+  const Array valid = xla::lt(idx, xla::constant_i64(8));
+  const Array w = xla::gather(in[1], idx);
+  const Array z = xla::gather(in[2], in[0]) * w;
+  const Array target = xla::select(valid, idx, xla::constant_i64(-1));
+  return {xla::scatter_add(in[3], target, z), z * 2.0};
+}
+
+xla::Jit declared_jit(const std::string& name, xla::TracedFn fn,
+                      std::vector<int> params) {
+  xla::Jit jit(name, std::move(fn));
+  jit.set_invariant_params(std::move(params));
+  return jit;
+}
+
+/// Runs `calls` on a Jit declaring `params` and on one declaring nothing,
+/// each on its own Runtime, and expects the same bits everywhere.
+void expect_reuse_exact(xla::TracedFn fn, std::vector<int> params,
+                        const std::vector<std::vector<Literal>>& calls,
+                        const std::vector<std::string>& keys = {}) {
+  xla::Jit reused = declared_jit("step", fn, std::move(params));
+  xla::Jit fresh("step", std::move(fn));
+  Fixture a;
+  Fixture b;
+  for (std::size_t c = 0; c < calls.size(); ++c) {
+    const std::string key = c < keys.size() ? keys[c] : "";
+    xla::ExecutionReport ra;
+    xla::ExecutionReport rb;
+    const auto out_a = reused.call_reported(a.rt, calls[c], key, ra);
+    const auto out_b = fresh.call_reported(b.rt, calls[c], key, rb);
+    ASSERT_EQ(out_a.size(), out_b.size());
+    for (std::size_t k = 0; k < out_a.size(); ++k) {
+      EXPECT_TRUE(same_bits(out_a[k], out_b[k])) << "call " << c << " root " << k;
+    }
+    expect_report_equal(ra, rb);
+    EXPECT_EQ(a.clock.now(), b.clock.now()) << "call " << c;
+  }
+  const auto la = a.rt.log();
+  const auto lb = b.rt.log();
+  EXPECT_EQ(la.categories(), lb.categories());
+  for (const auto& cat : la.categories()) {
+    EXPECT_EQ(la.seconds(cat), lb.seconds(cat)) << cat;
+    EXPECT_EQ(la.calls(cat), lb.calls(cat)) << cat;
+  }
+}
+
+std::vector<Literal> step_args(std::vector<double> table, double signal_scale) {
+  std::vector<double> signal;
+  for (int k = 0; k < 5; ++k) signal.push_back(signal_scale * (k - 1.5));
+  return {ivec({2, 0, 1, 2, 4}),
+          Literal::from_f64(Shape{static_cast<std::int64_t>(table.size())},
+                            table),
+          Literal::from_f64(Shape{5}, signal), vec({0.0, 1.0, 0.0, 0.0, 0.0,
+                                                    0.0, 0.0, 2.0})};
+}
+
+/// Rows {2, 0, 1, 2, 4} read table elements {7, 1, 4, 7, 12}.
+const std::vector<double> kTable = {0.5, 0.0, 2.0, -1.0, 4.0, 1.5, 3.0, -2.5,
+                                    0.25, 1.0, 7.0, -3.0, 0.75};
+
+}  // namespace
+
+TEST(XlaReuse, EqualInvariantParamsSkipTheirWork) {
+  std::vector<std::vector<Literal>> calls;
+  for (int c = 0; c < 4; ++c) calls.push_back(step_args(kTable, 1.0 + c));
+  expect_reuse_exact(map_step, {0, 1}, calls);
+  xla::Jit jit = declared_jit("step", map_step, {0, 1});
+  Fixture f;
+  for (const auto& args : calls) jit.call(f.rt, args);
+  EXPECT_EQ(jit.reuse_hits(), 3u);
+  // Redeclaring the same set keeps the entry.
+  jit.set_invariant_params({1, 0, 1});
+  jit.call(f.rt, calls[0]);
+  EXPECT_EQ(jit.reuse_hits(), 4u);
+}
+
+TEST(XlaReuse, OneFlippedBitRecomputes) {
+  // 0.0 -> -0.0 in the table flips the sign of a product, and one i64
+  // lane of the rows moves a target: both must miss.
+  std::vector<double> negated = kTable;
+  negated[1] = -0.0;
+  std::vector<std::vector<Literal>> calls;
+  calls.push_back(step_args(kTable, 1.0));
+  calls.push_back(step_args(negated, 2.0));
+  calls.push_back(step_args(negated, 3.0));
+  calls.push_back(step_args(negated, 3.0));
+  calls.back()[0].i64()[1] ^= 1;
+  expect_reuse_exact(map_step, {0, 1}, calls);
+  xla::Jit jit = declared_jit("step", map_step, {0, 1});
+  Fixture f;
+  for (const auto& args : calls) jit.call(f.rt, args);
+  EXPECT_EQ(jit.reuse_hits(), 1u);  // only the third call
+}
+
+TEST(XlaReuse, ShapeChangeReplacesTheEntry) {
+  std::vector<double> longer = kTable;
+  longer.push_back(9.0);
+  std::vector<std::vector<Literal>> calls;
+  calls.push_back(step_args(kTable, 1.0));
+  calls.push_back(step_args(longer, 2.0));
+  calls.push_back(step_args(kTable, 3.0));
+  calls.push_back(step_args(kTable, 4.0));
+  expect_reuse_exact(map_step, {0, 1}, calls);
+  xla::Jit jit = declared_jit("step", map_step, {0, 1});
+  Fixture f;
+  for (const auto& args : calls) jit.call(f.rt, args);
+  EXPECT_EQ(jit.cache_size(), 2u);
+  EXPECT_EQ(jit.reuse_hits(), 1u);  // only the last call
+}
+
+TEST(XlaReuse, ExecutableChangeWithEqualParamsReplacesTheEntry) {
+  // Equal arguments under another static key trace another graph: the
+  // values kept for the first executable do not belong to the second.
+  auto offset = std::make_shared<std::int64_t>(1);
+  const xla::TracedFn fn = [offset](const std::vector<Array>& in) {
+    const Array idx = in[0] + xla::constant_i64(*offset);
+    return std::vector<Array>{xla::gather(in[1], idx) * in[2]};
+  };
+  const std::vector<Literal> args = {ivec({0, 2, 1}), vec({1.0, 2.0, 4.0, 8.0}),
+                                     vec({1.0, 3.0, 5.0})};
+  xla::Jit reused = declared_jit("keyed", fn, {0, 1});
+  xla::Jit fresh("keyed", fn);
+  Fixture a;
+  Fixture b;
+  for (const std::int64_t o : {1, 1, 2, 2, 1}) {
+    *offset = o;
+    const std::string key = "offset=" + std::to_string(o);
+    const auto x = reused.call(a.rt, args, key);
+    const auto y = fresh.call(b.rt, args, key);
+    EXPECT_TRUE(same_bits(x[0], y[0])) << key;
+  }
+  EXPECT_EQ(reused.reuse_hits(), 2u);
+}
+
+TEST(XlaReuse, InvariantScatterStreamKeepsItsLowering) {
+  // Two scatter-adds: the first's index stream depends on the declared
+  // in[0] only, the second's on the undeclared in[3], which goes from
+  // sorted (segment) to unsorted with conflicts and back.
+  const xla::TracedFn fn = [](const std::vector<Array>& in) {
+    const Array fixed = xla::maximum(in[0], xla::constant_i64(-1));
+    const Array s = xla::scatter_add(in[1], fixed, in[2]);
+    const Array moving = xla::maximum(in[3], xla::constant_i64(-1));
+    return std::vector<Array>{xla::scatter_add(s, moving, in[2] * 2.0)};
+  };
+  const auto args = [](std::initializer_list<std::int64_t> moving, double u) {
+    return std::vector<Literal>{ivec({2, 0, 2, 1, 2, 3}),
+                                vec({0.0, 0.0, 0.0, 0.0}),
+                                vec({u, 2.0, 3.0, 4.0, 5.0, 6.0}),
+                                ivec(moving)};
+  };
+  const std::vector<std::vector<Literal>> calls = {
+      args({0, 1, 1, 2, 3, 3}, 1.0), args({3, 3, 3, 0, 3, 9}, 2.0),
+      args({1, 0, 1, 0, 1, 0}, 3.0), args({0, 1, 1, 2, 3, 3}, 4.0)};
+  expect_reuse_exact(fn, {0}, calls);
+  xla::Jit jit = declared_jit("lowering", fn, {0});
+  Fixture f;
+  for (std::size_t c = 0; c < calls.size(); ++c) {
+    xla::ExecutionReport report;
+    jit.call_reported(f.rt, calls[c], "", report);
+    // The fixed stream {2,0,2,1,2,3} is unsorted: 6 atomics, 2 conflicts.
+    // The moving stream adds its own atomics unless it is sorted.
+    const double moving_atomics = c == 0 || c == 3 ? 0.0 : c == 1 ? 5.0 : 6.0;
+    EXPECT_EQ(report.total.atomic_ops, 6.0 + moving_atomics) << "call " << c;
+  }
+  EXPECT_EQ(jit.reuse_hits(), 3u);
+}
+
+TEST(XlaReuse, CallThatThrowsMidExecutionLeavesNoEntry) {
+  // The gather of the signal runs after the invariant work; giving it a
+  // dtype its table does not hold makes the call throw there.
+  xla::Jit tracer("step", map_step);
+  const std::vector<Literal> first = step_args(kTable, 1.0);
+  std::vector<double> other_table = kTable;
+  other_table[0] = 5.0;
+  const std::vector<Literal> second = step_args(other_table, 2.0);
+  Fixture f;
+  tracer.call(f.rt, first);
+  xla::Compiled c = *tracer.lookup(first);
+  xla::HloInstruction* signal_gather = nullptr;
+  for (auto& in : c.module.instructions) {
+    if (in.opcode == Op::kGather &&
+        c.module.at(in.operands[0]).opcode == Op::kParam &&
+        c.module.at(in.operands[0]).i0 == 2) {
+      signal_gather = &in;
+    }
+  }
+  ASSERT_NE(signal_gather, nullptr);
+  xla::ReuseEntry entry;
+  entry.params = {0, 1};
+  xla::BufferPool pool;
+  xla::ExecutionReport report;
+  xla::execute(c, first, pool, &report, &entry);
+  EXPECT_EQ(entry.compiled, &c);
+  signal_gather->dtype = DType::kI64;
+  EXPECT_ANY_THROW(xla::execute(c, second, pool, &report, &entry));
+  ASSERT_EQ(entry.compiled, nullptr);
+  signal_gather->dtype = DType::kF64;
+  for (int call = 0; call < 2; ++call) {
+    const auto out = xla::execute(c, second, pool, &report, &entry);
+    xla::BufferPool own;
+    const auto expected = xla::execute(c, second, own);
+    ASSERT_EQ(out.size(), expected.size());
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      EXPECT_TRUE(same_bits(out[k], expected[k])) << "call " << call;
+    }
+  }
+  EXPECT_EQ(entry.hits, 1u);
+}
+
+TEST(XlaReuse, KeptValueIsNeverOverwritten) {
+  // `k` is invariant and dies at the elementwise add, which could write
+  // over it were it owned; a kept `k` must survive for the next call.
+  const xla::TracedFn fn = [](const std::vector<Array>& in) {
+    const Array k = in[0] * 2.0 + 1.0;
+    return std::vector<Array>{k + in[1]};
+  };
+  xla::Jit jit = declared_jit("kept", fn, {0});
+  xla::Jit fresh("kept", fn);
+  const auto args = [](double v) {
+    return std::vector<Literal>{vec({0.5, -1.0, 2.0}), vec({v, v + 1.0, v})};
+  };
+  Fixture plain;
+  fresh.call(plain.rt, args(0.0));
+  Fixture poisoned;
+  poison(poisoned.rt.buffers(), *fresh.lookup(args(0.0)));
+  for (int c = 0; c < 4; ++c) {
+    const auto out = jit.call(poisoned.rt, args(c));
+    const auto expected = fresh.call(plain.rt, args(c));
+    EXPECT_TRUE(same_bits(out[0], expected[0])) << "call " << c;
+    poison(poisoned.rt.buffers(), *fresh.lookup(args(0.0)));
+  }
+  EXPECT_EQ(jit.reuse_hits(), 3u);
+}
+
+TEST(XlaReuse, ClearCacheDropsTheEntry) {
+  const std::vector<Literal> args = step_args(kTable, 1.0);
+  xla::Jit jit = declared_jit("step", map_step, {0, 1});
+  Fixture f;
+  const auto expected = jit.call(f.rt, args);
+  jit.call(f.rt, args);
+  EXPECT_EQ(jit.reuse_hits(), 1u);
+  jit.clear_cache();
+  EXPECT_EQ(jit.reuse_hits(), 0u);
+  const double before = f.clock.now();
+  const auto out = jit.call(f.rt, args);  // recompiles, recomputes
+  EXPECT_EQ(jit.reuse_hits(), 0u);
+  EXPECT_GT(f.clock.now() - before,
+            jit.lookup(args)->compile_seconds);
+  EXPECT_TRUE(same_bits(out[0], expected[0]));
+  jit.call(f.rt, args);
+  EXPECT_EQ(jit.reuse_hits(), 1u);
 }
