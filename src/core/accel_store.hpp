@@ -17,6 +17,7 @@
 #include <map>
 #include <vector>
 
+#include "accel/host_pool.hpp"
 #include "core/context.hpp"
 #include "core/observation.hpp"
 #include "omptarget/pool.hpp"
@@ -66,7 +67,7 @@ class AccelStore {
   omptarget::DevicePool pool_;
   struct Shadow {
     omptarget::DevicePtr dptr;
-    std::vector<std::byte> data;
+    accel::PooledVector<std::byte> data;
   };
   std::map<const Field*, Shadow> shadows_;
   std::size_t mapped_bytes_ = 0;

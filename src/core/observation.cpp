@@ -24,13 +24,13 @@ Field::Field(FieldType type, std::int64_t width, std::int64_t count,
   const auto n = static_cast<std::size_t>(count);
   switch (type_) {
     case FieldType::kF64:
-      data_ = std::vector<double>(n, 0.0);
+      data_ = accel::PooledVector<double>(n, 0.0);
       break;
     case FieldType::kI64:
-      data_ = std::vector<std::int64_t>(n, 0);
+      data_ = accel::PooledVector<std::int64_t>(n, 0);
       break;
     case FieldType::kU8:
-      data_ = std::vector<std::uint8_t>(n, 0);
+      data_ = accel::PooledVector<std::uint8_t>(n, 0);
       break;
   }
 }
@@ -46,21 +46,23 @@ std::size_t Field::byte_size() const {
   return 0;
 }
 
-std::span<double> Field::f64() { return std::get<std::vector<double>>(data_); }
+std::span<double> Field::f64() {
+  return std::get<accel::PooledVector<double>>(data_);
+}
 std::span<const double> Field::f64() const {
-  return std::get<std::vector<double>>(data_);
+  return std::get<accel::PooledVector<double>>(data_);
 }
 std::span<std::int64_t> Field::i64() {
-  return std::get<std::vector<std::int64_t>>(data_);
+  return std::get<accel::PooledVector<std::int64_t>>(data_);
 }
 std::span<const std::int64_t> Field::i64() const {
-  return std::get<std::vector<std::int64_t>>(data_);
+  return std::get<accel::PooledVector<std::int64_t>>(data_);
 }
 std::span<std::uint8_t> Field::u8() {
-  return std::get<std::vector<std::uint8_t>>(data_);
+  return std::get<accel::PooledVector<std::uint8_t>>(data_);
 }
 std::span<const std::uint8_t> Field::u8() const {
-  return std::get<std::vector<std::uint8_t>>(data_);
+  return std::get<accel::PooledVector<std::uint8_t>>(data_);
 }
 
 void* Field::raw() {

@@ -14,6 +14,7 @@
 #include <variant>
 #include <vector>
 
+#include "accel/host_pool.hpp"
 #include "core/types.hpp"
 #include "qarray/qarray.hpp"
 
@@ -75,8 +76,9 @@ class Field {
   std::int64_t width_ = 1;
   std::int64_t count_ = 0;
   bool scalable_ = true;
-  std::variant<std::vector<double>, std::vector<std::int64_t>,
-               std::vector<std::uint8_t>>
+  // Job-sized arrays come from the host block recycler (accel/host_pool).
+  std::variant<accel::PooledVector<double>, accel::PooledVector<std::int64_t>,
+               accel::PooledVector<std::uint8_t>>
       data_;
 };
 

@@ -2,6 +2,7 @@
 
 // Shared helpers for the kernel implementations.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -16,6 +17,21 @@ std::int64_t total_interval_samples(std::span<const core::Interval> ivals);
 /// Padding waste of the static-shape strategy: (n_intervals * max_len) /
 /// total_samples.  The JAX port executes this multiple of the useful work.
 double padding_ratio(std::span<const core::Interval> ivals);
+
+/// Visit the offset-template steps `ival` covers, in sample order: one
+/// visit(step, begin, end) per run of samples [begin, end) sharing the
+/// amplitude step = sample / step_length.  One divide per interval, not
+/// one per sample.
+template <typename Visit>
+void for_each_step(const core::Interval& ival, std::int64_t step_length,
+                   Visit&& visit) {
+  std::int64_t step = ival.start / step_length;
+  for (std::int64_t s = ival.start; s < ival.stop; ++step) {
+    const std::int64_t end = std::min(ival.stop, (step + 1) * step_length);
+    visit(step, s, end);
+    s = end;
+  }
+}
 
 /// Default shared-flag mask used by the operators.
 inline constexpr std::uint8_t kDefaultFlagMask = 0x01;

@@ -18,12 +18,15 @@ void template_offset_add_to_signal(std::int64_t step_length,
   for (std::int64_t det = 0; det < n_det; ++det) {
     const std::size_t amp_base = static_cast<std::size_t>(det * n_amp_det);
     for (const auto& ival : intervals) {
-      for (std::int64_t s = ival.start; s < ival.stop; ++s) {
-        const std::size_t amp = amp_base +
-                                static_cast<std::size_t>(s / step_length);
-        signal[static_cast<std::size_t>(det * n_samp + s)] +=
-            amplitudes[amp];
-      }
+      for_each_step(ival, step_length, [&](std::int64_t step,
+                                           std::int64_t begin,
+                                           std::int64_t end) {
+        const double value = amplitudes[amp_base +
+                                        static_cast<std::size_t>(step)];
+        for (std::int64_t s = begin; s < end; ++s) {
+          signal[static_cast<std::size_t>(det * n_samp + s)] += value;
+        }
+      });
     }
   }
 
@@ -47,11 +50,17 @@ void template_offset_project_signal(
   for (std::int64_t det = 0; det < n_det; ++det) {
     const std::size_t amp_base = static_cast<std::size_t>(det * n_amp_det);
     for (const auto& ival : intervals) {
-      for (std::int64_t s = ival.start; s < ival.stop; ++s) {
-        const std::size_t amp = amp_base +
-                                static_cast<std::size_t>(s / step_length);
-        amplitudes[amp] += signal[static_cast<std::size_t>(det * n_samp + s)];
-      }
+      for_each_step(ival, step_length, [&](std::int64_t step,
+                                           std::int64_t begin,
+                                           std::int64_t end) {
+        // Same additions in the same order as one += per sample.
+        double& amp = amplitudes[amp_base + static_cast<std::size_t>(step)];
+        double sum = amp;
+        for (std::int64_t s = begin; s < end; ++s) {
+          sum += signal[static_cast<std::size_t>(det * n_samp + s)];
+        }
+        amp = sum;
+      });
     }
   }
 

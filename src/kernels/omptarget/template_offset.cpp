@@ -34,14 +34,25 @@ void template_offset_add_to_signal(std::int64_t step_length,
     cost.bytes_written = 8.0;
     ctx.omp().target_for_collapse3(
         "template_offset_add_to_signal", n_det, n_view, max_len, cost,
-        [&](std::int64_t det, std::int64_t view, std::int64_t i) {
+        [&, amp = std::int64_t{0}, left = std::int64_t{0}](
+            std::int64_t det, std::int64_t view, std::int64_t i) mutable {
           const auto& ival = intervals[static_cast<std::size_t>(view)];
           const std::int64_t s = ival.start + i;
           if (s >= ival.stop) {
             return false;
           }
-          signal[det * n_samp + s] +=
-              amplitudes[det * n_amp_det + s / step_length];
+          // Rows run in order with i fastest from 0 (row-major), so a
+          // running (amplitude, samples left in its step) pair replaces
+          // a divide per sample.
+          if (i == 0) {
+            amp = det * n_amp_det + s / step_length;
+            left = step_length - s % step_length;
+          }
+          signal[det * n_samp + s] += amplitudes[amp];
+          if (--left == 0) {
+            ++amp;
+            left = step_length;
+          }
           return true;
         });
     return;
@@ -52,10 +63,14 @@ void template_offset_add_to_signal(std::int64_t step_length,
   for (std::int64_t det = 0; det < n_det; ++det) {
     for (std::int64_t view = 0; view < n_view; ++view) {
       const auto& ival = intervals[static_cast<std::size_t>(view)];
-      for (std::int64_t s = ival.start; s < ival.stop; ++s) {
-        signal[det * n_samp + s] +=
-            amplitudes[det * n_amp_det + s / step_length];
-      }
+      for_each_step(ival, step_length, [&](std::int64_t step,
+                                           std::int64_t begin,
+                                           std::int64_t end) {
+        const double value = amplitudes[det * n_amp_det + step];
+        for (std::int64_t s = begin; s < end; ++s) {
+          signal[det * n_samp + s] += value;
+        }
+      });
     }
   }
   accel::WorkEstimate w;
@@ -97,15 +112,24 @@ void template_offset_project_signal(
     cost.atomic_conflict_rate = (warp - distinct) / warp;
     ctx.omp().target_for_collapse3(
         "template_offset_project_signal", n_det, n_view, max_len, cost,
-        [&](std::int64_t det, std::int64_t view, std::int64_t i) {
+        [&, amp = std::int64_t{0}, left = std::int64_t{0}](
+            std::int64_t det, std::int64_t view, std::int64_t i) mutable {
           const auto& ival = intervals[static_cast<std::size_t>(view)];
           const std::int64_t s = ival.start + i;
           if (s >= ival.stop) {
             return false;
           }
+          // Running step position, as in add_to_signal.
+          if (i == 0) {
+            amp = det * n_amp_det + s / step_length;
+            left = step_length - s % step_length;
+          }
           // #pragma omp atomic update
-          amplitudes[det * n_amp_det + s / step_length] +=
-              signal[det * n_samp + s];
+          amplitudes[amp] += signal[det * n_samp + s];
+          if (--left == 0) {
+            ++amp;
+            left = step_length;
+          }
           return true;
         });
     return;
@@ -116,10 +140,15 @@ void template_offset_project_signal(
   for (std::int64_t det = 0; det < n_det; ++det) {
     for (std::int64_t view = 0; view < n_view; ++view) {
       const auto& ival = intervals[static_cast<std::size_t>(view)];
-      for (std::int64_t s = ival.start; s < ival.stop; ++s) {
-        amplitudes[det * n_amp_det + s / step_length] +=
-            signal[det * n_samp + s];
-      }
+      for_each_step(ival, step_length, [&](std::int64_t step,
+                                           std::int64_t begin,
+                                           std::int64_t end) {
+        double sum = amplitudes[det * n_amp_det + step];
+        for (std::int64_t s = begin; s < end; ++s) {
+          sum += signal[det * n_samp + s];
+        }
+        amplitudes[det * n_amp_det + step] = sum;
+      });
     }
   }
   accel::WorkEstimate w;

@@ -152,20 +152,18 @@ class Runtime {
                                            std::int64_t nc,
                                            const IterCost& cost, Body&& body,
                                            const LaunchOptions& opts = {}) {
-    double executed = 0.0;
-    double cut = 0.0;
+    std::int64_t executed = 0;
     for (std::int64_t a = 0; a < na; ++a) {
       for (std::int64_t b = 0; b < nb; ++b) {
         for (std::int64_t c = 0; c < nc; ++c) {
-          if (body(a, b, c)) {
-            executed += 1.0;
-          } else {
-            cut += 1.0;
-          }
+          executed += body(a, b, c) ? 1 : 0;
         }
       }
     }
-    return charge(name, executed, cut,
+    // Trip counts are exact in a double below 2^53.
+    const std::int64_t total = (na > 0 && nb > 0 && nc > 0) ? na * nb * nc : 0;
+    return charge(name, static_cast<double>(executed),
+                  static_cast<double>(total - executed),
                   static_cast<double>(na) * static_cast<double>(nb) *
                       static_cast<double>(nc),
                   cost, opts);
@@ -176,16 +174,13 @@ class Runtime {
   accel::WorkEstimate target_for(const std::string& name, std::int64_t n,
                                  const IterCost& cost, Body&& body,
                                  const LaunchOptions& opts = {}) {
-    double executed = 0.0;
-    double cut = 0.0;
+    std::int64_t executed = 0;
     for (std::int64_t i = 0; i < n; ++i) {
-      if (body(i)) {
-        executed += 1.0;
-      } else {
-        cut += 1.0;
-      }
+      executed += body(i) ? 1 : 0;
     }
-    return charge(name, executed, cut, static_cast<double>(n), cost, opts);
+    return charge(name, static_cast<double>(executed),
+                  static_cast<double>((n > 0 ? n : 0) - executed),
+                  static_cast<double>(n), cost, opts);
   }
 
   // --- streams and events (the OpenMP task-graph surface) ----------------

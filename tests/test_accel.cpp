@@ -1,10 +1,21 @@
-// Tests for the simulated-device performance model and problem sizing.
+// Tests for the simulated-device performance model, problem sizing and the
+// host block recycler.
 
 #include "accel/host_model.hpp"
+#include "accel/host_pool.hpp"
 #include "accel/sim_device.hpp"
 #include "bench_model/problem.hpp"
+#include "core/accel_store.hpp"
+#include "core/observation.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstring>
+#include <random>
+#include <thread>
+#include <vector>
 
 namespace accel = toast::accel;
 using accel::Sharing;
@@ -298,4 +309,191 @@ TEST(WorkEstimateTest, AccumulationWeightsStructure) {
   EXPECT_DOUBLE_EQ(sum.divergence, 2.0);
   EXPECT_DOUBLE_EQ(sum.flops, a.flops + b.flops);
   EXPECT_DOUBLE_EQ(sum.launches, 2.0);
+}
+
+// --- host block recycler ----------------------------------------------------
+
+namespace {
+
+using accel::HostPool;
+namespace core = toast::core;
+
+constexpr std::size_t kMin = HostPool::kMinBlock;
+
+bool within_cap(const HostPool& pool) {
+  const auto st = pool.stats();
+  return st.live_bytes + st.retained_bytes <= st.peak_live_bytes;
+}
+
+}  // namespace
+
+TEST(HostPool, EightClassesPerPowerOfTwo) {
+  EXPECT_EQ(HostPool::class_size(kMin), kMin);
+  EXPECT_EQ(HostPool::class_size(kMin + 1), kMin + kMin / 8);
+  EXPECT_EQ(HostPool::class_size(2 * kMin - 1), 2 * kMin);
+  EXPECT_EQ(HostPool::class_size(5 * kMin + 1), 5 * kMin + kMin / 2);
+}
+
+TEST(HostPool, SameClassTakeAfterGiveIsAHit) {
+  HostPool pool;
+  const std::size_t bytes = kMin + 1000;
+  void* first = pool.take(bytes);
+  pool.give(first, bytes);
+  const std::size_t same_class = HostPool::class_size(bytes);
+  void* second = pool.take(same_class);
+  EXPECT_EQ(second, first);
+  const auto st = pool.stats();
+  EXPECT_EQ(st.hits, 1u);
+  EXPECT_EQ(st.misses, 1u);
+  EXPECT_EQ(st.live_bytes, same_class);
+  EXPECT_EQ(st.retained_bytes, 0u);
+  pool.give(second, same_class);
+}
+
+TEST(HostPool, SmallBlocksBypassTheRecycler) {
+  HostPool pool;
+  void* p = pool.take(kMin - 1);
+  pool.give(p, kMin - 1);
+  const auto st = pool.stats();
+  EXPECT_EQ(st.hits + st.misses, 0u);
+  EXPECT_EQ(st.peak_live_bytes, 0u);
+  EXPECT_EQ(st.retained_bytes, 0u);
+}
+
+TEST(HostPool, HeldBytesNeverExceedPeakLive) {
+  HostPool pool;
+  std::mt19937 gen(17);
+  std::uniform_int_distribution<std::size_t> size(kMin, 8 * kMin);
+  std::vector<std::pair<void*, std::size_t>> live;
+  std::size_t expected_live = 0;
+  for (int op = 0; op < 400; ++op) {
+    if (live.empty() || gen() % 2 == 0) {
+      const std::size_t bytes = size(gen);
+      live.emplace_back(pool.take(bytes), bytes);
+      expected_live += HostPool::class_size(bytes);
+    } else {
+      const std::size_t i = gen() % live.size();
+      pool.give(live[i].first, live[i].second);
+      expected_live -= HostPool::class_size(live[i].second);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    ASSERT_EQ(pool.stats().live_bytes, expected_live) << "op " << op;
+    ASSERT_TRUE(within_cap(pool)) << "op " << op;
+    if (op == 200) {
+      // Drain half way, so later takes meet a full set of retained blocks.
+      for (const auto& [p, bytes] : live) {
+        pool.give(p, bytes);
+      }
+      live.clear();
+      expected_live = 0;
+      ASSERT_TRUE(within_cap(pool));
+    }
+  }
+  EXPECT_GT(pool.stats().hits, 0u);
+  for (const auto& [p, bytes] : live) {
+    pool.give(p, bytes);
+  }
+  EXPECT_EQ(pool.stats().live_bytes, 0u);
+  EXPECT_TRUE(within_cap(pool));
+}
+
+TEST(HostPool, TwoThreadsTakeAndGive) {
+  HostPool pool;
+  auto worker = [&pool](std::size_t bytes) {
+    for (int i = 0; i < 500; ++i) {
+      auto* p = static_cast<unsigned char*>(pool.take(bytes));
+      p[0] = 1;
+      p[bytes - 1] = 1;
+      pool.give(p, bytes);
+    }
+  };
+  std::thread a(worker, kMin);
+  std::thread b(worker, 3 * kMin + 5);
+  a.join();
+  b.join();
+  const auto st = pool.stats();
+  EXPECT_EQ(st.hits + st.misses, 1000u);
+  EXPECT_EQ(st.live_bytes, 0u);
+  EXPECT_TRUE(within_cap(pool));
+}
+
+TEST(HostPool, RecycledFieldReadsAllZeros) {
+  const std::int64_t n = 40000;  // 320,000 bytes as f64 / i64
+  const std::pair<core::FieldType, std::int64_t> cases[] = {
+      {core::FieldType::kF64, n},
+      {core::FieldType::kI64, n},
+      {core::FieldType::kU8, 8 * n}};
+  for (const auto& [type, count] : cases) {
+    accel::PooledAllocator<std::uint64_t> alloc;
+    std::uint64_t* block = alloc.allocate(static_cast<std::size_t>(n));
+    std::memset(block, 0xA5, static_cast<std::size_t>(n) * 8);
+    alloc.deallocate(block, static_cast<std::size_t>(n));
+    const auto hits = accel::host_pool().stats().hits;
+
+    const core::Field f(type, 1, count);
+    EXPECT_EQ(f.raw(), static_cast<const void*>(block));
+    EXPECT_EQ(accel::host_pool().stats().hits, hits + 1);
+    const auto* bytes = static_cast<const unsigned char*>(f.raw());
+    EXPECT_TRUE(std::all_of(bytes, bytes + f.byte_size(),
+                            [](unsigned char b) { return b == 0; }));
+  }
+}
+
+TEST(HostPool, AccelStoreRecreateReusesTheShadow) {
+  core::ExecConfig cfg;
+  cfg.backend = core::Backend::kOmpTarget;
+  core::ExecContext ctx(cfg);
+  core::AccelStore store(ctx);
+  const std::int64_t n = 32768;
+  core::Field f(core::FieldType::kF64, 1, n);
+
+  store.create(f);
+  double* first = store.device_ptr<double>(f);
+  std::fill(first, first + n, 3.0);
+  store.remove(f);
+  const auto hits = accel::host_pool().stats().hits;
+  store.create(f);
+  const double* second = store.device_ptr<double>(f);
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(accel::host_pool().stats().hits, hits + 1);
+  EXPECT_TRUE(std::all_of(second, second + n, [](double v) {
+    return std::bit_cast<std::uint64_t>(v) == 0;
+  }));
+}
+
+TEST(HostPool, ObservationCopyOwnsItsFields) {
+  core::Focalplane fp;
+  fp.quats.push_back({0.0, 0.0, 0.0, 1.0});
+  core::Observation ob("o", fp, 40000);
+  core::Field& sig = ob.create_detdata("signal", core::FieldType::kF64);
+  sig.f64()[7] = 2.5;
+
+  core::Observation copy = ob;
+  core::Field& copied = copy.field("signal");
+  EXPECT_NE(copied.raw(), sig.raw());
+  EXPECT_EQ(copied.f64()[7], 2.5);
+  copied.f64()[7] = 1.0;
+  EXPECT_EQ(sig.f64()[7], 2.5);
+  copy = ob;
+  EXPECT_EQ(copy.field("signal").f64()[7], 2.5);
+}
+
+TEST(HostPoolDeathTest, UseAfterReleaseStillAborts) {
+#if defined(__SANITIZE_ADDRESS__)
+  // A retained block is poisoned, so reading it through a stale pointer is
+  // reported although the memory never went back to the allocator.
+  accel::PooledAllocator<double> alloc;
+  const std::size_t n = kMin / sizeof(double);
+  double* block = alloc.allocate(n);
+  block[0] = 1.0;
+  alloc.deallocate(block, n);
+  EXPECT_DEATH(
+      {
+        const volatile double* stale = block;
+        static_cast<void>(stale[n / 2]);
+      },
+      "use-after-poison");
+#else
+  GTEST_SKIP() << "needs an AddressSanitizer build (TOAST_SANITIZE=ON)";
+#endif
 }

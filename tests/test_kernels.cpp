@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -86,11 +87,14 @@ core::ExecContext make_ctx(Backend b) {
   return core::ExecContext(cfg);
 }
 
+// Bitwise: the ports must reproduce the baseline exactly, not within ULPs.
 void expect_equal(const std::vector<double>& a, const std::vector<double>& b,
                   const char* what) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_DOUBLE_EQ(a[i], b[i]) << what << " index " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+              std::bit_cast<std::uint64_t>(b[i]))
+        << what << " index " << i << ": " << a[i] << " vs " << b[i];
   }
 }
 
@@ -341,51 +345,74 @@ TEST(KernelEquivalence, BuildNoiseWeighted) {
   expect_equal(z_cpu, z_jax, "jax");
 }
 
+// Step lengths: one sample per amplitude, the solver's usual size, and a
+// step longer than every interval (one amplitude per detector).
+constexpr std::int64_t kOffsetSteps[] = {1, 32, 300};
+
 TEST(KernelEquivalence, TemplateOffsetAddToSignal) {
   TestData d;
-  const std::int64_t step = 32;
-  const std::int64_t n_amp_det = (d.n_samp + step - 1) / step;
-  std::vector<double> amps(static_cast<std::size_t>(d.n_det * n_amp_det));
-  std::mt19937 gen(9);
-  std::normal_distribution<double> nd(0.0, 1.0);
-  for (auto& v : amps) v = nd(gen);
+  for (const std::int64_t step : kOffsetSteps) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const std::int64_t n_amp_det = (d.n_samp + step - 1) / step;
+    std::vector<double> amps(static_cast<std::size_t>(d.n_det * n_amp_det));
+    std::mt19937 gen(9);
+    std::normal_distribution<double> nd(0.0, 1.0);
+    for (auto& v : amps) v = nd(gen);
 
-  auto ctx_cpu = make_ctx(Backend::kCpu);
-  auto ctx_omp = make_ctx(Backend::kOmpTarget);
-  auto ctx_jax = make_ctx(Backend::kJax);
-  std::vector<double> s_cpu = d.signal, s_omp = d.signal, s_jax = d.signal;
-  k::cpu::template_offset_add_to_signal(step, amps, n_amp_det, d.intervals,
-                                        d.n_det, d.n_samp, s_cpu, ctx_cpu);
-  k::omp::template_offset_add_to_signal(step, amps.data(), n_amp_det,
-                                        d.intervals, d.n_det, d.n_samp,
-                                        s_omp.data(), ctx_omp, true);
-  k::jax::template_offset_add_to_signal(step, amps.data(), n_amp_det,
-                                        d.intervals, d.n_det, d.n_samp,
-                                        s_jax.data(), ctx_jax);
-  expect_equal(s_cpu, s_omp, "omp");
-  expect_equal(s_cpu, s_jax, "jax");
+    auto ctx_cpu = make_ctx(Backend::kCpu);
+    auto ctx_omp = make_ctx(Backend::kOmpTarget);
+    auto ctx_jax = make_ctx(Backend::kJax);
+    std::vector<double> s_cpu = d.signal, s_omp = d.signal,
+                        s_host = d.signal, s_jax = d.signal;
+    k::cpu::template_offset_add_to_signal(step, amps, n_amp_det, d.intervals,
+                                          d.n_det, d.n_samp, s_cpu, ctx_cpu);
+    k::omp::template_offset_add_to_signal(step, amps.data(), n_amp_det,
+                                          d.intervals, d.n_det, d.n_samp,
+                                          s_omp.data(), ctx_omp, true);
+    k::omp::template_offset_add_to_signal(step, amps.data(), n_amp_det,
+                                          d.intervals, d.n_det, d.n_samp,
+                                          s_host.data(), ctx_omp, false);
+    k::jax::template_offset_add_to_signal(step, amps.data(), n_amp_det,
+                                          d.intervals, d.n_det, d.n_samp,
+                                          s_jax.data(), ctx_jax);
+    expect_equal(s_cpu, s_omp, "omp-device");
+    expect_equal(s_cpu, s_host, "omp-host");
+    expect_equal(s_cpu, s_jax, "jax");
+  }
 }
 
 TEST(KernelEquivalence, TemplateOffsetProjectSignal) {
   TestData d;
-  const std::int64_t step = 32;
-  const std::int64_t n_amp_det = (d.n_samp + step - 1) / step;
-  const std::size_t namps = static_cast<std::size_t>(d.n_det * n_amp_det);
+  for (const std::int64_t step : kOffsetSteps) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const std::int64_t n_amp_det = (d.n_samp + step - 1) / step;
+    // Non-zero starting amplitudes: the projection accumulates into them.
+    std::vector<double> start(static_cast<std::size_t>(d.n_det * n_amp_det));
+    std::mt19937 gen(11);
+    std::normal_distribution<double> nd(0.0, 1.0);
+    for (auto& v : start) v = nd(gen);
 
-  auto ctx_cpu = make_ctx(Backend::kCpu);
-  auto ctx_omp = make_ctx(Backend::kOmpTarget);
-  auto ctx_jax = make_ctx(Backend::kJax);
-  std::vector<double> a_cpu(namps, 0.0), a_omp(namps, 0.0), a_jax(namps, 0.0);
-  k::cpu::template_offset_project_signal(step, d.signal, d.intervals, d.n_det,
-                                         d.n_samp, a_cpu, n_amp_det, ctx_cpu);
-  k::omp::template_offset_project_signal(step, d.signal.data(), d.intervals,
-                                         d.n_det, d.n_samp, a_omp.data(),
-                                         n_amp_det, ctx_omp, true);
-  k::jax::template_offset_project_signal(step, d.signal.data(), d.intervals,
-                                         d.n_det, d.n_samp, a_jax.data(),
-                                         n_amp_det, ctx_jax);
-  expect_equal(a_cpu, a_omp, "omp");
-  expect_equal(a_cpu, a_jax, "jax");
+    auto ctx_cpu = make_ctx(Backend::kCpu);
+    auto ctx_omp = make_ctx(Backend::kOmpTarget);
+    auto ctx_jax = make_ctx(Backend::kJax);
+    std::vector<double> a_cpu = start, a_omp = start, a_host = start,
+                        a_jax = start;
+    k::cpu::template_offset_project_signal(step, d.signal, d.intervals,
+                                           d.n_det, d.n_samp, a_cpu,
+                                           n_amp_det, ctx_cpu);
+    k::omp::template_offset_project_signal(step, d.signal.data(), d.intervals,
+                                           d.n_det, d.n_samp, a_omp.data(),
+                                           n_amp_det, ctx_omp, true);
+    k::omp::template_offset_project_signal(step, d.signal.data(), d.intervals,
+                                           d.n_det, d.n_samp, a_host.data(),
+                                           n_amp_det, ctx_omp, false);
+    k::jax::template_offset_project_signal(step, d.signal.data(), d.intervals,
+                                           d.n_det, d.n_samp, a_jax.data(),
+                                           n_amp_det, ctx_jax);
+    expect_equal(a_cpu, a_omp, "omp-device");
+    expect_equal(a_cpu, a_host, "omp-host");
+    expect_equal(a_cpu, a_jax, "jax");
+  }
 }
 
 TEST(KernelEquivalence, TemplateOffsetPrecond) {
