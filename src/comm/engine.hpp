@@ -45,11 +45,6 @@ namespace toast::comm {
 using Algorithm = config::CommAlgorithm;
 using config::to_string;
 
-/// Parse "ring" / "recursive" / "tree"; throws std::runtime_error.
-inline Algorithm algorithm_from_string(const std::string& s) {
-  return config::comm_algorithm_from_string(s);
-}
-
 /// One point-to-point chunk transfer.  `bytes` is the modelled wire
 /// volume; the element span [*_offset, *_offset + count) is the payload
 /// the functional executor moves (count == 0 on cost-only DAGs).

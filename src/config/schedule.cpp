@@ -1,9 +1,9 @@
 #include "config/schedule.hpp"
 
-#include <cmath>
+#include <cfloat>
+#include <climits>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -12,74 +12,37 @@
 
 namespace toast::config {
 
+namespace {
+
+constexpr obs::json::Name<Staging> kStagingNames[] = {
+    {"pipelined", Staging::kPipelined}, {"naive", Staging::kNaive}};
+constexpr obs::json::Name<CommMode> kCommModeNames[] = {
+    {"model", CommMode::kModel}, {"engine", CommMode::kEngine}};
+constexpr obs::json::Name<CommAlgorithm> kCommAlgorithmNames[] = {
+    {"ring", CommAlgorithm::kRing},
+    {"recursive", CommAlgorithm::kRecursive},
+    {"tree", CommAlgorithm::kTree}};
+constexpr obs::json::Name<SolverComm> kSolverCommNames[] = {
+    {"staged", SolverComm::kStaged},
+    {"sync", SolverComm::kSync},
+    {"overlap", SolverComm::kOverlap}};
+
+}  // namespace
+
 const char* to_string(Staging s) {
-  switch (s) {
-    case Staging::kPipelined:
-      return "pipelined";
-    case Staging::kNaive:
-      return "naive";
-  }
-  return "unknown";
+  return obs::json::name_of(kStagingNames, s);
 }
 
 const char* to_string(CommMode m) {
-  switch (m) {
-    case CommMode::kModel:
-      return "model";
-    case CommMode::kEngine:
-      return "engine";
-  }
-  return "unknown";
+  return obs::json::name_of(kCommModeNames, m);
 }
 
 const char* to_string(CommAlgorithm a) {
-  switch (a) {
-    case CommAlgorithm::kRing:
-      return "ring";
-    case CommAlgorithm::kRecursive:
-      return "recursive";
-    case CommAlgorithm::kTree:
-      return "tree";
-  }
-  return "unknown";
+  return obs::json::name_of(kCommAlgorithmNames, a);
 }
 
 const char* to_string(SolverComm c) {
-  switch (c) {
-    case SolverComm::kStaged:
-      return "staged";
-    case SolverComm::kSync:
-      return "sync";
-    case SolverComm::kOverlap:
-      return "overlap";
-  }
-  return "unknown";
-}
-
-Staging staging_from_string(const std::string& s) {
-  if (s == "pipelined") return Staging::kPipelined;
-  if (s == "naive") return Staging::kNaive;
-  throw std::runtime_error("unknown staging mode: " + s);
-}
-
-CommMode comm_mode_from_string(const std::string& s) {
-  if (s == "model") return CommMode::kModel;
-  if (s == "engine") return CommMode::kEngine;
-  throw std::runtime_error("unknown comm mode: " + s);
-}
-
-CommAlgorithm comm_algorithm_from_string(const std::string& s) {
-  if (s == "ring") return CommAlgorithm::kRing;
-  if (s == "recursive") return CommAlgorithm::kRecursive;
-  if (s == "tree") return CommAlgorithm::kTree;
-  throw std::runtime_error("unknown comm algorithm: " + s);
-}
-
-SolverComm solver_comm_from_string(const std::string& s) {
-  if (s == "staged") return SolverComm::kStaged;
-  if (s == "sync") return SolverComm::kSync;
-  if (s == "overlap") return SolverComm::kOverlap;
-  throw std::runtime_error("unknown solver async-comm mode: " + s);
+  return obs::json::name_of(kSolverCommNames, c);
 }
 
 core::Backend ScheduleConfig::backend_id() const {
@@ -165,137 +128,41 @@ std::string ScheduleConfig::hash_hex() const {
 
 namespace {
 
-using obs::json::Value;
-
-void reject_unknown_keys(const Value& v, const std::string& where,
-                         std::initializer_list<const char*> known) {
-  for (const auto& [key, member] : v.object) {
-    (void)member;
-    bool ok = false;
-    for (const char* k : known) {
-      if (key == k) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok) {
-      throw std::runtime_error(where + ": unknown key '" + key + "'");
-    }
-  }
-}
-
-/// Member `key` of `obj` (whose key path is `prefix`), or nullptr when
-/// absent.  A member of another type is an error naming its key path.
-const Value* member(const Value& obj, const std::string& where,
-                    const std::string& prefix, const char* key,
-                    Value::Type type, const char* type_name) {
-  const Value* m = obj.find(key);
-  if (m != nullptr && m->type != type) {
-    throw std::runtime_error(where + ": " + prefix + key + " must be " +
-                             type_name);
-  }
-  return m;
-}
-
-std::string string_at(const Value& obj, const std::string& where,
-                      const std::string& prefix, const char* key,
-                      const std::string& fallback) {
-  const Value* m =
-      member(obj, where, prefix, key, Value::Type::kString, "a string");
-  return m != nullptr ? m->string : fallback;
-}
-
-bool bool_at(const Value& obj, const std::string& where,
-             const std::string& prefix, const char* key, bool fallback) {
-  const Value* m =
-      member(obj, where, prefix, key, Value::Type::kBool, "a boolean");
-  return m != nullptr ? m->boolean : fallback;
-}
-
-/// An integer in [lo, INT_MAX]: a fraction or an out-of-range number is
-/// an error, never truncated.
-int int_at(const Value& obj, const std::string& where,
-           const std::string& prefix, const char* key, int fallback, int lo) {
-  const Value* m =
-      member(obj, where, prefix, key, Value::Type::kNumber, "a number");
-  if (m == nullptr) {
-    return fallback;
-  }
-  const double v = m->number;
-  if (!(v >= lo && v <= std::numeric_limits<int>::max()) ||
-      v != std::floor(v)) {
-    throw std::runtime_error(where + ": " + prefix + key +
-                             " must be an integer in [" + std::to_string(lo) +
-                             ", " +
-                             std::to_string(std::numeric_limits<int>::max()) +
-                             "]");
-  }
-  return static_cast<int>(v);
-}
-
-ScheduleConfig config_from_value(const Value& doc, const std::string& where) {
-  if (!doc.is_object()) {
-    throw std::runtime_error(where + ": schedule config must be an object");
-  }
-  const Value* schema = doc.find("schema");
-  if (schema == nullptr || schema->string != "toastcase-schedule-v1") {
-    throw std::runtime_error(where +
-                             ": expected schema toastcase-schedule-v1");
-  }
-  reject_unknown_keys(doc, where,
-                      {"schema", "backend", "staging", "streams", "comm",
-                       "solver", "shape", "device"});
-  const auto section = [&](const char* key) {
-    return member(doc, where, "", key, Value::Type::kObject, "an object");
-  };
-
+ScheduleConfig config_from_value(const obs::json::Value& doc,
+                                 const std::string& where) {
+  const obs::json::Reader r(doc, where, "toastcase-schedule-v1",
+                            {"backend", "staging", "streams", "comm",
+                             "solver", "shape", "device"});
   ScheduleConfig cfg;
-  cfg.backend = string_at(doc, where, "", "backend", cfg.backend);
+  cfg.backend = r.string("backend", cfg.backend);
   // Resolve eagerly so a bad slot name fails at parse time, not at use.
   (void)cfg.backend_id();
-  if (const Value* staging = section("staging")) {
-    reject_unknown_keys(*staging, where + ": staging",
-                        {"mode", "prefetch", "evict"});
-    cfg.staging.mode = staging_from_string(string_at(
-        *staging, where, "staging.", "mode", to_string(cfg.staging.mode)));
-    cfg.staging.prefetch =
-        bool_at(*staging, where, "staging.", "prefetch", false);
-    cfg.staging.evict = bool_at(*staging, where, "staging.", "evict", false);
+  if (const auto s = r.object("staging", {"mode", "prefetch", "evict"})) {
+    cfg.staging.mode = s->enumeration("mode", kStagingNames, cfg.staging.mode);
+    cfg.staging.prefetch = s->boolean("prefetch", cfg.staging.prefetch);
+    cfg.staging.evict = s->boolean("evict", cfg.staging.evict);
   }
-  cfg.streams = int_at(doc, where, "", "streams", 1, 1);
-  if (const Value* comm = section("comm")) {
-    reject_unknown_keys(*comm, where + ": comm",
-                        {"mode", "algorithm", "chunk_bytes"});
-    cfg.comm.mode = comm_mode_from_string(
-        string_at(*comm, where, "comm.", "mode", to_string(cfg.comm.mode)));
-    cfg.comm.algorithm = comm_algorithm_from_string(string_at(
-        *comm, where, "comm.", "algorithm", to_string(cfg.comm.algorithm)));
-    const Value* chunk = member(*comm, where, "comm.", "chunk_bytes",
-                                Value::Type::kNumber, "a number");
-    cfg.comm.chunk_bytes = chunk != nullptr ? chunk->number : 0.0;
-    if (cfg.comm.chunk_bytes < 0.0) {
-      throw std::runtime_error(where + ": comm.chunk_bytes must be >= 0");
-    }
+  cfg.streams = r.integer("streams", cfg.streams, 1, INT_MAX);
+  if (const auto c = r.object("comm", {"mode", "algorithm", "chunk_bytes"})) {
+    cfg.comm.mode = c->enumeration("mode", kCommModeNames, cfg.comm.mode);
+    cfg.comm.algorithm =
+        c->enumeration("algorithm", kCommAlgorithmNames, cfg.comm.algorithm);
+    cfg.comm.chunk_bytes =
+        c->number("chunk_bytes", cfg.comm.chunk_bytes, 0.0, DBL_MAX);
   }
-  if (const Value* solver = section("solver")) {
-    reject_unknown_keys(*solver, where + ": solver", {"async_comm"});
-    cfg.solver.async_comm = solver_comm_from_string(
-        string_at(*solver, where, "solver.", "async_comm",
-                  to_string(cfg.solver.async_comm)));
+  if (const auto s = r.object("solver", {"async_comm"})) {
+    cfg.solver.async_comm =
+        s->enumeration("async_comm", kSolverCommNames, cfg.solver.async_comm);
   }
-  if (const Value* shape = section("shape")) {
-    reject_unknown_keys(*shape, where + ": shape",
-                        {"nodes", "procs_per_node"});
-    cfg.shape.nodes = int_at(*shape, where, "shape.", "nodes", 0, 0);
+  if (const auto s = r.object("shape", {"nodes", "procs_per_node"})) {
+    cfg.shape.nodes = s->integer("nodes", cfg.shape.nodes, 0, INT_MAX);
     cfg.shape.procs_per_node =
-        int_at(*shape, where, "shape.", "procs_per_node", 0, 0);
+        s->integer("procs_per_node", cfg.shape.procs_per_node, 0, INT_MAX);
   }
-  if (const Value* device = section("device")) {
-    reject_unknown_keys(*device, where + ": device",
-                        {"mps", "jax_preallocate"});
-    cfg.device.mps = bool_at(*device, where, "device.", "mps", true);
+  if (const auto d = r.object("device", {"mps", "jax_preallocate"})) {
+    cfg.device.mps = d->boolean("mps", cfg.device.mps);
     cfg.device.jax_preallocate =
-        bool_at(*device, where, "device.", "jax_preallocate", false);
+        d->boolean("jax_preallocate", cfg.device.jax_preallocate);
   }
   return cfg;
 }
@@ -303,7 +170,7 @@ ScheduleConfig config_from_value(const Value& doc, const std::string& where) {
 }  // namespace
 
 ScheduleConfig ScheduleConfig::parse(const std::string& text) {
-  return config_from_value(Value::parse(text), "schedule config");
+  return config_from_value(obs::json::Value::parse(text), "schedule config");
 }
 
 ScheduleConfig ScheduleConfig::load_file(const std::string& path) {

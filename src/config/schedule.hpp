@@ -30,9 +30,9 @@
 //   "device": {"mps": true, "jax_preallocate": false}
 // }
 //
-// Parsing is strict, like the fault-plan and resilience-policy schemas:
-// unknown keys anywhere in the document are rejected (a typo must not
-// silently become a default).
+// Parsing is strict, through the obs::json::Reader every schema uses:
+// unknown keys anywhere in the document, wrong types and out-of-range
+// values are rejected (a typo must not silently become a default).
 
 #include <cstdint>
 #include <iosfwd>
@@ -73,10 +73,6 @@ const char* to_string(Staging s);
 const char* to_string(CommMode m);
 const char* to_string(CommAlgorithm a);
 const char* to_string(SolverComm c);
-Staging staging_from_string(const std::string& s);
-CommMode comm_mode_from_string(const std::string& s);
-CommAlgorithm comm_algorithm_from_string(const std::string& s);
-SolverComm solver_comm_from_string(const std::string& s);
 
 /// Pipeline staging axis: strategy plus the two plan options.
 struct StagingConfig {

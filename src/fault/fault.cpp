@@ -1,6 +1,8 @@
 #include "fault/fault.hpp"
 
 #include <algorithm>
+#include <cfloat>
+#include <climits>
 #include <cmath>
 #include <utility>
 
@@ -36,99 +38,52 @@ double uniform01(std::uint64_t h) {
 
 }  // namespace
 
-const char* to_string(FaultKind k) {
-  switch (k) {
-    case FaultKind::kTransfer:
-      return "transfer";
-    case FaultKind::kLaunch:
-      return "launch";
-    case FaultKind::kDeviceOom:
-      return "oom";
-    case FaultKind::kStraggler:
-      return "straggler";
-    case FaultKind::kRankFailure:
-      return "rank";
-    case FaultKind::kLinkDegrade:
-      return "link";
-    case FaultKind::kChunkLoss:
-      return "chunk";
-  }
-  return "unknown";
-}
+namespace {
+
+constexpr obs::json::Name<FaultKind> kKindNames[] = {
+    {"transfer", FaultKind::kTransfer},    {"launch", FaultKind::kLaunch},
+    {"oom", FaultKind::kDeviceOom},        {"straggler", FaultKind::kStraggler},
+    {"rank", FaultKind::kRankFailure},     {"link", FaultKind::kLinkDegrade},
+    {"chunk", FaultKind::kChunkLoss}};
+
+}  // namespace
+
+const char* to_string(FaultKind k) { return obs::json::name_of(kKindNames, k); }
 
 FaultKind kind_from_string(const std::string& s) {
-  if (s == "transfer") return FaultKind::kTransfer;
-  if (s == "launch") return FaultKind::kLaunch;
-  if (s == "oom") return FaultKind::kDeviceOom;
-  if (s == "straggler") return FaultKind::kStraggler;
-  if (s == "rank") return FaultKind::kRankFailure;
-  if (s == "link") return FaultKind::kLinkDegrade;
-  if (s == "chunk") return FaultKind::kChunkLoss;
+  for (const auto& [name, kind] : kKindNames) {
+    if (s == name) {
+      return kind;
+    }
+  }
   throw std::runtime_error("unknown fault kind: " + s);
 }
 
 namespace {
 
-// Strict-key check: a typo like "max_fire" must be an error, not a
-// silently applied default.
-void reject_unknown_keys(const obs::json::Value& v, const std::string& where,
-                         std::initializer_list<const char*> known) {
-  for (const auto& [key, member] : v.object) {
-    (void)member;
-    bool ok = false;
-    for (const char* k : known) {
-      if (key == k) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok) {
-      throw std::runtime_error(where + ": unknown key '" + key + "'");
-    }
-  }
-}
-
 FaultPlan plan_from_value(const obs::json::Value& doc,
                           const std::string& where) {
-  if (!doc.is_object()) {
-    throw std::runtime_error(where + ": fault plan must be an object");
-  }
-  const obs::json::Value* schema = doc.find("schema");
-  if (schema == nullptr || schema->string != "toastcase-fault-plan-v1") {
-    throw std::runtime_error(where +
-                             ": expected schema toastcase-fault-plan-v1");
-  }
-  reject_unknown_keys(doc, where, {"schema", "seed", "retry", "rules"});
+  const obs::json::Reader r(doc, where, "toastcase-fault-plan-v1",
+                            {"seed", "retry", "rules"});
   FaultPlan plan;
-  plan.seed = static_cast<std::uint64_t>(doc.number_or("seed", 0.0));
-  if (const obs::json::Value* retry = doc.find("retry")) {
-    reject_unknown_keys(*retry, where + ": retry",
-                        {"max_attempts", "backoff_seconds",
-                         "backoff_multiplier", "failed_fraction"});
-    plan.retry.max_attempts =
-        static_cast<int>(retry->number_or("max_attempts", 3.0));
-    plan.retry.backoff_seconds = retry->number_or("backoff_seconds", 1e-4);
-    plan.retry.backoff_multiplier =
-        retry->number_or("backoff_multiplier", 2.0);
-    plan.retry.failed_fraction = retry->number_or("failed_fraction", 0.5);
-  }
-  if (const obs::json::Value* rules = doc.find("rules")) {
-    for (const obs::json::Value& r : rules->array) {
-      reject_unknown_keys(r, where + ": rule",
-                          {"kind", "site", "probability", "max_fires",
-                           "factor", "pressure_threshold"});
-      FaultRule rule;
-      rule.kind = kind_from_string(r.at("kind").string);
-      if (const obs::json::Value* site = r.find("site")) {
-        rule.site = site->string;
-      }
-      rule.probability = r.number_or("probability", 0.0);
-      rule.max_fires = static_cast<int>(r.number_or("max_fires", -1.0));
-      rule.factor = r.number_or("factor", 2.0);
-      rule.pressure_threshold = r.number_or("pressure_threshold", 0.0);
-      plan.rules.push_back(std::move(rule));
-    }
-  }
+  plan.seed = r.integer("seed", plan.seed, 0, obs::json::kMaxExactInteger);
+  plan.retry = resilience::read_retry(r);
+  r.objects("rules",
+            {"kind", "site", "probability", "max_fires", "factor",
+             "pressure_threshold"},
+            [&](const obs::json::Reader& e) {
+              FaultRule rule;
+              rule.kind = e.enumeration("kind", kKindNames);
+              rule.site = e.string("site", rule.site);
+              rule.probability =
+                  e.number("probability", rule.probability, 0.0, 1.0);
+              rule.max_fires =
+                  e.integer("max_fires", rule.max_fires, -1, INT_MAX);
+              rule.factor = e.number("factor", rule.factor, 0.0, DBL_MAX);
+              rule.pressure_threshold = e.number(
+                  "pressure_threshold", rule.pressure_threshold, 0.0, DBL_MAX);
+              plan.rules.push_back(std::move(rule));
+            });
   return plan;
 }
 
@@ -192,7 +147,7 @@ int FaultInjector::match(FaultKind kind, const std::string& site) {
 
 namespace {
 
-double backoff_of(const RetryPolicy& rp, int attempt) {
+double backoff_of(const resilience::RetrySpec& rp, int attempt) {
   return rp.backoff_seconds * std::pow(rp.backoff_multiplier, attempt);
 }
 
@@ -202,22 +157,10 @@ double FaultInjector::backoff(int attempt) const {
   return backoff_of(plan_.retry, attempt);
 }
 
-RetryPolicy FaultInjector::retry_for(const std::string& site) const {
-  RetryPolicy rp = plan_.retry;
-  if (resilience_ == nullptr || !resilience_->armed()) {
-    return rp;
-  }
-  resilience::RetrySpec fallback;
-  fallback.max_attempts = rp.max_attempts;
-  fallback.backoff_seconds = rp.backoff_seconds;
-  fallback.backoff_multiplier = rp.backoff_multiplier;
-  fallback.failed_fraction = rp.failed_fraction;
-  const resilience::RetrySpec eff = resilience_->retry_for(site, fallback);
-  rp.max_attempts = eff.max_attempts;
-  rp.backoff_seconds = eff.backoff_seconds;
-  rp.backoff_multiplier = eff.backoff_multiplier;
-  rp.failed_fraction = eff.failed_fraction;
-  return rp;
+resilience::RetrySpec FaultInjector::retry_for(const std::string& site) const {
+  return resilience_ != nullptr && resilience_->armed()
+             ? resilience_->retry_for(site, plan_.retry)
+             : plan_.retry;
 }
 
 int FaultInjector::attempt_sync(FaultKind kind, const std::string& site,
@@ -261,7 +204,7 @@ ProbeResult FaultInjector::probe(FaultKind kind, const std::string& site,
     result.persistent = true;
     return result;
   }
-  const RetryPolicy rp = managed ? retry_for(site) : plan_.retry;
+  const resilience::RetrySpec rp = managed ? retry_for(site) : plan_.retry;
   const double deadline = managed ? resilience_->deadline_for(site) : 0.0;
   const int max_attempts = std::max(1, rp.max_attempts);
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
@@ -380,7 +323,7 @@ bool FaultInjector::on_oom(const std::string& site,
   if (!armed_ || !e.info().injected) {
     return false;  // real capacity overflow: retry is pointless
   }
-  const RetryPolicy rp = retry_for(site);
+  const resilience::RetrySpec rp = retry_for(site);
   if (attempt + 1 >= std::max(1, rp.max_attempts)) {
     add_count("fault_persistent");
     return false;

@@ -32,6 +32,7 @@
 #include "accel/sim_device.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
+#include "resilience/policy.hpp"
 
 namespace toast::resilience {
 class Manager;
@@ -70,19 +71,10 @@ struct FaultRule {
   double pressure_threshold = 0.0;
 };
 
-/// Bounded retry with exponential backoff.  A failed attempt wastes
-/// `failed_fraction` of the op's cost plus the current backoff, all
-/// charged to the virtual clock.
-struct RetryPolicy {
-  int max_attempts = 3;
-  double backoff_seconds = 1e-4;
-  double backoff_multiplier = 2.0;
-  double failed_fraction = 0.5;
-};
-
 struct FaultPlan {
   std::uint64_t seed = 0;
-  RetryPolicy retry;
+  /// Global retry budget; a resilience policy may override it per site.
+  resilience::RetrySpec retry;
   std::vector<FaultRule> rules;
 
   bool empty() const { return rules.empty(); }
@@ -233,7 +225,7 @@ class FaultInjector final : public accel::FaultHook {
   int match(FaultKind kind, const std::string& site);
   /// The effective retry policy for `site`: the plan's global policy,
   /// overridden per site when an armed resilience manager declares one.
-  RetryPolicy retry_for(const std::string& site) const;
+  resilience::RetrySpec retry_for(const std::string& site) const;
   double backoff(int attempt) const;
 
   FaultPlan plan_;

@@ -173,11 +173,7 @@ JobResult run_benchmark_job(const JobConfig& cfg) {
         core::is_accel(backend)
             ? (backend == core::Backend::kJax ? 1.2 : 0.8)
             : 0.1;
-    resilience::RetrySpec plan_retry;
-    plan_retry.max_attempts = cfg.fault_plan.retry.max_attempts;
-    plan_retry.backoff_seconds = cfg.fault_plan.retry.backoff_seconds;
-    plan_retry.backoff_multiplier = cfg.fault_plan.retry.backoff_multiplier;
-    plan_retry.failed_fraction = cfg.fault_plan.retry.failed_fraction;
+    const resilience::RetrySpec& plan_retry = cfg.fault_plan.retry;
     for (auto& ob : data.observations) {
       const std::string site = "mpisim_rank:" + ob.name();
       const resilience::RetrySpec rs =

@@ -1,6 +1,8 @@
 #include "obs/json.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <cfloat>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -303,6 +305,170 @@ Value load_file(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return Value::parse(buf.str());
+}
+
+namespace {
+
+std::string fmt(const char* format, double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), format, v);
+  return buf;
+}
+
+/// Appends `key` to a dotted key path (an empty key adds nothing).
+void append(std::string& path, const char* key) {
+  if (*key == '\0') {
+    return;
+  }
+  if (!path.empty()) {
+    path += '.';
+  }
+  path += key;
+}
+
+}  // namespace
+
+Reader::Reader(const Value& doc, const std::string& where, const char* schema,
+               Keys known)
+    : obj_(&doc), where_(&where) {
+  if (!doc.is_object()) {
+    fail(nullptr, "must be an object");
+  }
+  const Value* tag = doc.find("schema");
+  if (tag == nullptr || tag->string != schema) {
+    fail("schema", std::string("must be ") + schema);
+  }
+  reject_unknown(known, schema);
+}
+
+Reader::Reader(const Value& obj, const Reader* parent, const char* key,
+               std::size_t index, Keys known)
+    : obj_(&obj),
+      where_(parent->where_),
+      parent_(parent),
+      key_(key),
+      index_(index) {
+  if (!obj.is_object()) {
+    fail(nullptr, "must be an object");
+  }
+  reject_unknown(known, nullptr);
+}
+
+void Reader::reject_unknown(Keys known, const char* schema) const {
+  for (const auto& member : obj_->object) {
+    const std::string& key = member.first;
+    const auto is_key = [&key](const char* k) { return key == k; };
+    if (!(schema != nullptr && key == "schema") &&
+        std::none_of(known.begin(), known.end(), is_key)) {
+      fail(key.c_str(), "is not a known key");
+    }
+  }
+}
+
+const Value* Reader::member(const char* key, Value::Type type,
+                            const char* type_name) const {
+  const Value* m = obj_->find(key);
+  if (m != nullptr && m->type != type) {
+    fail(key, std::string("must be ") + type_name);
+  }
+  return m;
+}
+
+std::string Reader::string(const char* key) const {
+  const Value* m = member(key, Value::Type::kString, "a string");
+  if (m == nullptr) {
+    fail(key, "is required");
+  }
+  return m->string;
+}
+
+std::string Reader::string(const char* key, std::string fallback) const {
+  const Value* m = member(key, Value::Type::kString, "a string");
+  return m != nullptr ? m->string : std::move(fallback);
+}
+
+bool Reader::boolean(const char* key, bool fallback) const {
+  const Value* m = member(key, Value::Type::kBool, "a boolean");
+  return m != nullptr ? m->boolean : fallback;
+}
+
+double Reader::number(const char* key, double fallback, double lo,
+                      double hi) const {
+  const Value* m = member(key, Value::Type::kNumber, "a number");
+  if (m == nullptr) {
+    return fallback;
+  }
+  if (!(m->number >= lo && m->number <= hi)) {
+    fail(key, hi < DBL_MAX ? "must be a number in [" + fmt("%g", lo) + ", " +
+                                 fmt("%g", hi) + "]"
+                           : "must be a number >= " + fmt("%g", lo));
+  }
+  return m->number;
+}
+
+double Reader::checked_integer(const char* key, double fallback, double lo,
+                               double hi) const {
+  const Value* m = member(key, Value::Type::kNumber, "a number");
+  if (m == nullptr) {
+    return fallback;
+  }
+  const double v = m->number;
+  if (!(v >= lo && v <= hi) || v != std::floor(v)) {
+    fail(key, "must be an integer in [" + fmt("%.0f", lo) + ", " +
+                  fmt("%.0f", hi) + "]");
+  }
+  return v;
+}
+
+std::optional<Reader> Reader::object(const char* key, Keys known) const {
+  const Value* m = member(key, Value::Type::kObject, "an object");
+  if (m == nullptr) {
+    return std::nullopt;
+  }
+  return Reader(*m, this, key, kNoIndex, known);
+}
+
+/// `element` gets the path up to the innermost array element holding
+/// this view, `keys` the key path from there down to the view.
+void Reader::locate(std::string& element, std::string& keys) const {
+  if (parent_ == nullptr) {
+    return;
+  }
+  parent_->locate(element, keys);
+  if (index_ == kNoIndex) {
+    append(keys, key_);
+    return;
+  }
+  append(element, keys.c_str());
+  keys.clear();
+  append(element, key_);
+  element += "[" + std::to_string(index_) + "]";
+}
+
+std::string Reader::path(const char* key) const {
+  std::string element;
+  std::string keys;
+  locate(element, keys);
+  append(element, keys.c_str());
+  append(element, key);
+  return *where_ + ": " + element;
+}
+
+void Reader::fail(const char* key, const std::string& what) const {
+  std::string element;
+  std::string keys;
+  locate(element, keys);
+  if (key != nullptr) {
+    append(keys, key);
+  }
+  std::string msg = *where_;
+  if (!element.empty()) {
+    msg += ": " + element;
+  }
+  if (!keys.empty()) {
+    msg += ": '" + keys + "'";
+  }
+  throw ParseError(msg + " " + what);
 }
 
 }  // namespace toast::obs::json

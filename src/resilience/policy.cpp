@@ -1,111 +1,78 @@
 #include "resilience/policy.hpp"
 
-#include <stdexcept>
-
-#include "obs/json.hpp"
+#include <cfloat>
+#include <climits>
+#include <utility>
 
 namespace toast::resilience {
 
-namespace {
+using obs::json::Reader;
 
-using obs::json::Value;
-
-void reject_unknown_keys(const Value& v, const std::string& where,
-                         std::initializer_list<const char*> known) {
-  for (const auto& [key, member] : v.object) {
-    (void)member;
-    bool ok = false;
-    for (const char* k : known) {
-      if (key == k) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok) {
-      throw std::runtime_error(where + ": unknown key '" + key + "'");
-    }
-  }
-}
-
-RetrySpec retry_from(const Value& v, const std::string& where) {
-  reject_unknown_keys(v, where,
-                      {"max_attempts", "backoff_seconds",
-                       "backoff_multiplier", "failed_fraction"});
+RetrySpec read_retry(const Reader& parent) {
   RetrySpec r;
-  r.max_attempts = static_cast<int>(v.number_or("max_attempts", 3.0));
-  r.backoff_seconds = v.number_or("backoff_seconds", 1e-4);
-  r.backoff_multiplier = v.number_or("backoff_multiplier", 2.0);
-  r.failed_fraction = v.number_or("failed_fraction", 0.5);
+  if (const auto v = parent.object("retry", {"max_attempts", "backoff_seconds",
+                                             "backoff_multiplier",
+                                             "failed_fraction"})) {
+    r.max_attempts = v->integer("max_attempts", r.max_attempts, 1, INT_MAX);
+    r.backoff_seconds =
+        v->number("backoff_seconds", r.backoff_seconds, 0.0, DBL_MAX);
+    r.backoff_multiplier =
+        v->number("backoff_multiplier", r.backoff_multiplier, 0.0, DBL_MAX);
+    r.failed_fraction =
+        v->number("failed_fraction", r.failed_fraction, 0.0, 1.0);
+  }
   return r;
 }
 
-Policy policy_from_value(const Value& doc, const std::string& where) {
-  if (!doc.is_object()) {
-    throw std::runtime_error(where + ": resilience policy must be an object");
-  }
-  const Value* schema = doc.find("schema");
-  if (schema == nullptr ||
-      schema->string != "toastcase-resilience-policy-v1") {
-    throw std::runtime_error(
-        where + ": expected schema toastcase-resilience-policy-v1");
-  }
-  reject_unknown_keys(doc, where, {"schema", "sites", "ladders", "elastic"});
+namespace {
 
+Policy policy_from_value(const obs::json::Value& doc,
+                         const std::string& where) {
+  const Reader r(doc, where, "toastcase-resilience-policy-v1",
+                 {"sites", "ladders", "elastic"});
   Policy policy;
-  if (const Value* sites = doc.find("sites")) {
-    for (const Value& s : sites->array) {
-      reject_unknown_keys(s, where + ": site",
-                          {"site", "retry", "deadline_seconds", "breaker"});
-      SitePolicy sp;
-      if (const Value* site = s.find("site")) {
-        sp.site = site->string;
-      }
-      if (const Value* retry = s.find("retry")) {
-        sp.has_retry = true;
-        sp.retry = retry_from(*retry, where + ": retry");
-      }
-      sp.deadline_seconds = s.number_or("deadline_seconds", 0.0);
-      if (const Value* breaker = s.find("breaker")) {
-        reject_unknown_keys(
-            *breaker, where + ": breaker",
-            {"open_after", "open_seconds", "close_after", "jitter"});
-        sp.breaker.open_after =
-            static_cast<int>(breaker->number_or("open_after", 0.0));
-        sp.breaker.open_seconds = breaker->number_or("open_seconds", 1e-3);
-        sp.breaker.close_after =
-            static_cast<int>(breaker->number_or("close_after", 1.0));
-        sp.breaker.jitter = breaker->number_or("jitter", 0.0);
-      }
-      policy.sites.push_back(std::move(sp));
-    }
-  }
-  if (const Value* ladders = doc.find("ladders")) {
-    for (const Value& l : ladders->array) {
-      reject_unknown_keys(l, where + ": ladder",
-                          {"domain", "escalate_after", "max_level"});
-      LadderSpec ls;
-      ls.domain = l.at("domain").string;
-      if (ls.domain.empty()) {
-        throw std::runtime_error(where + ": ladder domain must be non-empty");
-      }
-      ls.escalate_after =
-          static_cast<int>(l.number_or("escalate_after", 1.0));
-      ls.max_level = static_cast<int>(l.number_or("max_level", 1.0));
-      policy.ladders.push_back(std::move(ls));
-    }
-  }
-  if (const Value* elastic = doc.find("elastic")) {
-    reject_unknown_keys(
-        *elastic, where + ": elastic",
-        {"enabled", "min_ranks", "rebuild_seconds", "requeue"});
-    const Value* enabled = elastic->find("enabled");
-    policy.elastic.enabled = enabled != nullptr && enabled->boolean;
-    policy.elastic.min_ranks =
-        static_cast<int>(elastic->number_or("min_ranks", 1.0));
-    policy.elastic.rebuild_seconds =
-        elastic->number_or("rebuild_seconds", 1e-3);
-    const Value* requeue = elastic->find("requeue");
-    policy.elastic.requeue = requeue == nullptr || requeue->boolean;
+  r.objects("sites", {"site", "retry", "deadline_seconds", "breaker"},
+            [&](const Reader& s) {
+              SitePolicy sp;
+              sp.site = s.string("site", sp.site);
+              sp.has_retry = s.has("retry");
+              sp.retry = read_retry(s);
+              sp.deadline_seconds = s.number(
+                  "deadline_seconds", sp.deadline_seconds, 0.0, DBL_MAX);
+              BreakerSpec& b = sp.breaker;
+              if (const auto v = s.object("breaker",
+                                          {"open_after", "open_seconds",
+                                           "close_after", "jitter"})) {
+                b.open_after =
+                    v->integer("open_after", b.open_after, 0, INT_MAX);
+                b.open_seconds =
+                    v->number("open_seconds", b.open_seconds, 0.0, DBL_MAX);
+                b.close_after =
+                    v->integer("close_after", b.close_after, 1, INT_MAX);
+                b.jitter = v->number("jitter", b.jitter, 0.0, DBL_MAX);
+              }
+              policy.sites.push_back(std::move(sp));
+            });
+  r.objects("ladders", {"domain", "escalate_after", "max_level"},
+            [&](const Reader& l) {
+              LadderSpec ls;
+              ls.domain = l.string("domain");
+              if (ls.domain.empty()) {
+                l.fail("domain", "must not be empty");
+              }
+              ls.escalate_after =
+                  l.integer("escalate_after", ls.escalate_after, 1, INT_MAX);
+              ls.max_level = l.integer("max_level", ls.max_level, 0, INT_MAX);
+              policy.ladders.push_back(std::move(ls));
+            });
+  ElasticSpec& e = policy.elastic;
+  if (const auto v = r.object("elastic", {"enabled", "min_ranks",
+                                          "rebuild_seconds", "requeue"})) {
+    e.enabled = v->boolean("enabled", e.enabled);
+    e.min_ranks = v->integer("min_ranks", e.min_ranks, 1, INT_MAX);
+    e.rebuild_seconds =
+        v->number("rebuild_seconds", e.rebuild_seconds, 0.0, DBL_MAX);
+    e.requeue = v->boolean("requeue", e.requeue);
   }
   return policy;
 }

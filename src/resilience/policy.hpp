@@ -9,7 +9,7 @@
 // with per-site declarations the subsystems consult through one API:
 //
 //   - per-site retry budgets with backoff (overriding the fault plan's
-//     single global RetryPolicy for matching hook sites),
+//     single global RetrySpec for matching hook sites),
 //   - virtual-clock deadlines: a cap on the total retry penalty one op
 //     may accumulate before it is declared persistently failed,
 //   - deterministic circuit breakers (closed -> open -> half-open ->
@@ -55,14 +55,20 @@
 
 namespace toast::resilience {
 
-/// Per-site override of the fault plan's global retry policy.  Fields
-/// mirror fault::RetryPolicy.
+/// Bounded retry with exponential backoff: the fault plan's global
+/// budget and its per-site overrides.  A failed attempt wastes
+/// `failed_fraction` of the op's cost plus the current backoff, all
+/// charged to the virtual clock.
 struct RetrySpec {
   int max_attempts = 3;
   double backoff_seconds = 1e-4;
   double backoff_multiplier = 2.0;
   double failed_fraction = 0.5;
 };
+
+/// The optional "retry" block of a fault plan or site policy; absent
+/// keys keep RetrySpec's defaults.
+RetrySpec read_retry(const obs::json::Reader& parent);
 
 /// Deterministic circuit breaker.  `open_after` consecutive failures at
 /// one concrete site trip the breaker (subsequent ops fail fast, no

@@ -57,8 +57,6 @@ enum class SchedPolicy {
 };
 
 const char* to_string(SchedPolicy p);
-/// Parse "fair_share" / "priority"; throws std::runtime_error otherwise.
-SchedPolicy sched_policy_from_string(const std::string& s);
 
 struct TenantSpec {
   std::string name;

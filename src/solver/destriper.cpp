@@ -416,12 +416,7 @@ DestriperResult Destriper::solve(core::Observation& ob,
   };
   const bool chaos = ctx.faults().armed();
   const int ckpt_interval = std::max(1, config_.checkpoint_interval);
-  resilience::RetrySpec plan_retry;
-  plan_retry.max_attempts = ctx.faults().plan().retry.max_attempts;
-  plan_retry.backoff_seconds = ctx.faults().plan().retry.backoff_seconds;
-  plan_retry.backoff_multiplier =
-      ctx.faults().plan().retry.backoff_multiplier;
-  plan_retry.failed_fraction = ctx.faults().plan().retry.failed_fraction;
+  const resilience::RetrySpec& plan_retry = ctx.faults().plan().retry;
   const resilience::RetrySpec cg_retry =
       rm.armed() ? rm.retry_for("destriper_cg", plan_retry) : plan_retry;
   const int max_restores = std::max(1, cg_retry.max_attempts);

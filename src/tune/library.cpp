@@ -1,53 +1,12 @@
 #include "tune/library.hpp"
 
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
+#include <climits>
 
 #include "obs/json.hpp"
 
 namespace toast::tune {
 
 namespace {
-
-using obs::json::Value;
-
-void reject_unknown_keys(const Value& v, const std::string& where,
-                         std::initializer_list<const char*> known) {
-  for (const auto& [key, _] : v.object) {
-    bool ok = false;
-    for (const char* k : known) {
-      if (key == k) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok) {
-      throw std::runtime_error(where + ": unknown key '" + key + "'");
-    }
-  }
-}
-
-std::string string_at(const Value& v, const std::string& key,
-                      const std::string& where) {
-  const Value* m = v.find(key);
-  if (m == nullptr || !m->is_string()) {
-    throw std::runtime_error(where + ": '" + key + "' must be a string");
-  }
-  return m->string;
-}
-
-int int_or(const Value& v, const std::string& key, int fallback,
-           const std::string& where) {
-  const Value* m = v.find(key);
-  if (m == nullptr) {
-    return fallback;
-  }
-  if (!m->is_number()) {
-    throw std::runtime_error(where + ": '" + key + "' must be a number");
-  }
-  return static_cast<int>(m->number);
-}
 
 std::string dir_of(const std::string& path) {
   const auto slash = path.find_last_of('/');
@@ -62,68 +21,47 @@ std::string join(const std::string& dir, const std::string& rel) {
   return dir.empty() ? rel : dir + "/" + rel;
 }
 
+std::vector<LibraryEntry> entries_from(const obs::json::Value& doc,
+                                       const std::string& where,
+                                       const std::string& base_dir) {
+  const obs::json::Reader r(doc, where, "toastcase-schedule-library-v1",
+                            {"entries"});
+  std::vector<LibraryEntry> entries;
+  r.objects("entries",
+            {"workload", "backend", "nodes", "procs_per_node", "path"},
+            [&](const obs::json::Reader& e) {
+              LibraryEntry entry;
+              entry.workload = e.string("workload");
+              if (entry.workload.empty()) {
+                e.fail("workload", "must not be empty");
+              }
+              entry.backend = e.string("backend", entry.backend);
+              entry.nodes = e.integer("nodes", entry.nodes, 0, INT_MAX);
+              entry.procs_per_node =
+                  e.integer("procs_per_node", entry.procs_per_node, 0, INT_MAX);
+              entry.path = e.string("path");
+              entry.schedule =
+                  config::ScheduleConfig::load_file(join(base_dir, entry.path));
+              entries.push_back(std::move(entry));
+            });
+  return entries;
+}
+
 }  // namespace
 
 ScheduleLibrary ScheduleLibrary::parse(const std::string& text,
                                        const std::string& base_dir) {
-  const Value doc = Value::parse(text);
-  const std::string where = "schedule library";
-  if (!doc.is_object()) {
-    throw std::runtime_error(where + ": index must be an object");
-  }
-  const Value* schema = doc.find("schema");
-  if (schema == nullptr ||
-      schema->string != "toastcase-schedule-library-v1") {
-    throw std::runtime_error(
-        where + ": expected schema toastcase-schedule-library-v1");
-  }
-  reject_unknown_keys(doc, where, {"schema", "entries"});
-
   ScheduleLibrary lib;
-  const Value* entries = doc.find("entries");
-  if (entries == nullptr) {
-    return lib;
-  }
-  if (!entries->is_array()) {
-    throw std::runtime_error(where + ": 'entries' must be an array");
-  }
-  int i = 0;
-  for (const Value& e : entries->array) {
-    const std::string ew = where + ".entries[" + std::to_string(i++) + "]";
-    if (!e.is_object()) {
-      throw std::runtime_error(ew + ": entry must be an object");
-    }
-    reject_unknown_keys(
-        e, ew, {"workload", "backend", "nodes", "procs_per_node", "path"});
-    LibraryEntry entry;
-    entry.workload = string_at(e, "workload", ew);
-    if (entry.workload.empty()) {
-      throw std::runtime_error(ew + ": 'workload' must not be empty");
-    }
-    if (e.find("backend") != nullptr) {
-      entry.backend = string_at(e, "backend", ew);
-    }
-    entry.nodes = int_or(e, "nodes", 0, ew);
-    entry.procs_per_node = int_or(e, "procs_per_node", 0, ew);
-    if (entry.nodes < 0 || entry.procs_per_node < 0) {
-      throw std::runtime_error(ew + ": topology fields must be >= 0");
-    }
-    entry.path = string_at(e, "path", ew);
-    entry.schedule =
-        config::ScheduleConfig::load_file(join(base_dir, entry.path));
-    lib.entries_.push_back(std::move(entry));
-  }
+  lib.entries_ = entries_from(obs::json::Value::parse(text),
+                              "schedule library", base_dir);
   return lib;
 }
 
 ScheduleLibrary ScheduleLibrary::load_file(const std::string& index_path) {
-  std::ifstream in(index_path);
-  if (!in) {
-    throw std::runtime_error("schedule library: cannot open " + index_path);
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return parse(ss.str(), dir_of(index_path));
+  ScheduleLibrary lib;
+  lib.entries_ = entries_from(obs::json::load_file(index_path), index_path,
+                              dir_of(index_path));
+  return lib;
 }
 
 const LibraryEntry* ScheduleLibrary::lookup(const LibraryQuery& q) const {

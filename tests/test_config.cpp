@@ -1,16 +1,30 @@
 // Schedule-space config layer (src/config/, docs/MODEL.md §12): canonical
-// serialization, strict parsing, hash stability, and the bitwise oracle
-// that a default ScheduleConfig reproduces the pre-refactor defaults.
+// serialization, strict parsing, hash stability, the bitwise oracle
+// that a default ScheduleConfig reproduces the pre-refactor defaults, and
+// a deterministic mutation fuzz of every schema parser over the JSON
+// checked in under bench/.
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <map>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "bench_model/problem.hpp"
 #include "config/schedule.hpp"
+#include "fault/fault.hpp"
 #include "mpisim/job.hpp"
+#include "obs/json.hpp"
+#include "resilience/policy.hpp"
+#include "serve/spec.hpp"
 #include "tune/library.hpp"
 
 namespace {
@@ -276,6 +290,190 @@ TEST(ScheduleConfigOracle, DefaultsReproducePreRefactorJobBitwise) {
     EXPECT_EQ(a.transfer_seconds, b.transfer_seconds);
     EXPECT_EQ(a.comm_seconds, b.comm_seconds);
     EXPECT_EQ(a.plan_counters, b.plan_counters);
+  }
+}
+
+// --- hostile input ----------------------------------------------------------
+
+/// splitmix64 over `state`: the one random stream every mutation draws from.
+std::uint64_t next(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// Offsets of the ':' of every object member (outside strings).
+std::vector<std::size_t> colons(const std::string& text) {
+  std::vector<std::size_t> out;
+  bool in_string = false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    if (in_string) {
+      if (text[i] == '\\') {
+        ++i;
+      } else if (text[i] == '"') {
+        in_string = false;
+      }
+    } else if (text[i] == '"') {
+      in_string = true;
+    } else if (text[i] == ':') {
+      out.push_back(i);
+    }
+  }
+  return out;
+}
+
+/// One past the end of the value that follows the ':' at `colon`.
+std::size_t value_end(const std::string& text, std::size_t colon) {
+  std::size_t i = colon + 1;
+  while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) {
+    ++i;
+  }
+  int depth = 0;
+  bool in_string = false;
+  for (; i < text.size(); ++i) {
+    const char c = text[i];
+    if (in_string) {
+      if (c == '\\') {
+        ++i;
+      } else if (c == '"') {
+        in_string = false;
+        if (depth == 0) {
+          return i + 1;
+        }
+      }
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == '{' || c == '[') {
+      ++depth;
+    } else if (c == '}' || c == ']') {
+      if (depth == 0) {
+        return i;
+      }
+      if (--depth == 0) {
+        return i + 1;
+      }
+    } else if (depth == 0 &&
+               (c == ',' || std::isspace(static_cast<unsigned char>(c)))) {
+      return i;
+    }
+  }
+  return text.size();
+}
+
+/// Applies one seeded mutation: a byte flip, a type swap, a duplicated
+/// member, a depth bomb or a numeric extreme.
+void mutate(std::string& text, std::uint64_t& rng) {
+  static const char* const kTypes[] = {"\"x\"", "true", "null", "[]",
+                                       "{}",      "[{}]", "0"};
+  static const char* const kExtremes[] = {
+      "1e308", "-1e308", "-1",    "9223372036854775808", "18446744073709551616",
+      "0.5",   "2.9",    "-0.25", "1e-320",              "1e999"};
+  if (text.empty()) {
+    text = "{";
+    return;
+  }
+  const std::vector<std::size_t> members = colons(text);
+  const std::uint64_t kind = next(rng) % 5;
+  if (kind == 0 || members.empty()) {
+    const std::size_t at = next(rng) % text.size();
+    text[at] = static_cast<char>(next(rng) & 0xff);
+    return;
+  }
+  const std::size_t colon = members[next(rng) % members.size()];
+  const std::size_t end = value_end(text, colon);
+  std::string value;
+  switch (kind) {
+    case 1:
+      value = kTypes[next(rng) % std::size(kTypes)];
+      break;
+    case 2: {
+      const std::size_t close = text.rfind('"', colon);
+      const std::size_t open =
+          close == std::string::npos || close == 0
+              ? std::string::npos
+              : text.rfind('"', close - 1);
+      if (open == std::string::npos) {
+        return;
+      }
+      text.insert(end, "," + text.substr(open, end - open));
+      return;
+    }
+    case 3: {
+      const std::size_t depth = std::size_t{250} + next(rng) % 12;
+      value = std::string(depth, '[') + std::string(depth, ']');
+      break;
+    }
+    default:
+      value = kExtremes[next(rng) % std::size(kExtremes)];
+  }
+  text.replace(colon + 1, end - colon - 1, value);
+}
+
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+TEST(SchemaFuzz, MutatedBenchInputsParseOrThrowRuntimeError) {
+  namespace fs = std::filesystem;
+  using Parse = std::function<void(const std::string&)>;
+  const fs::path bench = fs::path(TOASTCASE_SOURCE_DIR) / "bench";
+  const std::string schedules = (bench / "schedules").string();
+  const std::map<std::string, Parse> typed = {
+      {"toastcase-fault-plan-v1",
+       [](const std::string& t) { toast::fault::FaultPlan::parse(t); }},
+      {"toastcase-resilience-policy-v1",
+       [](const std::string& t) { toast::resilience::Policy::parse(t); }},
+      {"toastcase-schedule-v1",
+       [](const std::string& t) { ScheduleConfig::parse(t); }},
+      {"toastcase-schedule-library-v1",
+       [&](const std::string& t) {
+         toast::tune::ScheduleLibrary::parse(t, schedules);
+       }},
+      {"toastcase-serve-v1",
+       [](const std::string& t) { toast::serve::ServiceSpec::parse(t); }},
+  };
+  const Parse plain = [](const std::string& t) {
+    toast::obs::json::Value::parse(t);
+  };
+
+  std::vector<std::pair<fs::path, Parse>> inputs;
+  for (const char* dir : {"faultplans", "schedules", "servespecs"}) {
+    for (const auto& f : fs::directory_iterator(bench / dir)) {
+      const std::string schema =
+          toast::obs::json::load_file(f.path().string()).at("schema").string;
+      ASSERT_EQ(typed.count(schema), 1u) << f.path() << ": " << schema;
+      inputs.emplace_back(f.path(), typed.at(schema));
+    }
+  }
+  for (const auto& f : fs::directory_iterator(bench / "golden")) {
+    inputs.emplace_back(f.path(), plain);
+  }
+  ASSERT_GE(inputs.size(), 20u);
+
+  constexpr int kMutationsPerInput = 64;
+  std::uint64_t rng = 2023;
+  for (const auto& [path, parse] : inputs) {
+    const std::string original = slurp(path);
+    EXPECT_NO_THROW(parse(original)) << path;
+    for (int i = 0; i < kMutationsPerInput; ++i) {
+      std::string text = original;
+      const std::uint64_t rounds = 1 + next(rng) % 3;
+      for (std::uint64_t k = 0; k < rounds; ++k) {
+        mutate(text, rng);
+      }
+      try {
+        parse(text);
+      } catch (const std::runtime_error&) {
+        // A structured rejection is the expected outcome.
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << path << " mutation " << i << " threw " << e.what()
+                      << "\n" << text;
+      }
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,31 @@ TEST(FaultPlan, RejectsBadDocuments) {
       FaultPlan::parse(R"({"schema": "toastcase-fault-plan-v1",
                            "rules": [{"kind": "gremlin"}]})"),
       std::runtime_error);
+  // A wrong type or a fraction must not become a default or a truncation.
+  for (const char* body : {
+           R"("rules": [{"kind": "launch", "probability": "0.5"}])",
+           R"("rules": {"kind": "launch", "probability": 1.0})",
+           R"("rules": [{"kind": "launch", "max_fires": 2.9}])",
+           R"("retry": {"max_attempts": "5"})",
+           R"("seed": -1)"}) {
+    EXPECT_THROW(FaultPlan::parse(
+                     std::string(R"({"schema": "toastcase-fault-plan-v1", )") +
+                     body + "}"),
+                 std::runtime_error)
+        << body;
+  }
+}
+
+TEST(FaultPlan, MissingKindNamesItsPath) {
+  try {
+    FaultPlan::parse(R"({"schema": "toastcase-fault-plan-v1",
+                         "rules": [{"kind": "launch"}, {"probability": 1}]})");
+    FAIL() << "a rule without a kind was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("rules[1]"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'kind'"), std::string::npos) << msg;
+  }
 }
 
 TEST(FaultPlan, RejectsUnknownKeys) {

@@ -130,6 +130,20 @@ TEST(ResiliencePolicy, RejectsUnknownKeysEverywhere) {
       std::runtime_error);
 }
 
+TEST(ResiliencePolicy, RejectsWrongTypesAndFractions) {
+  for (const char* elastic : {R"({"enabled": "true"})",
+                              R"({"enabled": true, "requeue": "yes"})",
+                              R"({"enabled": true, "min_ranks": 1.5})"}) {
+    EXPECT_THROW(
+        Policy::parse(
+            std::string(R"({"schema": "toastcase-resilience-policy-v1",
+                            "elastic": )") +
+            elastic + "}"),
+        std::runtime_error)
+        << elastic;
+  }
+}
+
 // --- disarmed manager ------------------------------------------------------
 
 TEST(ResilienceManager, DisarmedManagerIsPassThrough) {

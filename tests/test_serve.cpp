@@ -190,6 +190,12 @@ TEST(ServeSpec, ValidatesCrossReferencesAndRanges) {
   reject(R"({"schema": "toastcase-serve-v1",
              "tenants": [{"name": "a", "share": 0.0}],
              "jobs": [{"name": "j", "tenant": "a"}]})");
+  reject(R"({"schema": "toastcase-serve-v1",
+             "tenants": [{"name": "a", "max_running": 1.5}],
+             "jobs": [{"name": "j", "tenant": "a"}]})");
+  reject(R"({"schema": "toastcase-serve-v1",
+             "tenants": [{"name": "a"}],
+             "jobs": [{"name": "j", "tenant": "a", "seed": -1}]})");
   // Empty tenant / job arrays.
   reject(R"({"schema": "toastcase-serve-v1", "tenants": [],
              "jobs": [{"name": "j", "tenant": "a"}]})");
@@ -236,6 +242,13 @@ TEST(ScheduleLibrary, LookupPrefersMostSpecificEntry) {
   EXPECT_THROW(toast::tune::ScheduleLibrary::parse(
                    R"({"schema": "toastcase-schedule-library-v1",
                        "entriez": []})",
+                   "."),
+               std::runtime_error);
+  // A fractional topology field is an error, not a truncation.
+  EXPECT_THROW(toast::tune::ScheduleLibrary::parse(
+                   std::string(R"({"schema": "toastcase-schedule-library-v1",
+                       "entries": [{"workload": "tiny", "nodes": 1.5,
+                                    "path": ")") + omp + R"("}]})",
                    "."),
                std::runtime_error);
 }
