@@ -119,7 +119,7 @@ DirectResult run_direct(Backend backend, core::Pipeline::Staging staging,
       pipeline.exec(ob, ctx);
     } else if (drive == Drive::kLogged) {
       core::StepLog log;
-      pipeline.exec(ob, ctx, log);
+      pipeline.exec(ob, ctx, &log);
       r.report.merge(async::report(log));
     } else {
       r.report.merge(async::run_overlap(pipeline, ob, ctx));
@@ -397,7 +397,7 @@ int main(int argc, char** argv) {
     wf.map_iterations = 2;
     auto pipeline = sim::make_benchmark_pipeline(wf);
     core::StepLog log;
-    pipeline.exec(data.observations.front(), ctx, log);
+    pipeline.exec(data.observations.front(), ctx, &log);
     std::ofstream out(dump_tasks_path);
     if (!out) {
       throw std::runtime_error("cannot open " + dump_tasks_path);

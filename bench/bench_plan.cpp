@@ -1,16 +1,17 @@
-// Plan-vs-interpreter equivalence and prefetch benefit bench.
+// Plan replay across staging modes, backends and fault plans, plus the
+// prefetch benefit.
 //
-// Two sections (schema toastcase-bench-plan-v1):
-//   - "direct": the benchmark workflow run twice on one rank — once
-//     through the cached ExecutionPlan (the default exec() path), once
-//     through the historical interpreter — including under deterministic
-//     fault plans.  The default sync plan must reproduce the interpreter
-//     bit for bit: identical virtual runtime, identical TimeLog, identical
-//     science products.
-//   - "jobs": the fig5 large-problem job per backend.  Sync plan vs
-//     interpreter must again be bitwise equal; prefetch+evict mode is
-//     reported with its plan counters and is expected to be strictly
-//     faster (scripts/check_bench.py --plan asserts all of it).
+// Two sections (schema toastcase-bench-plan-v2):
+//   - "direct": the benchmark workflow on one rank through the cached
+//     ExecutionPlan, for both staging modes, both backends and two
+//     deterministic fault plans.  Every row's science products (signal
+//     and zmap sums) must be bitwise those of the fault-free omp
+//     pipelined row, and each chaos row (naming its `fault_free` row)
+//     must cost more virtual time than that row.
+//   - "jobs": the fig5 large-problem job per backend, sync plan vs
+//     prefetch+evict plan with its plan counters; prefetch is expected
+//     to be strictly faster (scripts/check_bench.py --plan asserts all
+//     of it).
 //
 // --dump-plan <path> additionally writes the omp-target plan of the first
 // observation as toastcase-plan-v1 JSON (`toast-trace plan` reads it).
@@ -65,14 +66,12 @@ double field_sum(const core::Data& data, const char* name) {
 
 struct DirectResult {
   double runtime = 0.0;
-  toast::accel::TimeLog log;
   double signal_sum = 0.0;
   double zmap_sum = 0.0;
 };
 
 DirectResult run_direct(Backend backend, core::Pipeline::Staging staging,
-                        const toast::fault::FaultPlan& fplan,
-                        bool interpret) {
+                        const toast::fault::FaultPlan& fplan) {
   auto data = make_data();
   core::ExecConfig cfg;
   cfg.backend = backend;
@@ -82,32 +81,12 @@ DirectResult run_direct(Backend backend, core::Pipeline::Staging staging,
   sim::WorkflowConfig wf;
   wf.nside = 32;
   wf.map_iterations = 2;
-  auto pipeline = sim::make_benchmark_pipeline(wf, staging);
-  if (interpret) {
-    pipeline.exec_interpreted(data, ctx);
-  } else {
-    pipeline.exec(data, ctx);
-  }
+  sim::make_benchmark_pipeline(wf, staging).exec(data, ctx);
   DirectResult r;
   r.runtime = ctx.clock().now();
-  r.log = ctx.log();
   r.signal_sum = field_sum(data, "signal");
   r.zmap_sum = field_sum(data, "zmap");
   return r;
-}
-
-bool logs_equal(const toast::accel::TimeLog& a,
-                const toast::accel::TimeLog& b) {
-  const auto ca = a.categories();
-  if (ca != b.categories()) {
-    return false;
-  }
-  for (const auto& c : ca) {
-    if (a.seconds(c) != b.seconds(c) || a.calls(c) != b.calls(c)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 toast::fault::FaultPlan launch_chaos_plan() {
@@ -142,69 +121,71 @@ int main(int argc, char** argv) {
   const std::string& json_path = opt.json_path;
 
   toast::bench::print_header(
-      "Pipeline compilation: plan vs interpreter equivalence + prefetch");
+      "Pipeline compilation: plan replay under faults + prefetch");
 
-  // --- direct rank-level equivalence ---------------------------------------
+  // --- direct rank-level runs ----------------------------------------------
   struct DirectRow {
     std::string name;
-    DirectResult plan;
-    DirectResult interp;
-    bool runtime_equal = false;
-    bool log_equal = false;
+    std::string fault_free;  ///< chaos rows: the matching fault-free row
+    DirectResult r;
     bool products_equal = false;
+    bool slower_than_fault_free = true;
   };
   const toast::fault::FaultPlan no_faults;
   const struct {
     const char* name;
+    const char* fault_free;
     Backend backend;
     core::Pipeline::Staging staging;
     toast::fault::FaultPlan faults;
   } direct_cases[] = {
-      {"omp_pipelined", Backend::kOmpTarget,
+      {"omp_pipelined", "", Backend::kOmpTarget,
        core::Pipeline::Staging::kPipelined, no_faults},
-      {"omp_naive", Backend::kOmpTarget, core::Pipeline::Staging::kNaive,
+      {"omp_naive", "", Backend::kOmpTarget, core::Pipeline::Staging::kNaive,
        no_faults},
-      {"jax_pipelined", Backend::kJax, core::Pipeline::Staging::kPipelined,
+      {"jax_pipelined", "", Backend::kJax, core::Pipeline::Staging::kPipelined,
        no_faults},
-      {"omp_launch_chaos", Backend::kOmpTarget,
+      {"omp_launch_chaos", "omp_pipelined", Backend::kOmpTarget,
        core::Pipeline::Staging::kPipelined, launch_chaos_plan()},
-      {"omp_naive_transfer_chaos", Backend::kOmpTarget,
+      {"omp_naive_transfer_chaos", "omp_naive", Backend::kOmpTarget,
        core::Pipeline::Staging::kNaive, transfer_chaos_plan()},
   };
 
   std::vector<DirectRow> direct;
-  std::printf("%-26s %16s %16s %8s\n", "direct case", "plan", "interpreter",
+  std::printf("%-26s %16s %24s %8s\n", "direct case", "runtime", "zmap sum",
               "equal");
   std::printf(
-      "--------------------------------------------------------------------\n");
+      "--------------------------------------------------------------------"
+      "----------\n");
   for (const auto& c : direct_cases) {
     DirectRow row;
     row.name = c.name;
-    row.plan = run_direct(c.backend, c.staging, c.faults, false);
-    row.interp = run_direct(c.backend, c.staging, c.faults, true);
-    row.runtime_equal = row.plan.runtime == row.interp.runtime;
-    row.log_equal = logs_equal(row.plan.log, row.interp.log);
-    row.products_equal = row.plan.signal_sum == row.interp.signal_sum &&
-                         row.plan.zmap_sum == row.interp.zmap_sum;
-    std::printf("%-26s %16.9e %16.9e %8s\n", c.name, row.plan.runtime,
-                row.interp.runtime,
-                row.runtime_equal && row.log_equal && row.products_equal
-                    ? "yes"
-                    : "NO");
+    row.fault_free = c.fault_free;
+    row.r = run_direct(c.backend, c.staging, c.faults);
+    // The first row is the fault-free omp pipelined reference.
+    const DirectResult& ref = direct.empty() ? row.r : direct.front().r;
+    row.products_equal = row.r.signal_sum == ref.signal_sum &&
+                         row.r.zmap_sum == ref.zmap_sum;
+    for (const auto& clean : direct) {
+      if (clean.name == row.fault_free) {
+        row.slower_than_fault_free = row.r.runtime > clean.r.runtime;
+      }
+    }
+    std::printf("%-26s %16.9e %24.17g %8s%s\n", c.name, row.r.runtime,
+                row.r.zmap_sum, row.products_equal ? "yes" : "NO",
+                row.slower_than_fault_free ? "" : "  [NOT SLOWER]");
     direct.push_back(std::move(row));
   }
 
-  // --- fig5 job-level: sync equivalence + prefetch benefit -----------------
+  // --- fig5 job-level: sync plan vs prefetch benefit -----------------------
   struct JobRow {
     std::string name;
-    JobResult interp;
     JobResult sync;
     JobResult prefetch;
-    bool sync_equal = false;
   };
   std::vector<JobRow> jobs;
-  std::printf("\n%-6s %14s %14s %14s %10s\n", "job", "interpreter", "plan",
-              "prefetch", "speedup");
+  std::printf("\n%-6s %14s %14s %10s\n", "job", "plan", "prefetch",
+              "speedup");
   std::printf(
       "--------------------------------------------------------------------\n");
   for (const auto& [name, backend] :
@@ -214,20 +195,14 @@ int main(int argc, char** argv) {
     JobConfig cfg;
     cfg.problem = large_problem();
     cfg.schedule.set_backend(backend);
-    cfg.interpret = true;
-    row.interp = run_benchmark_job(cfg);
-    cfg.interpret = false;
     row.sync = run_benchmark_job(cfg);
     cfg.schedule.staging.prefetch = true;
     cfg.schedule.staging.evict = true;
     row.prefetch = run_benchmark_job(cfg);
-    row.sync_equal = row.sync.runtime == row.interp.runtime;
-    std::printf("%-6s %14s %14s %14s %9.3fx%s\n", name,
-                toast::bench::fmt_seconds(row.interp.runtime).c_str(),
+    std::printf("%-6s %14s %14s %9.3fx\n", name,
                 toast::bench::fmt_seconds(row.sync.runtime).c_str(),
                 toast::bench::fmt_seconds(row.prefetch.runtime).c_str(),
-                row.sync.runtime / row.prefetch.runtime,
-                row.sync_equal ? "" : "  [SYNC MISMATCH]");
+                row.sync.runtime / row.prefetch.runtime);
     jobs.push_back(std::move(row));
   }
 
@@ -238,17 +213,18 @@ int main(int argc, char** argv) {
     }
     toast::bench::JsonWriter w(out);
     w.obj_open();
-    w.kv("schema", "toastcase-bench-plan-v1");
+    w.kv("schema", "toastcase-bench-plan-v2");
     w.kv("benchmark", "plan");
     w.arr_open("direct");
     for (const auto& row : direct) {
       w.obj_open();
       w.kv("name", row.name);
-      w.kv("plan_runtime_s", row.plan.runtime);
-      w.kv("interpreter_runtime_s", row.interp.runtime);
-      w.kv("runtime_equal", row.runtime_equal);
-      w.kv("timelog_equal", row.log_equal);
-      w.kv("products_equal", row.products_equal);
+      if (!row.fault_free.empty()) {
+        w.kv("fault_free", row.fault_free);
+      }
+      w.kv("plan_runtime_s", row.r.runtime);
+      w.kv("signal_sum", row.r.signal_sum);
+      w.kv("zmap_sum", row.r.zmap_sum);
       w.obj_close();
     }
     w.arr_close();
@@ -256,10 +232,8 @@ int main(int argc, char** argv) {
     for (const auto& row : jobs) {
       w.obj_open();
       w.kv("name", row.name);
-      w.kv("interpreter_runtime_s", row.interp.runtime);
       w.kv("sync_runtime_s", row.sync.runtime);
       w.kv("prefetch_runtime_s", row.prefetch.runtime);
-      w.kv("sync_equal", row.sync_equal);
       w.kv("prefetch_speedup", row.sync.runtime / row.prefetch.runtime);
       w.obj_open("plan_counters");
       for (const auto& [key, value] : row.prefetch.plan_counters) {
@@ -283,10 +257,10 @@ int main(int argc, char** argv) {
     wf.nside = 32;
     wf.map_iterations = 2;
     auto pipeline = sim::make_benchmark_pipeline(wf);
-    core::PlanOptions popt;
-    popt.prefetch = true;
-    popt.evict = true;
-    pipeline.set_plan_options(popt);
+    auto schedule = pipeline.schedule();
+    schedule.staging.prefetch = true;
+    schedule.staging.evict = true;
+    pipeline.set_schedule(schedule);
     const auto plan = pipeline.plan_for(data.observations.front(), ctx);
     std::ofstream out(dump_plan_path);
     if (!out) {
@@ -298,13 +272,12 @@ int main(int argc, char** argv) {
 
   bool ok = true;
   for (const auto& row : direct) {
-    ok = ok && row.runtime_equal && row.log_equal && row.products_equal;
-  }
-  for (const auto& row : jobs) {
-    ok = ok && row.sync_equal;
+    ok = ok && row.products_equal && row.slower_than_fault_free;
   }
   if (!ok) {
-    std::fprintf(stderr, "plan/interpreter mismatch (see table above)\n");
+    std::fprintf(stderr,
+                 "products differ or a chaos run was not slower (see table "
+                 "above)\n");
     return 1;
   }
   return 0;

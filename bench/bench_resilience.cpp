@@ -344,7 +344,7 @@ int main(int argc, char** argv) {
   }
   resilience::Policy ladder_policy;
   ladder_policy.ladders.push_back(
-      resilience::LadderSpec{"solver_comm", 1, 2});
+      resilience::LadderSpec{resilience::Domain::kSolverComm, 1, 2});
   const auto degraded =
       run_solve(AsyncComm::kOverlap, ladder_plan, ladder_policy);
   const auto clean_overlap = run_solve(AsyncComm::kOverlap, {}, {});

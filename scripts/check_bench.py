@@ -206,26 +206,27 @@ def check_faults(path):
 def check_plan(path):
     with open(path) as f:
         doc = json.load(f)
-    expect_schema(doc, "toastcase-bench-plan-v1")
+    expect_schema(doc, "toastcase-bench-plan-v2")
     print(f"plan ({path}):")
     warn_unknown_keys(doc, {"direct", "jobs"}, path)
 
-    # The compilation contract: the default sync plan reproduces the
-    # interpreter bit for bit — runtime, TimeLog and science products —
-    # for both staging modes, both backends and under chaos plans.
-    for row in non_empty(doc["direct"], "direct"):
-        name = row["name"]
-        check(row["runtime_equal"],
-              f"{name}: plan runtime bitwise-equal to interpreter")
-        check(row["timelog_equal"],
-              f"{name}: plan TimeLog identical to interpreter")
-        check(row["products_equal"],
-              f"{name}: science products identical to interpreter")
+    # Plan replay keeps the science: every staging mode, backend and
+    # chaos plan yields the fault-free omp pipelined row's products bit
+    # for bit, and recovery from injected faults costs virtual time.
+    direct = {r["name"]: r for r in non_empty(doc["direct"], "direct")}
+    ref = direct["omp_pipelined"]
+    for name, row in direct.items():
+        check(row["signal_sum"] == ref["signal_sum"]
+              and row["zmap_sum"] == ref["zmap_sum"],
+              f"{name}: science products bitwise equal to omp_pipelined")
+    chaos = [r for r in direct.values() if "fault_free" in r]
+    for row in non_empty(chaos, "direct chaos rows"):
+        clean = direct[row["fault_free"]]
+        check(row["plan_runtime_s"] > clean["plan_runtime_s"],
+              f"{row['name']}: slower than fault-free {clean['name']}")
 
     jobs = {j["name"]: j for j in non_empty(doc["jobs"], "jobs")}
     for name, j in sorted(jobs.items()):
-        check(j["sync_equal"],
-              f"{name} job: sync plan bitwise-equal to interpreter")
         # Prefetch overlaps next-operator uploads with compute: the planned
         # hybrid job must be strictly faster than the sync plan.
         check(j["prefetch_runtime_s"] < j["sync_runtime_s"],

@@ -176,7 +176,7 @@ double place(core::StepLog& log, obs::Tracer* tracer) {
 GraphReport run_overlap(core::Pipeline& pipeline, core::Observation& ob,
                         core::ExecContext& ctx) {
   core::StepLog log;
-  pipeline.exec(ob, ctx, log);
+  pipeline.exec(ob, ctx, &log);
   GraphReport rep = report(log);
   const double placed_s = place(log, &ctx.tracer());
   ctx.clock().advance(placed_s - (log.end - log.begin));

@@ -14,8 +14,8 @@
 // generalizing mpisim::LocalComm from "sum everything" to the exact chunk
 // choreography of each algorithm.
 //
-// Equivalence guarantee (the test oracle, mirroring the plan-vs-
-// interpreter and sched-vs-seed discipline of earlier layers): on a
+// Equivalence guarantee (the test oracle, mirroring the sched-vs-seed
+// discipline of earlier layers): on a
 // Topology::uniform() layout the ring-allreduce, binomial-broadcast and
 // linear-gather schedules collapse to left-associative folds of identical
 // per-round steps, which is exactly how mpisim::CommModel now computes

@@ -6,8 +6,7 @@
 // prefetch/evict plan options, stream count, comm algorithm + chunk size,
 // solver async-comm mode, ranks×threads shape, MPS/preallocate device
 // flags — used to live in a different layer's struct (mpisim::JobConfig,
-// core::PlanOptions, solver::DestriperConfig, comm::Algorithm, sched
-// stream counts).  ScheduleConfig is the one typed, serializable artifact
+// solver::DestriperConfig, comm::Algorithm, sched stream counts).  ScheduleConfig is the one typed, serializable artifact
 // those layers now consume: mpisim builds its job from it, the pipeline
 // keys its plan cache off its hash, the exec context applies its stream
 // count to both backend runtimes, the comm engine takes its algorithm and

@@ -10,12 +10,11 @@
 // staging at ~40% faster than naively transferring around every kernel;
 // Staging::kNaive reproduces the naive strategy for that ablation.
 //
-// Since the plan/execute split (docs/MODEL.md "Pipeline compilation"),
-// exec() compiles the operator list into a cached ExecutionPlan and runs
-// that; the historical interpreter is kept as exec_interpreted(), the
-// bit-for-bit oracle the plan-equivalence tests and benches compare
-// against.  set_plan_options() opts into prefetch (transfer/compute
-// overlap on the sched copy engine) and liveness eviction.
+// exec() compiles the operator list into a cached ExecutionPlan and
+// replays it (docs/MODEL.md "Pipeline compilation").  The schedule's
+// staging axis selects the strategy and opts into prefetch
+// (transfer/compute overlap on the sched copy engine) and liveness
+// eviction.
 
 #include <map>
 #include <memory>
@@ -66,17 +65,6 @@ class Pipeline {
     return backend_override_;
   }
 
-  /// Opt into prefetch / liveness eviction (the naive_staging bit is
-  /// derived from the Staging mode and ignored here).  A convenience
-  /// view onto set_schedule(): the bits land in the schedule's staging
-  /// axis.
-  void set_plan_options(const PlanOptions& options) {
-    schedule_.staging.prefetch = options.prefetch;
-    schedule_.staging.evict = options.evict;
-    plan_cache_.clear();
-  }
-  PlanOptions plan_options() const { return effective_options(); }
-
   /// Adopt a full schedule-space config.  The pipeline consumes its
   /// staging axis (mode + prefetch/evict) and keys the plan cache off
   /// the config's hash, so distinct schedules never share a plan.
@@ -91,20 +79,11 @@ class Pipeline {
   static constexpr double kOperatorOverheadSeconds =
       kPipelineOverheadSeconds;
 
-  /// Planned execution (the default): compile-on-miss against the plan
-  /// cache, then run the ExecutionPlan.
+  /// Compile-on-miss against the plan cache, then replay the
+  /// ExecutionPlan.  With a `log`, every executed step is also recorded
+  /// (docs/MODEL.md §11): the functional pass of an overlap run.
   void exec(Data& data, ExecContext& ctx);
-  void exec(Observation& ob, ExecContext& ctx);
-  /// Planned execution that also records the step log (docs/MODEL.md
-  /// §11): the functional pass of an overlap run.  Always replays the
-  /// plan (the interpreter keeps no log), whatever the executor ladder.
-  void exec(Observation& ob, ExecContext& ctx, StepLog& log);
-
-  /// The historical interpreter: places every transfer greedily at exec
-  /// time.  Kept as the equivalence oracle; the default plan reproduces
-  /// its virtual-time results bit for bit.
-  void exec_interpreted(Data& data, ExecContext& ctx);
-  void exec_interpreted(Observation& ob, ExecContext& ctx);
+  void exec(Observation& ob, ExecContext& ctx, StepLog* log = nullptr);
 
   /// The plan exec() would use for this observation right now (cached;
   /// builds on miss).  Exposed for the dump tooling and tests.
@@ -125,7 +104,6 @@ class Pipeline {
  private:
   Backend dispatch_backend(const std::string& kernel,
                            ExecContext& ctx) const;
-  PlanOptions effective_options() const;
   std::string plan_key(const Observation& ob, ExecContext& ctx) const;
 
   std::vector<std::shared_ptr<Operator>> operators_;

@@ -59,7 +59,8 @@ namespace {
 
 class Planner {
  public:
-  Planner(const std::vector<OpMeta>& meta, const PlanOptions& options,
+  Planner(const std::vector<OpMeta>& meta,
+          const config::StagingConfig& options,
           const std::vector<std::string>& outputs,
           const std::vector<Backend>& backends,
           const std::vector<char>& on_accel)
@@ -104,6 +105,9 @@ class Planner {
     plan_.field_names.push_back(name);
     return static_cast<int>(plan_.field_names.size()) - 1;
   }
+
+  /// Staging::kNaive: transfer in/out around every accelerated operator.
+  bool naive() const { return options_.mode == config::Staging::kNaive; }
 
   bool is_output(const std::string& name) const {
     return std::find(outputs_.begin(), outputs_.end(), name) !=
@@ -187,7 +191,7 @@ class Planner {
       plan_.steps.push_back(launch);
     }
     g.post_begin = static_cast<int>(plan_.steps.size());
-    if (g.on_accel && options_.naive_staging) {
+    if (g.on_accel && naive()) {
       for (const auto& name : m.touched) {
         PlanStep dl{StepKind::kDownload, k, fidx(name)};
         dl.swallow_persistent = true;
@@ -196,7 +200,7 @@ class Planner {
       }
     }
     g.post_end = static_cast<int>(plan_.steps.size());
-    if (options_.evict && !options_.naive_staging) {
+    if (options_.evict && !naive()) {
       for (const auto& name : m.touched) {
         if (last_use_.at(name) == k && mapped_.count(name) != 0 &&
             !is_output(name)) {
@@ -209,9 +213,8 @@ class Planner {
     }
     g.end = static_cast<int>(plan_.steps.size());
 
-    // Host-fallback patch: what the interpreter's run_host did — bring
-    // device-resident touched fields back, execute on the host, mark
-    // outputs host-valid.
+    // Host-fallback patch: bring device-resident touched fields back,
+    // execute on the host, mark outputs host-valid.
     g.alt_begin = static_cast<int>(plan_.alt_steps.size());
     for (const auto& name : m.touched) {
       plan_.alt_steps.push_back({StepKind::kDownload, k, fidx(name)});
@@ -297,13 +300,13 @@ class Planner {
   /// naive-staging plan avoids exactly nothing by construction.
   void model_transfers() {
     plan_.naive_transfers = simulate_transfers(/*naive_staging=*/true);
-    plan_.planned_transfers = simulate_transfers(options_.naive_staging);
+    plan_.planned_transfers = simulate_transfers(naive());
     plan_.transfers_avoided =
         std::max(0, plan_.naive_transfers - plan_.planned_transfers);
   }
 
   const std::vector<OpMeta>& meta_;
-  PlanOptions options_;
+  config::StagingConfig options_;
   const std::vector<std::string>& outputs_;
   const std::vector<Backend>& backends_;
   const std::vector<char>& on_accel_;
@@ -315,7 +318,7 @@ class Planner {
 }  // namespace
 
 ExecutionPlan build_plan(const std::vector<OpMeta>& meta,
-                         const PlanOptions& options,
+                         const config::StagingConfig& options,
                          const std::vector<std::string>& outputs,
                          const std::vector<Backend>& backends,
                          const std::vector<char>& on_accel,
@@ -340,7 +343,7 @@ class PlanExecutor {
                PlanStats& stats);
 
   /// Run one plan (or alt) step.  `recovering` lets downloads swallow
-  /// persistent transfer faults, as the interpreter's recovery path did.
+  /// persistent transfer faults on the recovery path.
   void run_step(const PlanStep& s, bool recovering);
 
   /// Resolve the group's dispatch at run time; returns whether the accel
@@ -564,7 +567,6 @@ void PlanExecutor::mark_degraded(const PlanGroup& g, const char* reason) {
   ctx_.faults().note_fallback(m.name, reason);
   ctx_.set_kernel_backend(m.name, Backend::kCpu);
   ctx_.faults().note_replan(m.name);
-  ctx_.resilience().report_fault("executor", m.name);
   stats_.replans += 1.0;
   cur_backend_ = Backend::kCpu;
 }
@@ -863,7 +865,7 @@ void ExecutionPlan::write_json(std::ostream& out) const {
   out << "{\n  \"schema\":\"toastcase-plan-v1\",\n";
   out << "  \"key\":" << json_str(key) << ",\n";
   out << "  \"options\":{\"naive_staging\":"
-      << (options.naive_staging ? "true" : "false")
+      << (options.mode == config::Staging::kNaive ? "true" : "false")
       << ",\"prefetch\":" << (options.prefetch ? "true" : "false")
       << ",\"evict\":" << (options.evict ? "true" : "false") << "},\n";
   out << "  \"ops\":[";

@@ -14,14 +14,12 @@
 // backend map, staging mode, observation layout), like the xla JIT
 // cache.
 //
-// The default (synchronous, no prefetch, no evict) plan executes the
-// exact step sequence of the historical interpreter, with the same
-// runtime guards, so its virtual-time results are bit-for-bit identical
-// — including under deterministic fault plans, where a degraded kernel
-// triggers the plan's host-fallback patch instead of an inline lambda.
-// PlanOptions::prefetch and PlanOptions::evict trade that guarantee for
-// transfer/compute overlap (via the sched copy engine) and a lower peak
-// device footprint.
+// Runtime guards (field present, copy stale) make a cached plan safe
+// for any observation with the same layout, and a kernel degraded under
+// a deterministic fault plan runs its group's host-fallback patch.  The
+// staging axis of the schedule (config::StagingConfig) selects naive or
+// pipelined placement; its prefetch and evict bits add transfer/compute
+// overlap (via the sched copy engine) and a lower peak device footprint.
 
 #include <cstdint>
 #include <functional>
@@ -32,6 +30,7 @@
 #include <vector>
 
 #include "backend/manifest.hpp"
+#include "config/schedule.hpp"
 #include "core/accel_store.hpp"
 #include "core/context.hpp"
 #include "core/observation.hpp"
@@ -58,17 +57,6 @@ struct OpMeta {
 
 std::vector<OpMeta> build_op_metadata(
     const std::vector<std::shared_ptr<Operator>>& operators);
-
-struct PlanOptions {
-  /// Transfer in/out around every accelerated operator (Staging::kNaive).
-  bool naive_staging = false;
-  /// Hoist the next accel operator's uploads onto the sched copy engine
-  /// while the current operator computes (no bitwise guarantee).
-  bool prefetch = false;
-  /// Unmap dead device intermediates at their last use (no bitwise
-  /// guarantee: returning blocks to the pool changes later alloc costs).
-  bool evict = false;
-};
 
 enum class StepKind : std::uint8_t {
   kChargeOverhead,  ///< per-operator serial framework overhead
@@ -129,7 +117,8 @@ using LaunchFn =
 
 struct ExecutionPlan {
   std::string key;
-  PlanOptions options;
+  /// The staging axis the plan was built for (dumped as "options").
+  config::StagingConfig options;
   std::vector<std::string> field_names;
   std::vector<PlanStep> steps;
   std::vector<PlanStep> alt_steps;
@@ -178,7 +167,7 @@ struct PlanStats {
 /// Compile the operator list into a plan.  `backends`/`on_accel` are the
 /// dispatch decisions at plan time (one entry per operator).
 ExecutionPlan build_plan(const std::vector<OpMeta>& meta,
-                         const PlanOptions& options,
+                         const config::StagingConfig& options,
                          const std::vector<std::string>& outputs,
                          const std::vector<Backend>& backends,
                          const std::vector<char>& on_accel, std::string key);

@@ -183,8 +183,7 @@ class FaultInjector final : public accel::FaultHook {
   void note_fallback(const std::string& kernel, const std::string& reason);
   /// A cached ExecutionPlan group was patched to its host fallback because
   /// `kernel` is degraded (the plan-level view of recovery).  Trace-only:
-  /// no clock charge, so planned fault runs stay bit-for-bit equal to the
-  /// interpreter.
+  /// no clock charge.
   void note_replan(const std::string& kernel);
   /// The omptarget pool shrank + re-staged instead of aborting.
   void note_oom_recovery(const std::string& site, double seconds);

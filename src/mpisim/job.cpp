@@ -147,9 +147,7 @@ JobResult run_benchmark_job(const JobConfig& cfg) {
       sim::make_benchmark_pipeline(wf, cfg.schedule.staging.mode);
   pipeline.set_schedule(cfg.schedule);
   auto run_pipeline = [&](core::Observation& ob) {
-    if (cfg.interpret) {
-      pipeline.exec_interpreted(ob, ctx);
-    } else if (cfg.pipeline_run == PipelineRun::kGraphOverlap) {
+    if (cfg.pipeline_run == PipelineRun::kGraphOverlap) {
       // Staged replay with a step log, then placed against the data
       // dependencies: runtime shrinks while products stay bitwise.
       async::run_overlap(pipeline, ob, ctx);
@@ -272,7 +270,7 @@ JobResult run_benchmark_job(const JobConfig& cfg) {
   // closed-form CommModel (always over the surviving world).
   const bool engine_collectives =
       cfg.schedule.comm.mode == CommMode::kEngine &&
-      rm.level("collectives") == 0;
+      rm.level(resilience::Domain::kCollectives) == 0;
   bool engine_done = false;
   if (engine_collectives) {
     // Step-scheduled allreduce on the packed cluster topology: per-step
@@ -303,7 +301,8 @@ JobResult run_benchmark_job(const JobConfig& cfg) {
       } catch (const fault::PersistentFaultError&) {
         // Exhausted chunk-retry budget: report to the ladder and fall
         // back to the closed-form model below.
-        rm.report_fault("collectives", "map_allreduce");
+        rm.report_fault(resilience::Domain::kCollectives,
+                        "map_allreduce");
       }
     } else {
       result.comm_seconds = engine.allreduce_seconds(
@@ -327,18 +326,16 @@ JobResult run_benchmark_job(const JobConfig& cfg) {
     result.fault_counters[key] += value;
   }
   result.world_ranks = world;
-  if (!cfg.interpret) {
-    const core::PlanStats& ps = pipeline.plan_stats();
-    result.plan_counters = {
-        {"plan_cache_hits", ps.cache_hits},
-        {"plan_cache_misses", ps.cache_misses},
-        {"plan_replans", ps.replans},
-        {"transfers_avoided", ps.transfers_avoided},
-        {"evictions", ps.evictions},
-        {"prefetched_uploads", ps.prefetched_uploads},
-        {"peak_mapped_bytes", ps.peak_mapped_bytes},
-    };
-  }
+  const core::PlanStats& ps = pipeline.plan_stats();
+  result.plan_counters = {
+      {"plan_cache_hits", ps.cache_hits},
+      {"plan_cache_misses", ps.cache_misses},
+      {"plan_replans", ps.replans},
+      {"transfers_avoided", ps.transfers_avoided},
+      {"evictions", ps.evictions},
+      {"prefetched_uploads", ps.prefetched_uploads},
+      {"peak_mapped_bytes", ps.peak_mapped_bytes},
+  };
   result.degraded_kernels.assign(ctx.faults().degraded_kernels().begin(),
                                  ctx.faults().degraded_kernels().end());
   result.runtime = rank_runtime + result.comm_seconds;

@@ -46,7 +46,7 @@ using CommMode = config::CommMode;
 /// How the pipeline body of each observation is timed.  Not a schedule
 /// axis (toastcase-schedule-v1 is pinned by its canonical hash): both
 /// run the same plan driver (core::execute_plan) and produce bitwise
-/// identical products, so they live beside `interpret`.
+/// identical products.
 enum class PipelineRun {
   kStaged,        ///< staged replay: the serial sum of the steps
   kGraphOverlap,  ///< step log placed on a LaneSchedule (placed makespan)
@@ -62,14 +62,10 @@ struct JobConfig {
   /// ExecConfig, Pipeline and the comm engine unchanged, so one parsed
   /// `toastcase-schedule-v1` artifact configures the whole stack.
   config::ScheduleConfig schedule;
-  /// Run the historical interpreter instead of the cached ExecutionPlan
-  /// (the equivalence oracle the plan bench compares against; not a
-  /// schedule axis — it must not change any result bit).
-  bool interpret = false;
-  /// Overlap observation pipelines (ignored when `interpret` is set):
-  /// the executed steps are re-timed against their data dependencies
-  /// (async::run_overlap), so runtime may shrink while products and
-  /// TimeLog stay bitwise those of staged replay.
+  /// Overlap observation pipelines: the executed steps are re-timed
+  /// against their data dependencies (async::run_overlap), so runtime
+  /// may shrink while products and TimeLog stay bitwise those of staged
+  /// replay.
   PipelineRun pipeline_run = PipelineRun::kStaged;
   /// Override the workflow (0 keeps the calibrated default).
   int map_iterations = 0;
@@ -152,7 +148,6 @@ struct JobResult {
   std::map<std::string, double> fault_counters;
   /// Plan/execute statistics of the representative rank's pipeline
   /// ("plan_cache_hits", "transfers_avoided", "peak_mapped_bytes", ...).
-  /// Empty when cfg.interpret is set.
   std::map<std::string, double> plan_counters;
   /// Kernels that degraded to their CPU implementation mid-run.
   std::vector<std::string> degraded_kernels;

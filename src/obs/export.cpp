@@ -1,6 +1,7 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
+#include <cfloat>
 #include <fstream>
 #include <iomanip>
 #include <ostream>
@@ -194,36 +195,44 @@ void write_metrics_csv(const std::vector<Span>& spans, std::ostream& out) {
   }
 }
 
-std::map<std::string, MetricRow> read_metrics_json(const json::Value& doc) {
-  if (!doc.is_object()) {
-    throw json::ParseError("not a toastcase-metrics-v1 document");
-  }
-  const json::Value* schema = doc.find("schema");
-  if (schema == nullptr || schema->string != "toastcase-metrics-v1") {
-    throw json::ParseError("not a toastcase-metrics-v1 document");
+std::map<std::string, MetricRow> read_metrics_json(const json::Value& doc,
+                                                   const std::string& where) {
+  // The fixed per-category fields besides `calls`; every other key of a
+  // category is an open counter.
+  static constexpr std::pair<const char*, double MetricRow::*> kFixed[] = {
+      {"seconds", &MetricRow::seconds},
+      {"flops", &MetricRow::flops},
+      {"bytes_read", &MetricRow::bytes_read},
+      {"bytes_written", &MetricRow::bytes_written},
+      {"launches", &MetricRow::launches},
+      {"atomic_ops", &MetricRow::atomic_ops},
+  };
+  const json::Reader r(doc, where, "toastcase-metrics-v1",
+                       {"meta", "categories", "total_seconds"});
+  r.number("total_seconds", 0.0, 0.0, DBL_MAX);
+  if (!r.has("categories")) {
+    r.fail("categories", "is required");
   }
   std::map<std::string, MetricRow> rows;
-  for (const auto& [name, cat] : doc.at("categories").object) {
+  r.named_objects("categories", [&](const std::string& name,
+                                    const json::Reader& cat) {
     MetricRow row;
-    row.calls = static_cast<long>(cat.number_or("calls", 0.0));
-    row.seconds = cat.number_or("seconds", 0.0);
-    row.flops = cat.number_or("flops", 0.0);
-    row.bytes_read = cat.number_or("bytes_read", 0.0);
-    row.bytes_written = cat.number_or("bytes_written", 0.0);
-    row.launches = cat.number_or("launches", 0.0);
-    row.atomic_ops = cat.number_or("atomic_ops", 0.0);
-    for (const auto& [key, value] : cat.object) {
-      if (key == "calls" || key == "seconds" || key == "flops" ||
-          key == "bytes_read" || key == "bytes_written" ||
-          key == "launches" || key == "atomic_ops") {
-        continue;
+    cat.for_each_key([&](const std::string& key) {
+      if (key == "calls") {
+        row.calls = cat.integer<long>(
+            "calls", 0, 0, static_cast<long>(json::kMaxExactInteger));
+        return;
       }
-      if (value.is_number()) {
-        row.counters[key] = value.number;
+      for (const auto& [fixed, field] : kFixed) {
+        if (key == fixed) {
+          row.*field = cat.number(fixed, 0.0, 0.0, DBL_MAX);
+          return;
+        }
       }
-    }
+      row.counters[key] = cat.number(key.c_str(), 0.0, -DBL_MAX, DBL_MAX);
+    });
     rows.emplace(name, std::move(row));
-  }
+  });
   return rows;
 }
 

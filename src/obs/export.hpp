@@ -64,7 +64,11 @@ void write_metrics_json_file(
 void write_metrics_csv(const std::vector<Span>& spans, std::ostream& out);
 
 /// Parse a metrics JSON document (as written by write_metrics_json) back
-/// into rows; throws json::ParseError on schema mismatch.
-std::map<std::string, MetricRow> read_metrics_json(const json::Value& doc);
+/// into rows.  Strict: `calls` must be an integer in [0, 2^53], the other
+/// fixed fields finite numbers >= 0 and every other category key (an
+/// open counter) a number; a violation throws json::ParseError naming
+/// `where`, the category and the key.
+std::map<std::string, MetricRow> read_metrics_json(
+    const json::Value& doc, const std::string& where = "metrics");
 
 }  // namespace toast::obs

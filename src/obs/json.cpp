@@ -342,7 +342,7 @@ Reader::Reader(const Value& doc, const std::string& where, const char* schema,
 }
 
 Reader::Reader(const Value& obj, const Reader* parent, const char* key,
-               std::size_t index, Keys known)
+               std::size_t index, const Keys* known)
     : obj_(&obj),
       where_(parent->where_),
       parent_(parent),
@@ -351,7 +351,9 @@ Reader::Reader(const Value& obj, const Reader* parent, const char* key,
   if (!obj.is_object()) {
     fail(nullptr, "must be an object");
   }
-  reject_unknown(known, nullptr);
+  if (known != nullptr) {
+    reject_unknown(*known, nullptr);
+  }
 }
 
 void Reader::reject_unknown(Keys known, const char* schema) const {
@@ -425,7 +427,7 @@ std::optional<Reader> Reader::object(const char* key, Keys known) const {
   if (m == nullptr) {
     return std::nullopt;
   }
-  return Reader(*m, this, key, kNoIndex, known);
+  return Reader(*m, this, key, kNoIndex, &known);
 }
 
 /// `element` gets the path up to the innermost array element holding

@@ -156,7 +156,10 @@ class Reader {
     }
     std::string expected;
     for (const auto& [name, value] : names) {
-      expected += (expected.empty() ? "" : "|") + std::string(name);
+      if (!expected.empty()) {
+        expected += '|';
+      }
+      expected += name;
     }
     fail(key, "must be " + expected + ", got '" + m->string + "'");
   }
@@ -173,9 +176,30 @@ class Reader {
       return 0;
     }
     for (std::size_t i = 0; i < m->array.size(); ++i) {
-      each(Reader(m->array[i], this, key, i, known));
+      each(Reader(m->array[i], this, key, i, &known));
     }
     return m->array.size();
+  }
+  /// Calls `each(name, element)` for every member of the optional object
+  /// `key`, an object of objects under open names (e.g. metric
+  /// categories).  Each element must be an object; its keys are open.
+  template <class F>
+  void named_objects(const char* key, F&& each) const {
+    const Value* m = member(key, Value::Type::kObject, "an object");
+    if (m == nullptr) {
+      return;
+    }
+    const Reader group(*m, this, key, kNoIndex, nullptr);
+    for (const auto& [name, element] : m->object) {
+      each(name, Reader(element, &group, name.c_str(), kNoIndex, nullptr));
+    }
+  }
+  /// Calls `each(key)` for every key of this view, in sorted order.
+  template <class F>
+  void for_each_key(F&& each) const {
+    for (const auto& member : obj_->object) {
+      each(member.first);
+    }
   }
 
   /// Throws a ParseError naming member `key` (the view itself when
@@ -183,8 +207,9 @@ class Reader {
   [[noreturn]] void fail(const char* key, const std::string& what) const;
 
  private:
+  /// A child view; `known` == nullptr leaves its keys open.
   Reader(const Value& obj, const Reader* parent, const char* key,
-         std::size_t index, Keys known);
+         std::size_t index, const Keys* known);
   void reject_unknown(Keys known, const char* schema) const;
   /// Member `key`, or nullptr when absent; a member of another type is
   /// an error.

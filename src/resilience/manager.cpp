@@ -187,7 +187,7 @@ BreakerState Manager::breaker_state(const std::string& site) const {
   return it == per_site.end() ? BreakerState::kClosed : it->second.state;
 }
 
-int Manager::level(const std::string& domain) const {
+int Manager::level(Domain domain) const {
   if (!armed_) {
     return 0;
   }
@@ -195,8 +195,7 @@ int Manager::level(const std::string& domain) const {
   return it == ladder_levels_.end() ? 0 : it->second;
 }
 
-void Manager::report_fault(const std::string& domain,
-                           const std::string& why) {
+void Manager::report_fault(Domain domain, const std::string& why) {
   if (!armed_) {
     return;
   }
@@ -222,7 +221,8 @@ void Manager::report_fault(const std::string& domain,
   if (tracer_ != nullptr) {
     const obs::SpanId id =
         tracer_->record("resilience_degrade", "resilience", 0.0);
-    tracer_->add_counter(id, "domain_" + domain, 1.0);
+    tracer_->add_counter(id, std::string("domain_") + to_string(domain),
+                         1.0);
     tracer_->add_counter(id, "level", level);
     tracer_->add_counter(id, "why_" + why, 1.0);
   }

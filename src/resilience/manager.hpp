@@ -73,11 +73,11 @@ class Manager {
   // --- degradation ladders -------------------------------------------------
 
   /// Current escalation level of `domain` (0 = no degradation, and
-  /// always 0 for undeclared domains or a disarmed manager).
-  int level(const std::string& domain) const;
+  /// always 0 for a domain with no ladder or a disarmed manager).
+  int level(Domain domain) const;
   /// Report one fault against `domain`; every `escalate_after` reports
   /// raise the level one rung up to `max_level`.
-  void report_fault(const std::string& domain, const std::string& why);
+  void report_fault(Domain domain, const std::string& why);
 
   // --- elastic world shrink ------------------------------------------------
 
@@ -135,8 +135,8 @@ class Manager {
   bool armed_ = false;
   /// Per site-policy entry, per concrete site name.
   std::vector<std::map<std::string, Breaker>> breakers_;
-  std::map<std::string, int> ladder_faults_;
-  std::map<std::string, int> ladder_levels_;
+  std::map<Domain, int> ladder_faults_;
+  std::map<Domain, int> ladder_levels_;
   std::map<std::string, double> counters_;
 };
 

@@ -26,6 +26,11 @@ RetrySpec read_retry(const Reader& parent) {
 
 namespace {
 
+constexpr obs::json::Name<Domain> kDomainNames[] = {
+    {"solver_comm", Domain::kSolverComm},
+    {"collectives", Domain::kCollectives},
+};
+
 Policy policy_from_value(const obs::json::Value& doc,
                          const std::string& where) {
   const Reader r(doc, where, "toastcase-resilience-policy-v1",
@@ -56,10 +61,7 @@ Policy policy_from_value(const obs::json::Value& doc,
   r.objects("ladders", {"domain", "escalate_after", "max_level"},
             [&](const Reader& l) {
               LadderSpec ls;
-              ls.domain = l.string("domain");
-              if (ls.domain.empty()) {
-                l.fail("domain", "must not be empty");
-              }
+              ls.domain = l.enumeration("domain", kDomainNames);
               ls.escalate_after =
                   l.integer("escalate_after", ls.escalate_after, 1, INT_MAX);
               ls.max_level = l.integer("max_level", ls.max_level, 0, INT_MAX);
@@ -78,6 +80,8 @@ Policy policy_from_value(const obs::json::Value& doc,
 }
 
 }  // namespace
+
+const char* to_string(Domain d) { return obs::json::name_of(kDomainNames, d); }
 
 Policy Policy::parse(const std::string& text) {
   return policy_from_value(obs::json::Value::parse(text),

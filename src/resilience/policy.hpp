@@ -16,10 +16,9 @@
 //     closed, driven by the injected failure pattern and the virtual
 //     clock, optionally jittered from the fault RNG so repeats stay
 //     bitwise),
-//   - graceful-degradation ladders: named escalation domains
-//     ("solver_comm" overlap->sync->staged, "executor" plan replay->
-//     pipeline interpreter, "collectives" engine->model) that step up
-//     one rung per `escalate_after` reported faults,
+//   - graceful-degradation ladders: a closed set of escalation domains
+//     ("solver_comm" overlap->sync->staged, "collectives" engine->model)
+//     that step up one rung per `escalate_after` reported faults,
 //   - the elastic world-shrink switch: when a rank-failure replay budget
 //     is exhausted, drop the rank, rebuild the comm topology over the
 //     survivors and redistribute its work instead of retrying forever.
@@ -97,12 +96,21 @@ struct SitePolicy {
   BreakerSpec breaker;
 };
 
+/// The escalation domains the code consults.  Subsystems map levels to
+/// rungs themselves: the destriper maps "solver_comm" levels onto
+/// overlap -> sync -> staged, mpisim falls back from the comm engine to
+/// the closed-form model once "collectives" escalates.
+enum class Domain {
+  kSolverComm,
+  kCollectives,
+};
+
+const char* to_string(Domain d);
+
 /// One graceful-degradation ladder.  Every `escalate_after` faults
 /// reported for `domain` the level rises one rung, up to `max_level`.
-/// Subsystems map levels to rungs themselves (e.g. the destriper maps
-/// "solver_comm" levels onto overlap -> sync -> staged).
 struct LadderSpec {
-  std::string domain;
+  Domain domain = Domain::kSolverComm;
   int escalate_after = 1;
   int max_level = 1;
 };

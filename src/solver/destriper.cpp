@@ -335,9 +335,10 @@ DestriperResult Destriper::solve(core::Observation& ob,
   // drops dead ranks from it mid-solve).
   resilience::Manager& rm = ctx.resilience();
   live_ranks_ = config_.comm_ranks;
-  active_comm_ = rm.armed()
-                     ? ladder_mode(config_.async_comm, rm.level("solver_comm"))
-                     : config_.async_comm;
+  active_comm_ =
+      rm.armed() ? ladder_mode(config_.async_comm,
+                               rm.level(resilience::Domain::kSolverComm))
+                 : config_.async_comm;
   init_taskrt(ctx, active_comm_);
 
   std::vector<double> det_weights(static_cast<std::size_t>(n_det));
@@ -474,9 +475,9 @@ DestriperResult Destriper::solve(core::Observation& ob,
         }
         ctx.faults().note_checkpoint_restore("destriper_cg", iter);
         if (rm.armed()) {
-          rm.report_fault("solver_comm", "destriper_cg");
-          const AsyncComm target =
-              ladder_mode(config_.async_comm, rm.level("solver_comm"));
+          rm.report_fault(resilience::Domain::kSolverComm, "destriper_cg");
+          const AsyncComm target = ladder_mode(
+              config_.async_comm, rm.level(resilience::Domain::kSolverComm));
           if (target != active_comm_) {
             active_comm_ = target;
             init_taskrt(ctx, target);

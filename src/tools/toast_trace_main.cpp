@@ -91,7 +91,7 @@ std::map<std::string, MetricRow> load_rows(const std::string& path) {
   if (doc.find("traceEvents") != nullptr) {
     return rows_from_chrome_trace(doc);
   }
-  return toast::obs::read_metrics_json(doc);
+  return toast::obs::read_metrics_json(doc, path);
 }
 
 std::vector<std::pair<std::string, MetricRow>> by_seconds(

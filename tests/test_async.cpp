@@ -70,7 +70,7 @@ RunResult run(Backend b, Drive drive, const fault::FaultPlan& fplan = {}) {
     if (drive == Drive::kStaged) {
       pipeline.exec(ob, ctx);
     } else if (drive == Drive::kLogged) {
-      pipeline.exec(ob, ctx, r.steps.emplace_back());
+      pipeline.exec(ob, ctx, &r.steps.emplace_back());
       r.report.merge(async::report(r.steps.back()));
     } else {
       r.report.merge(async::run_overlap(pipeline, ob, ctx));

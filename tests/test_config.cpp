@@ -22,7 +22,9 @@
 #include "config/schedule.hpp"
 #include "fault/fault.hpp"
 #include "mpisim/job.hpp"
+#include "obs/export.hpp"
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
 #include "resilience/policy.hpp"
 #include "serve/spec.hpp"
 #include "tune/library.hpp"
@@ -440,24 +442,45 @@ TEST(SchemaFuzz, MutatedBenchInputsParseOrThrowRuntimeError) {
     toast::obs::json::Value::parse(t);
   };
 
-  std::vector<std::pair<fs::path, Parse>> inputs;
+  struct Input {
+    std::string path;  ///< file, or a label for a generated document
+    std::string text;
+    Parse parse;
+  };
+  std::vector<Input> inputs;
   for (const char* dir : {"faultplans", "schedules", "servespecs"}) {
     for (const auto& f : fs::directory_iterator(bench / dir)) {
       const std::string schema =
           toast::obs::json::load_file(f.path().string()).at("schema").string;
       ASSERT_EQ(typed.count(schema), 1u) << f.path() << ": " << schema;
-      inputs.emplace_back(f.path(), typed.at(schema));
+      inputs.push_back(
+          {f.path().string(), slurp(f.path()), typed.at(schema)});
     }
   }
   for (const auto& f : fs::directory_iterator(bench / "golden")) {
-    inputs.emplace_back(f.path(), plain);
+    inputs.push_back({f.path().string(), slurp(f.path()), plain});
   }
-  ASSERT_GE(inputs.size(), 20u);
+  {
+    // A metrics document as obs::write_metrics_json writes it (fixed
+    // fields, an open counter, meta), read back through its strict reader.
+    toast::accel::VirtualClock clock;
+    toast::obs::Tracer tracer(&clock);
+    const auto span = tracer.record("scan_map", "kernel", 2.5e-4);
+    tracer.add_counter(span, "bytes_h2d", 4096.0);
+    tracer.record("pipeline_overhead", "framework", 5.0e-5);
+    std::ostringstream out;
+    toast::obs::write_metrics_json(tracer.spans(), out, {{"bench", "fuzz"}});
+    inputs.push_back({"write_metrics_json", out.str(),
+                      [](const std::string& t) {
+                        toast::obs::read_metrics_json(
+                            toast::obs::json::Value::parse(t));
+                      }});
+  }
+  ASSERT_GE(inputs.size(), 21u);
 
   constexpr int kMutationsPerInput = 64;
   std::uint64_t rng = 2023;
-  for (const auto& [path, parse] : inputs) {
-    const std::string original = slurp(path);
+  for (const auto& [path, original, parse] : inputs) {
     EXPECT_NO_THROW(parse(original)) << path;
     for (int i = 0; i < kMutationsPerInput; ++i) {
       std::string text = original;

@@ -219,6 +219,48 @@ TEST(Export, MetricsJsonRoundTrip) {
   EXPECT_DOUBLE_EQ(doc.at("total_seconds").number, 1.625);
 }
 
+TEST(Export, MetricsJsonReaderIsStrict) {
+  // An out-of-range call count must not wrap through an integer cast,
+  // nor a string seconds value read as 0: both fail naming the file,
+  // the category and the key.
+  const auto error = [](const std::string& categories) {
+    try {
+      toast::obs::read_metrics_json(
+          json::Value::parse(R"({"schema": "toastcase-metrics-v1",
+                                 "categories": {"k": )" +
+                             categories + "}}"),
+          "m.json");
+    } catch (const json::ParseError& e) {
+      return std::string(e.what());
+    }
+    return std::string("parsed");
+  };
+  EXPECT_NE(error(R"({"calls": 1e30, "seconds": "2"})")
+                .find("m.json: 'categories.k.calls' must be an integer"),
+            std::string::npos);
+  EXPECT_NE(error(R"({"calls": 1, "seconds": "2"})")
+                .find("'categories.k.seconds' must be a number"),
+            std::string::npos);
+  for (const char* bad :
+       {R"({"calls": -1})", R"({"calls": 1.5})",
+        R"({"calls": 9007199254740994})", R"({"seconds": -1e-9})",
+        R"({"flops": -1})", R"({"launches": true})", R"({"bytes_h2d": "10"})",
+        R"({"peak": null})", "[]", "3"}) {
+    EXPECT_NE(error(bad).find("'categories.k"), std::string::npos) << bad;
+  }
+  // Open category names stay accepted.
+  EXPECT_EQ(error(R"({"calls": 1}, "extra": {})"), "parsed");
+  // Open counters stay accepted as numbers of either sign.
+  const auto rows = toast::obs::read_metrics_json(json::Value::parse(
+      R"({"schema": "toastcase-metrics-v1",
+          "categories": {"k": {"calls": 9007199254740992, "skew": -2.5}}})"));
+  EXPECT_EQ(rows.at("k").calls, 9007199254740992L);
+  EXPECT_DOUBLE_EQ(rows.at("k").counters.at("skew"), -2.5);
+  EXPECT_THROW(toast::obs::read_metrics_json(json::Value::parse(
+                   R"({"schema": "toastcase-metrics-v1"})")),
+               json::ParseError);
+}
+
 TEST(Export, ChromeTraceRoundTrip) {
   VirtualClock clock;
   const Tracer tracer = make_populated_tracer(clock);

@@ -1,7 +1,7 @@
 // Tests of the pipeline compilation layer (docs/MODEL.md "Pipeline
-// compilation"): plan/interpreter bitwise equivalence, plan-cache
-// behaviour, the runtime guards that make static plans safe, fault
-// degradation as plan patching, prefetch hoisting and liveness eviction.
+// compilation"): plan-cache behaviour, the runtime guards that make
+// static plans safe, fault degradation as plan patching, prefetch
+// hoisting and liveness eviction.
 
 #include <gtest/gtest.h>
 
@@ -55,22 +55,13 @@ struct RunResult {
   core::Data data;
 };
 
-RunResult run(Backend b, core::Pipeline::Staging staging, bool interpret,
-              const fault::FaultPlan& fplan = {},
-              const core::PlanOptions* popt = nullptr) {
+RunResult run(Backend b, core::Pipeline::Staging staging,
+              const fault::FaultPlan& fplan = {}) {
   RunResult r;
   r.data = make_data();
   auto ctx = make_ctx(b, fplan);
   toast::kernels::jax::clear_jit_caches();
-  auto pipeline = make_pipeline(staging);
-  if (popt != nullptr) {
-    pipeline.set_plan_options(*popt);
-  }
-  if (interpret) {
-    pipeline.exec_interpreted(r.data, ctx);
-  } else {
-    pipeline.exec(r.data, ctx);
-  }
+  make_pipeline(staging).exec(r.data, ctx);
   r.runtime = ctx.clock().now();
   r.log = ctx.log();
   return r;
@@ -98,6 +89,15 @@ void expect_fields_equal(const core::Data& a, const core::Data& b,
   }
 }
 
+/// Turn on the plan's prefetch (and optionally liveness eviction) in the
+/// pipeline's staging axis.
+void set_prefetch(core::Pipeline& pipeline, bool evict = false) {
+  auto schedule = pipeline.schedule();
+  schedule.staging.prefetch = true;
+  schedule.staging.evict = evict;
+  pipeline.set_schedule(schedule);
+}
+
 /// An accelerated operator that declares a provides field it never
 /// creates: the planner emits Map/Upload/Download steps for it and the
 /// runtime guards must skip them all.
@@ -122,38 +122,6 @@ class GhostProvidesOp final : public core::Operator {
 
 }  // namespace
 
-// --- bitwise equivalence ---------------------------------------------------
-
-TEST(PlanEquivalence, SyncPlanMatchesInterpreterPipelined) {
-  const auto plan =
-      run(Backend::kOmpTarget, core::Pipeline::Staging::kPipelined, false);
-  const auto interp =
-      run(Backend::kOmpTarget, core::Pipeline::Staging::kPipelined, true);
-  EXPECT_EQ(plan.runtime, interp.runtime);
-  expect_logs_equal(plan.log, interp.log);
-  expect_fields_equal(plan.data, interp.data, "signal");
-  expect_fields_equal(plan.data, interp.data, "zmap");
-}
-
-TEST(PlanEquivalence, SyncPlanMatchesInterpreterNaive) {
-  const auto plan =
-      run(Backend::kOmpTarget, core::Pipeline::Staging::kNaive, false);
-  const auto interp =
-      run(Backend::kOmpTarget, core::Pipeline::Staging::kNaive, true);
-  EXPECT_EQ(plan.runtime, interp.runtime);
-  expect_logs_equal(plan.log, interp.log);
-  expect_fields_equal(plan.data, interp.data, "signal");
-}
-
-TEST(PlanEquivalence, SyncPlanMatchesInterpreterJax) {
-  const auto plan =
-      run(Backend::kJax, core::Pipeline::Staging::kPipelined, false);
-  const auto interp =
-      run(Backend::kJax, core::Pipeline::Staging::kPipelined, true);
-  EXPECT_EQ(plan.runtime, interp.runtime);
-  expect_logs_equal(plan.log, interp.log);
-}
-
 // --- fault handling --------------------------------------------------------
 
 TEST(PlanFaults, NaiveStagingSurvivesTransferFaults) {
@@ -171,18 +139,11 @@ TEST(PlanFaults, NaiveStagingSurvivesTransferFaults) {
   fplan.rules.push_back(rule);
 
   const auto chaotic =
-      run(Backend::kOmpTarget, core::Pipeline::Staging::kNaive, false, fplan);
-  const auto clean =
-      run(Backend::kOmpTarget, core::Pipeline::Staging::kNaive, false);
+      run(Backend::kOmpTarget, core::Pipeline::Staging::kNaive, fplan);
+  const auto clean = run(Backend::kOmpTarget, core::Pipeline::Staging::kNaive);
   expect_fields_equal(chaotic.data, clean.data, "signal");
   expect_fields_equal(chaotic.data, clean.data, "zmap");
   EXPECT_GT(chaotic.runtime, clean.runtime);  // retries cost virtual time
-
-  // And the planned chaos run still matches the interpreter bit for bit.
-  const auto interp =
-      run(Backend::kOmpTarget, core::Pipeline::Staging::kNaive, true, fplan);
-  EXPECT_EQ(chaotic.runtime, interp.runtime);
-  expect_logs_equal(chaotic.log, interp.log);
 }
 
 TEST(PlanFaults, BackendOverrideRespectsDegradedKernels) {
@@ -234,7 +195,7 @@ TEST(PlanFaults, MidRunDegradeCountsReplans) {
   EXPECT_GT(counters.at("fault_plan_replans"), 0.0);
 
   const auto clean =
-      run(Backend::kOmpTarget, core::Pipeline::Staging::kPipelined, false);
+      run(Backend::kOmpTarget, core::Pipeline::Staging::kPipelined);
   expect_fields_equal(data, clean.data, "zmap");
 }
 
@@ -262,9 +223,7 @@ TEST(PlanCache, HitOnSecondObservationMissAfterOptionsChange) {
   EXPECT_EQ(pipeline.plan_stats().cache_misses, 1.0);
   EXPECT_EQ(pipeline.plan_stats().cache_hits, 1.0);  // same field layout
 
-  core::PlanOptions popt;
-  popt.prefetch = true;
-  pipeline.set_plan_options(popt);  // clears the cache
+  set_prefetch(pipeline);  // a new schedule clears the cache
   auto data2 = make_data(2);
   pipeline.exec(data2, ctx);
   EXPECT_EQ(pipeline.plan_stats().cache_misses, 2.0);
@@ -272,10 +231,8 @@ TEST(PlanCache, HitOnSecondObservationMissAfterOptionsChange) {
 }
 
 TEST(PlanCache, SameSeedTwiceIsBitwiseDeterministic) {
-  const auto a =
-      run(Backend::kOmpTarget, core::Pipeline::Staging::kPipelined, false);
-  const auto b =
-      run(Backend::kOmpTarget, core::Pipeline::Staging::kPipelined, false);
+  const auto a = run(Backend::kOmpTarget, core::Pipeline::Staging::kPipelined);
+  const auto b = run(Backend::kOmpTarget, core::Pipeline::Staging::kPipelined);
   EXPECT_EQ(a.runtime, b.runtime);
   expect_logs_equal(a.log, b.log);
   expect_fields_equal(a.data, b.data, "signal");
@@ -303,9 +260,7 @@ TEST(PlanStructure, PrefetchHoistsOnlyFieldsTheCurrentOpDoesNotTouch) {
   auto data = make_data(1);
   auto ctx = make_ctx(Backend::kOmpTarget);
   auto pipeline = make_pipeline();
-  core::PlanOptions popt;
-  popt.prefetch = true;
-  pipeline.set_plan_options(popt);
+  set_prefetch(pipeline);
   const auto plan = pipeline.plan_for(data.observations.front(), ctx);
   const auto& meta = pipeline.metadata();
   EXPECT_GT(plan->prefetch_uploads, 0);
@@ -332,10 +287,6 @@ TEST(PlanStructure, PrefetchHoistsOnlyFieldsTheCurrentOpDoesNotTouch) {
 }
 
 TEST(PlanStructure, PrefetchAndEvictPreserveProductsAndLowerFootprint) {
-  core::PlanOptions popt;
-  popt.prefetch = true;
-  popt.evict = true;
-
   auto base_data = make_data();
   auto base_ctx = make_ctx(Backend::kOmpTarget);
   auto base_pipeline = make_pipeline();
@@ -344,7 +295,7 @@ TEST(PlanStructure, PrefetchAndEvictPreserveProductsAndLowerFootprint) {
   auto opt_data = make_data();
   auto opt_ctx = make_ctx(Backend::kOmpTarget);
   auto opt_pipeline = make_pipeline();
-  opt_pipeline.set_plan_options(popt);
+  set_prefetch(opt_pipeline, /*evict=*/true);
   opt_pipeline.exec(opt_data, opt_ctx);
 
   expect_fields_equal(base_data, opt_data, "signal");

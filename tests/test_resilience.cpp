@@ -35,6 +35,7 @@ using fault::FaultKind;
 using fault::FaultPlan;
 using fault::FaultRule;
 using resilience::BreakerState;
+using resilience::Domain;
 using resilience::Manager;
 using resilience::Policy;
 using toast::accel::VirtualClock;
@@ -78,7 +79,7 @@ TEST(ResiliencePolicy, ParsesFullDocument) {
   EXPECT_EQ(p.sites[0].breaker.close_after, 2);
   EXPECT_DOUBLE_EQ(p.sites[0].breaker.jitter, 0.1);
   ASSERT_EQ(p.ladders.size(), 1u);
-  EXPECT_EQ(p.ladders[0].domain, "solver_comm");
+  EXPECT_EQ(p.ladders[0].domain, Domain::kSolverComm);
   EXPECT_EQ(p.ladders[0].escalate_after, 2);
   EXPECT_TRUE(p.elastic.enabled);
   EXPECT_EQ(p.elastic.min_ranks, 2);
@@ -142,6 +143,21 @@ TEST(ResiliencePolicy, RejectsWrongTypesAndFractions) {
         std::runtime_error)
         << elastic;
   }
+  // Ladder domains are the closed set the code consults: a retired
+  // domain, a typo or a non-string fails with its key path instead of
+  // parsing into a ladder that never fires.
+  for (const char* domain : {"\"executor\"", "\"solvercomm\"", "3"}) {
+    try {
+      Policy::parse(std::string(R"({"schema": "toastcase-resilience-policy-v1",
+                                    "ladders": [{"domain": )") +
+                    domain + "}]}");
+      ADD_FAILURE() << domain << " parsed";
+    } catch (const toast::obs::json::ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("ladders[0]: 'domain'"), std::string::npos)
+          << what;
+    }
+  }
 }
 
 // --- disarmed manager ------------------------------------------------------
@@ -155,8 +171,8 @@ TEST(ResilienceManager, DisarmedManagerIsPassThrough) {
   EXPECT_TRUE(m.admit("anywhere"));
   m.on_failure("anywhere");
   m.on_success("anywhere");
-  m.report_fault("solver_comm", "x");
-  EXPECT_EQ(m.level("solver_comm"), 0);
+  m.report_fault(Domain::kSolverComm, "x");
+  EXPECT_EQ(m.level(Domain::kSolverComm), 0);
   EXPECT_FALSE(m.elastic_enabled());
   EXPECT_FALSE(m.allow_shrink(64));
   EXPECT_EQ(m.breaker_state("anywhere"), BreakerState::kClosed);
@@ -351,27 +367,27 @@ TEST(ResilienceDeadline, CapsRetryPenaltyUnderPinnedSeed) {
 
 TEST(ResilienceLadder, EscalatesEveryNFaultsUpToMaxLevel) {
   Policy policy;
-  policy.ladders.push_back(resilience::LadderSpec{"solver_comm", 2, 2});
+  policy.ladders.push_back(resilience::LadderSpec{Domain::kSolverComm, 2, 2});
   VirtualClock clock;
   toast::obs::Tracer tracer(&clock);
   Manager m(policy, &clock, &tracer, 1);
 
-  EXPECT_EQ(m.level("solver_comm"), 0);
-  m.report_fault("solver_comm", "x");
-  EXPECT_EQ(m.level("solver_comm"), 0);
-  m.report_fault("solver_comm", "x");
-  EXPECT_EQ(m.level("solver_comm"), 1);
-  m.report_fault("solver_comm", "x");
-  m.report_fault("solver_comm", "x");
-  EXPECT_EQ(m.level("solver_comm"), 2);
+  EXPECT_EQ(m.level(Domain::kSolverComm), 0);
+  m.report_fault(Domain::kSolverComm, "x");
+  EXPECT_EQ(m.level(Domain::kSolverComm), 0);
+  m.report_fault(Domain::kSolverComm, "x");
+  EXPECT_EQ(m.level(Domain::kSolverComm), 1);
+  m.report_fault(Domain::kSolverComm, "x");
+  m.report_fault(Domain::kSolverComm, "x");
+  EXPECT_EQ(m.level(Domain::kSolverComm), 2);
   for (int i = 0; i < 6; ++i) {
-    m.report_fault("solver_comm", "x");
+    m.report_fault(Domain::kSolverComm, "x");
   }
-  EXPECT_EQ(m.level("solver_comm"), 2);  // capped
+  EXPECT_EQ(m.level(Domain::kSolverComm), 2);  // capped
   EXPECT_DOUBLE_EQ(m.counters().at("resilience_degrades"), 2.0);
-  // Undeclared domains never escalate.
-  m.report_fault("executor", "x");
-  EXPECT_EQ(m.level("executor"), 0);
+  // A domain with no configured ladder never escalates.
+  m.report_fault(Domain::kCollectives, "x");
+  EXPECT_EQ(m.level(Domain::kCollectives), 0);
 }
 
 // --- elastic recovery through the destriper CG -----------------------------
