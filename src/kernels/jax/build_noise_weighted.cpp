@@ -15,16 +15,14 @@ struct Statics {
   std::int64_t n_samp = 0;
   std::int64_t nnz = 0;
   std::int64_t flag_mask = 0;
-} s;
+};
 
-std::vector<xla::Array> graph(const std::vector<xla::Array>& in) {
+Arrays graph(const Statics& s, const Arrays& in) {
   using namespace xla;
-  const Array det_ids = in[0], starts = in[1], lens = in[2];
   const Array pixels = in[3], weights = in[4], signal = in[5],
               det_scale = in[6], flags = in[7], zmap = in[8];
 
-  const PaddedIndex idx =
-      padded_index(det_ids, starts, lens, s.max_len, s.n_samp);
+  const PaddedIndex idx = padded_index(in, s.max_len, s.n_samp);
   const Array pix = gather(pixels, idx.detmaj);
   const Array flag = gather(flags, idx.samp);
   const Array flagged =
@@ -47,6 +45,9 @@ std::vector<xla::Array> graph(const std::vector<xla::Array>& in) {
   return {out};
 }
 
+const JaxKernel<Statics> kernel{"build_noise_weighted", graph, {8},
+                                {0, 1, 2, 3, 4, 6, 7}};
+
 }  // namespace
 
 void build_noise_weighted(const std::int64_t* pixels, const double* weights,
@@ -61,30 +62,17 @@ void build_noise_weighted(const std::int64_t* pixels, const double* weights,
   if (view.rows == 0 || view.max_len == 0) {
     return;
   }
-  s = {view.max_len, n_samp, nnz, shared_flags != nullptr ? flag_mask : 0};
-
-  std::vector<xla::Literal> args;
-  args.push_back(view.det_ids);
-  args.push_back(view.starts);
-  args.push_back(view.lens);
-  args.push_back(lit_i64(pixels, n_det * n_samp));
-  args.push_back(lit_f64(weights, nnz * n_det * n_samp));
-  args.push_back(lit_f64(signal, n_det * n_samp));
-  args.push_back(lit_f64(det_scale, n_det));
-  args.push_back(shared_flags != nullptr
-                     ? lit_u8_as_i64(shared_flags, n_samp)
-                     : xla::Literal(xla::Shape{n_samp}, xla::DType::kI64));
-  args.push_back(lit_f64(zmap, n_pix * nnz));
-
-  auto& jit = registered_jit("build_noise_weighted", graph);
-  jit.set_donated_params({8});
-  jit.set_invariant_params({0, 1, 2, 3, 4, 6, 7});
-  const std::string key = "maxlen=" + std::to_string(s.max_len) + ";nsamp=" +
-                          std::to_string(s.n_samp) +
-                          ";nnz=" + std::to_string(nnz) +
-                          ";mask=" + std::to_string(s.flag_mask);
-  const auto out = jit.call(ctx.jax(), std::move(args), key);
-  store_f64(out[0], zmap);
+  kernel.call(ctx,
+              {view.max_len, n_samp, nnz,
+               shared_flags != nullptr ? flag_mask : 0},
+              pack_args(view.det_ids, view.starts, view.lens,
+                        lit_i64(pixels, n_det * n_samp),
+                        lit_f64(weights, nnz * n_det * n_samp),
+                        lit_f64(signal, n_det * n_samp),
+                        lit_f64(det_scale, n_det),
+                        lit_u8_as_i64(shared_flags, n_samp),
+                        lit_f64(zmap, n_pix * nnz)),
+              zmap);
 }
 
 }  // namespace toast::kernels::jax

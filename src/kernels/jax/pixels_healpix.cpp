@@ -18,8 +18,8 @@ struct Statics {
   std::int64_t n_samp = 0;
   std::int64_t flag_mask = 0;
   std::int64_t nside = 0;
-  bool nest = true;
-} s;
+  std::int64_t nest = 1;
+};
 
 // Morton spread of the low 32 bits (x -> even bit positions).
 xla::Array spread_bits(xla::Array v) {
@@ -41,9 +41,8 @@ xla::Array spread_bits(xla::Array v) {
   return r;
 }
 
-std::vector<xla::Array> graph(const std::vector<xla::Array>& in) {
+Arrays graph(const Statics& s, const Arrays& in) {
   using namespace xla;
-  const Array det_ids = in[0], starts = in[1], lens = in[2];
   const Array quats = in[3], flags = in[4], pixels_out = in[5];
 
   const std::int64_t nside = s.nside;
@@ -52,8 +51,7 @@ std::vector<xla::Array> graph(const std::vector<xla::Array>& in) {
   const std::int64_t npix = 12 * nside * nside;
   const std::int64_t ncap = 2 * nside * (nside - 1);
 
-  const PaddedIndex idx =
-      padded_index(det_ids, starts, lens, s.max_len, s.n_samp);
+  const PaddedIndex idx = padded_index(in, s.max_len, s.n_samp);
   const Array four = constant_i64(4);
   const Array q4 = mul(idx.detmaj, four);
   const Array qx = gather(quats, q4);
@@ -165,6 +163,8 @@ std::vector<xla::Array> graph(const std::vector<xla::Array>& in) {
   return {scatter_set(pixels_out, masked(idx.detmaj, idx.valid), value)};
 }
 
+const JaxKernel<Statics> kernel{"pixels_healpix", graph, {5}, {}};
+
 }  // namespace
 
 void pixels_healpix(const double* quats, const std::uint8_t* shared_flags,
@@ -176,27 +176,14 @@ void pixels_healpix(const double* quats, const std::uint8_t* shared_flags,
   if (view.rows == 0 || view.max_len == 0) {
     return;
   }
-  s = {view.max_len, n_samp, shared_flags != nullptr ? flag_mask : 0, nside,
-       nest};
-
-  std::vector<xla::Literal> args;
-  args.push_back(view.det_ids);
-  args.push_back(view.starts);
-  args.push_back(view.lens);
-  args.push_back(lit_f64(quats, 4 * n_det * n_samp));
-  args.push_back(shared_flags != nullptr
-                     ? lit_u8_as_i64(shared_flags, n_samp)
-                     : xla::Literal(xla::Shape{n_samp}, xla::DType::kI64));
-  args.push_back(lit_i64(pixels, n_det * n_samp));
-
-  auto& jit = registered_jit("pixels_healpix", graph);
-  jit.set_donated_params({5});
-  const std::string key =
-      "maxlen=" + std::to_string(s.max_len) + ";nsamp=" +
-      std::to_string(s.n_samp) + ";mask=" + std::to_string(s.flag_mask) +
-      ";nside=" + std::to_string(nside) + ";nest=" + (nest ? "1" : "0");
-  const auto out = jit.call(ctx.jax(), std::move(args), key);
-  store_i64(out[0], pixels);
+  kernel.call(ctx,
+              {view.max_len, n_samp, shared_flags != nullptr ? flag_mask : 0,
+               nside, nest},
+              pack_args(view.det_ids, view.starts, view.lens,
+                        lit_f64(quats, 4 * n_det * n_samp),
+                        lit_u8_as_i64(shared_flags, n_samp),
+                        lit_i64(pixels, n_det * n_samp)),
+              pixels);
 }
 
 }  // namespace toast::kernels::jax

@@ -13,15 +13,13 @@ struct Statics {
   std::int64_t max_len = 0;
   std::int64_t n_samp = 0;
   std::int64_t flag_mask = 0;
-} s;
+};
 
-std::vector<xla::Array> graph(const std::vector<xla::Array>& in) {
+Arrays graph(const Statics& s, const Arrays& in) {
   using namespace xla;
-  const Array det_ids = in[0], starts = in[1], lens = in[2];
   const Array bore = in[3], fp = in[4], flags = in[5], quats_out = in[6];
 
-  const PaddedIndex idx =
-      padded_index(det_ids, starts, lens, s.max_len, s.n_samp);
+  const PaddedIndex idx = padded_index(in, s.max_len, s.n_samp);
   const Array four = constant_i64(4);
   const Array s4 = mul(idx.samp, four);
   const Array bx = gather(bore, s4);
@@ -56,6 +54,8 @@ std::vector<xla::Array> graph(const std::vector<xla::Array>& in) {
   return {out};
 }
 
+const JaxKernel<Statics> kernel{"pointing_detector", graph, {6}, {}};
+
 }  // namespace
 
 void pointing_detector(const double* fp_quats, const double* boresight,
@@ -68,26 +68,14 @@ void pointing_detector(const double* fp_quats, const double* boresight,
   if (view.rows == 0 || view.max_len == 0) {
     return;
   }
-  s = {view.max_len, n_samp, shared_flags != nullptr ? flag_mask : 0};
-
-  std::vector<xla::Literal> args;
-  args.push_back(view.det_ids);
-  args.push_back(view.starts);
-  args.push_back(view.lens);
-  args.push_back(lit_f64(boresight, 4 * n_samp));
-  args.push_back(lit_f64(fp_quats, 4 * n_det));
-  args.push_back(shared_flags != nullptr
-                     ? lit_u8_as_i64(shared_flags, n_samp)
-                     : xla::Literal(xla::Shape{n_samp}, xla::DType::kI64));
-  args.push_back(lit_f64(quats, 4 * n_det * n_samp));
-
-  auto& jit = registered_jit("pointing_detector", graph);
-  jit.set_donated_params({6});
-  const std::string key = "maxlen=" + std::to_string(s.max_len) +
-                          ";nsamp=" + std::to_string(s.n_samp) +
-                          ";mask=" + std::to_string(s.flag_mask);
-  const auto out = jit.call(ctx.jax(), std::move(args), key);
-  store_f64(out[0], quats);
+  kernel.call(ctx,
+              {view.max_len, n_samp, shared_flags != nullptr ? flag_mask : 0},
+              pack_args(view.det_ids, view.starts, view.lens,
+                        lit_f64(boresight, 4 * n_samp),
+                        lit_f64(fp_quats, 4 * n_det),
+                        lit_u8_as_i64(shared_flags, n_samp),
+                        lit_f64(quats, 4 * n_det * n_samp)),
+              quats);
 }
 
 }  // namespace toast::kernels::jax

@@ -13,16 +13,14 @@ struct Statics {
   std::int64_t n_samp = 0;
   std::int64_t nnz = 0;
   double data_scale = 1.0;
-} s;
+};
 
-std::vector<xla::Array> graph(const std::vector<xla::Array>& in) {
+Arrays graph(const Statics& s, const Arrays& in) {
   using namespace xla;
-  const Array det_ids = in[0], starts = in[1], lens = in[2];
   const Array sky_map = in[3], pixels = in[4], weights = in[5],
               signal = in[6];
 
-  const PaddedIndex idx =
-      padded_index(det_ids, starts, lens, s.max_len, s.n_samp);
+  const PaddedIndex idx = padded_index(in, s.max_len, s.n_samp);
   const Array pix = gather(pixels, idx.detmaj);
   const Array scanned = logical_and(idx.valid, ge(pix, constant_i64(0)));
   // Clamp flagged pixels to 0 for the gather (value is masked out later).
@@ -41,6 +39,8 @@ std::vector<xla::Array> graph(const std::vector<xla::Array>& in) {
   return {scatter_set(signal, masked(idx.detmaj, scanned), updated)};
 }
 
+const JaxKernel<Statics> kernel{"scan_map", graph, {6}, {}};
+
 }  // namespace
 
 void scan_map(const double* sky_map, std::int64_t n_pix, std::int64_t nnz,
@@ -52,25 +52,13 @@ void scan_map(const double* sky_map, std::int64_t n_pix, std::int64_t nnz,
   if (view.rows == 0 || view.max_len == 0) {
     return;
   }
-  s = {view.max_len, n_samp, nnz, data_scale};
-
-  std::vector<xla::Literal> args;
-  args.push_back(view.det_ids);
-  args.push_back(view.starts);
-  args.push_back(view.lens);
-  args.push_back(lit_f64(sky_map, n_pix * nnz));
-  args.push_back(lit_i64(pixels, n_det * n_samp));
-  args.push_back(lit_f64(weights, nnz * n_det * n_samp));
-  args.push_back(lit_f64(signal, n_det * n_samp));
-
-  auto& jit = registered_jit("scan_map", graph);
-  jit.set_donated_params({6});
-  const std::string key = "maxlen=" + std::to_string(s.max_len) + ";nsamp=" +
-                          std::to_string(s.n_samp) +
-                          ";nnz=" + std::to_string(nnz) +
-                          ";scale=" + std::to_string(data_scale);
-  const auto out = jit.call(ctx.jax(), std::move(args), key);
-  store_f64(out[0], signal);
+  kernel.call(ctx, {view.max_len, n_samp, nnz, data_scale},
+              pack_args(view.det_ids, view.starts, view.lens,
+                        lit_f64(sky_map, n_pix * nnz),
+                        lit_i64(pixels, n_det * n_samp),
+                        lit_f64(weights, nnz * n_det * n_samp),
+                        lit_f64(signal, n_det * n_samp)),
+              signal);
 }
 
 }  // namespace toast::kernels::jax

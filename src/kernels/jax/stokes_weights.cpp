@@ -11,16 +11,14 @@ namespace {
 struct Statics {
   std::int64_t max_len = 0;
   std::int64_t n_samp = 0;
-  bool has_hwp = false;
-} s;
+  std::int64_t has_hwp = 0;
+};
 
-std::vector<xla::Array> iqu_graph(const std::vector<xla::Array>& in) {
+Arrays iqu_graph(const Statics& s, const Arrays& in) {
   using namespace xla;
-  const Array det_ids = in[0], starts = in[1], lens = in[2];
   const Array quats = in[3], hwp = in[4], pol_eff = in[5], weights_out = in[6];
 
-  const PaddedIndex idx =
-      padded_index(det_ids, starts, lens, s.max_len, s.n_samp);
+  const PaddedIndex idx = padded_index(in, s.max_len, s.n_samp);
   const Array four = constant_i64(4);
   const Array q4 = mul(idx.detmaj, four);
   const Array qx = gather(quats, q4);
@@ -52,16 +50,18 @@ std::vector<xla::Array> iqu_graph(const std::vector<xla::Array>& in) {
   return {out};
 }
 
-std::vector<xla::Array> i_graph(const std::vector<xla::Array>& in) {
+Arrays i_graph(const PaddedStatics& s, const Arrays& in) {
   using namespace xla;
-  const Array det_ids = in[0], starts = in[1], lens = in[2];
   const Array weights_out = in[3];
-  const PaddedIndex idx =
-      padded_index(det_ids, starts, lens, s.max_len, s.n_samp);
+  const PaddedIndex idx = padded_index(in, s.max_len, s.n_samp);
   return {scatter_set(weights_out, masked(idx.detmaj, idx.valid),
-                      broadcast_col(to_f64(eq(det_ids, det_ids)),
+                      broadcast_col(to_f64(eq(in[0], in[0])),
                                     s.max_len))};
 }
+
+const JaxKernel<Statics> iqu_kernel{"stokes_weights_IQU", iqu_graph, {6},
+                                    {}};
+const JaxKernel<PaddedStatics> i_kernel{"stokes_weights_I", i_graph, {3}, {}};
 
 }  // namespace
 
@@ -74,26 +74,13 @@ void stokes_weights_iqu(const double* quats, const double* hwp_angle,
   if (view.rows == 0 || view.max_len == 0) {
     return;
   }
-  s = {view.max_len, n_samp, hwp_angle != nullptr};
-
-  std::vector<xla::Literal> args;
-  args.push_back(view.det_ids);
-  args.push_back(view.starts);
-  args.push_back(view.lens);
-  args.push_back(lit_f64(quats, 4 * n_det * n_samp));
-  args.push_back(hwp_angle != nullptr
-                     ? lit_f64(hwp_angle, n_samp)
-                     : xla::Literal(xla::Shape{n_samp}, xla::DType::kF64));
-  args.push_back(lit_f64(pol_eff, n_det));
-  args.push_back(lit_f64(weights, 3 * n_det * n_samp));
-
-  auto& jit = registered_jit("stokes_weights_IQU", iqu_graph);
-  jit.set_donated_params({6});
-  const std::string key = "maxlen=" + std::to_string(s.max_len) + ";nsamp=" +
-                          std::to_string(s.n_samp) +
-                          ";hwp=" + (s.has_hwp ? "1" : "0");
-  const auto out = jit.call(ctx.jax(), std::move(args), key);
-  store_f64(out[0], weights);
+  iqu_kernel.call(ctx, {view.max_len, n_samp, hwp_angle != nullptr},
+                  pack_args(view.det_ids, view.starts, view.lens,
+                            lit_f64(quats, 4 * n_det * n_samp),
+                            lit_f64(hwp_angle, n_samp),
+                            lit_f64(pol_eff, n_det),
+                            lit_f64(weights, 3 * n_det * n_samp)),
+                  weights);
 }
 
 void stokes_weights_i(std::span<const core::Interval> intervals,
@@ -103,20 +90,10 @@ void stokes_weights_i(std::span<const core::Interval> intervals,
   if (view.rows == 0 || view.max_len == 0) {
     return;
   }
-  s = {view.max_len, n_samp, false};
-
-  std::vector<xla::Literal> args;
-  args.push_back(view.det_ids);
-  args.push_back(view.starts);
-  args.push_back(view.lens);
-  args.push_back(lit_f64(weights, n_det * n_samp));
-
-  auto& jit = registered_jit("stokes_weights_I", i_graph);
-  jit.set_donated_params({3});
-  const std::string key = "maxlen=" + std::to_string(s.max_len) +
-                          ";nsamp=" + std::to_string(s.n_samp);
-  const auto out = jit.call(ctx.jax(), std::move(args), key);
-  store_f64(out[0], weights);
+  i_kernel.call(ctx, {view.max_len, n_samp},
+                pack_args(view.det_ids, view.starts, view.lens,
+                          lit_f64(weights, n_det * n_samp)),
+                weights);
 }
 
 }  // namespace toast::kernels::jax

@@ -7,6 +7,11 @@
 
 namespace toast::kernels::jax {
 
+namespace {
+/// Per thread, so concurrent jobs never share a trace cache.
+thread_local std::map<std::string, std::unique_ptr<xla::Jit>> t_registry;
+}  // namespace
+
 PaddedView make_padded_view(std::span<const core::Interval> intervals,
                             std::int64_t n_det) {
   PaddedView view;
@@ -32,10 +37,10 @@ PaddedView make_padded_view(std::span<const core::Interval> intervals,
   return view;
 }
 
-PaddedIndex padded_index(xla::Array det_ids, xla::Array starts,
-                         xla::Array lens, std::int64_t max_len,
+PaddedIndex padded_index(const Arrays& in, std::int64_t max_len,
                          std::int64_t n_samp) {
   using namespace xla;
+  const Array det_ids = in[0], starts = in[1], lens = in[2];
   const std::int64_t rows = det_ids.shape().dim(0);
   const Array cols = broadcast_row(iota(max_len), rows);
   const Array start = broadcast_col(starts, max_len);
@@ -75,31 +80,28 @@ Rotated rotate_axis(xla::Array qx, xla::Array qy, xla::Array qz,
   return out;
 }
 
-namespace {
-std::map<std::string, std::unique_ptr<xla::Jit>>& jit_registry() {
-  static std::map<std::string, std::unique_ptr<xla::Jit>> registry;
-  return registry;
-}
-}  // namespace
-
-xla::Jit& registered_jit(const std::string& name, xla::TracedFn fn) {
-  auto& registry = jit_registry();
-  auto it = registry.find(name);
-  if (it == registry.end()) {
-    it = registry
-             .emplace(name, std::make_unique<xla::Jit>(name, std::move(fn)))
-             .first;
+xla::Jit& registered_jit(const std::string& name,
+                         const std::vector<int>& donated,
+                         const std::vector<int>& invariant) {
+  std::unique_ptr<xla::Jit>& jit = t_registry[name];
+  if (!jit) {
+    jit = std::make_unique<xla::Jit>(name);
+    jit->set_donated_params(donated);
+    jit->set_invariant_params(invariant);
   }
-  return *it->second;
+  return *jit;
 }
 
 void clear_jit_caches() {
-  for (auto& [name, jit] : jit_registry()) {
+  for (auto& [name, jit] : t_registry) {
     jit->clear_cache();
   }
 }
 
 xla::Literal lit_f64(const double* data, std::int64_t n) {
+  if (data == nullptr) {
+    return xla::Literal(xla::Shape{n}, xla::DType::kF64);
+  }
   return xla::Literal::from_f64(xla::Shape{n},
                                 std::span<const double>(data, static_cast<std::size_t>(n)));
 }
@@ -112,15 +114,17 @@ xla::Literal lit_i64(const std::int64_t* data, std::int64_t n) {
 
 xla::Literal lit_u8_as_i64(const std::uint8_t* data, std::int64_t n) {
   xla::Literal l(xla::Shape{n}, xla::DType::kI64);
-  std::copy_n(data, n, l.i64().data());
+  if (data != nullptr) {
+    std::copy_n(data, n, l.i64().data());
+  }
   return l;
 }
 
-void store_f64(const xla::Literal& l, double* out) {
+void store(const xla::Literal& l, double* out) {
   std::memcpy(out, l.f64().data(), l.byte_size());
 }
 
-void store_i64(const xla::Literal& l, std::int64_t* out) {
+void store(const xla::Literal& l, std::int64_t* out) {
   std::memcpy(out, l.i64().data(), l.byte_size());
 }
 

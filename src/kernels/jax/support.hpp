@@ -1,13 +1,16 @@
 #pragma once
 
-// Support code for the JAX kernel ports: the padded interval view and the
-// per-kernel Jit registry.
+// Support code for the JAX kernel ports: the padded interval view, the
+// argument packing and JaxKernel, the jitted kernel with typed statics.
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
+#include "core/context.hpp"
 #include "core/types.hpp"
 #include "xla/jit.hpp"
 
@@ -28,8 +31,10 @@ struct PaddedView {
 PaddedView make_padded_view(std::span<const core::Interval> intervals,
                             std::int64_t n_det);
 
+using Arrays = std::vector<xla::Array>;
+
 /// In-graph helpers shared by the kernels.  All return [rows, max_len]
-/// arrays given the three PaddedView parameter arrays and max_len.
+/// arrays given the three PaddedView parameters (in[0..2]) and max_len.
 struct PaddedIndex {
   xla::Array samp;   // shared-domain sample index (i64)
   xla::Array detmaj; // detector-major index det * n_samp + samp (i64)
@@ -37,8 +42,7 @@ struct PaddedIndex {
   xla::Array valid;  // lane is inside its true interval (pred)
 };
 
-PaddedIndex padded_index(xla::Array det_ids, xla::Array starts,
-                         xla::Array lens, std::int64_t max_len,
+PaddedIndex padded_index(const Arrays& in, std::int64_t max_len,
                          std::int64_t n_samp);
 
 /// Mask an index array: invalid lanes become -1 (dropped by scatter).
@@ -56,17 +60,92 @@ struct Rotated {
 Rotated rotate_axis(xla::Array qx, xla::Array qy, xla::Array qz,
                     xla::Array qw, double v0, double v1, double v2);
 
-/// Per-kernel Jit instances with process-resettable caches.
-xla::Jit& registered_jit(const std::string& name, xla::TracedFn fn);
-
 /// Wrap a raw buffer as a Literal (copies; the staging costs are charged
-/// by the pipeline's AccelStore, not here).
+/// by the pipeline's AccelStore, not here).  A null buffer gives zeros,
+/// the stand-in for an absent optional input (flags, HWP angles).
 xla::Literal lit_f64(const double* data, std::int64_t n);
 xla::Literal lit_i64(const std::int64_t* data, std::int64_t n);
 xla::Literal lit_u8_as_i64(const std::uint8_t* data, std::int64_t n);
 
 /// Copy a result Literal back into a raw buffer.
-void store_f64(const xla::Literal& l, double* out);
-void store_i64(const xla::Literal& l, std::int64_t* out);
+void store(const xla::Literal& l, double* out);
+void store(const xla::Literal& l, std::int64_t* out);
+
+/// A call's arguments, in parameter order.
+template <class... L>
+std::vector<xla::Literal> pack_args(L... lits) {
+  std::vector<xla::Literal> args;
+  args.reserve(sizeof...(lits));
+  (args.push_back(std::move(lits)), ...);
+  return args;
+}
+
+/// The calling thread's Jit for kernel `name`.  The first lookup on a
+/// thread creates it and declares `donated` and `invariant` (see
+/// xla::Jit); later lookups return it as it is.
+xla::Jit& registered_jit(const std::string& name,
+                         const std::vector<int>& donated = {},
+                         const std::vector<int>& invariant = {});
+
+namespace detail {
+struct Wide {
+  template <class T>
+    requires(sizeof(T) == 8)
+  operator T() const;
+};
+/// Leading 8-byte fields of the aggregate S: the longest brace list of
+/// Wide (which converts to 8-byte types only) that S accepts.
+template <class S, class... F>
+constexpr std::size_t wide_fields() {
+  if constexpr (requires { S{F{}..., Wide{}}; }) {
+    return wide_fields<S, F..., Wide>();
+  }
+  return sizeof...(F);
+}
+}  // namespace detail
+
+/// The trace-cache key of a kernel's statics: all their bytes, so no
+/// field can be left out and a double is keyed by its bits.  Every field
+/// must be 8 bytes wide (flags are int64), which leaves no padding to key.
+template <class S>
+std::string static_key(const S& s) {
+  if constexpr (std::is_empty_v<S>) {
+    return {};
+  } else {
+    static_assert(sizeof(S) == 8 * detail::wide_fields<S>(),
+                  "every static must be 8 bytes wide");
+    return std::string(reinterpret_cast<const char*>(&s), sizeof(S));
+  }
+}
+
+/// The statics of a kernel that loops over the padded view only.
+struct PaddedStatics {
+  std::int64_t max_len = 0;
+  std::int64_t n_samp = 0;
+};
+
+/// One jitted kernel, the analogue of a function under jax.jit with
+/// static_argnums: its name, its array program and the params it donates
+/// or keeps invariant across calls.  Each call hands its Statics (padded
+/// interval length, nside, nnz, ...) to the trace as a capture and keys
+/// the trace cache on them, so a distinct value is a distinct trace.
+template <class Statics>
+struct JaxKernel {
+  std::string name;
+  Arrays (*graph)(const Statics&, const Arrays&);
+  std::vector<int> donated;
+  std::vector<int> invariant;
+
+  /// Runs the kernel on `args` and copies its one result to `out`.
+  template <class T>
+  void call(core::ExecContext& ctx, const Statics& s,
+            std::vector<xla::Literal> args, T* out) const {
+    xla::Jit& jit = registered_jit(name, donated, invariant);
+    const auto result =
+        jit.call(ctx.jax(), std::move(args), static_key(s),
+                 [this, &s](const Arrays& in) { return graph(s, in); });
+    store(result[0], out);
+  }
+};
 
 }  // namespace toast::kernels::jax

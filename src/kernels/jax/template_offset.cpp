@@ -19,39 +19,44 @@ struct Statics {
   std::int64_t n_samp = 0;
   std::int64_t step_length = 1;
   std::int64_t n_amp_det = 0;
-} s;
+};
 
-xla::Array amplitude_index(const PaddedIndex& idx) {
+xla::Array amplitude_index(const Statics& s, const PaddedIndex& idx) {
   using namespace xla;
   return add(mul(idx.det, constant_i64(s.n_amp_det)),
              div(idx.samp, constant_i64(s.step_length)));
 }
 
-std::vector<xla::Array> add_graph(const std::vector<xla::Array>& in) {
+Arrays add_graph(const Statics& s, const Arrays& in) {
   using namespace xla;
-  const Array det_ids = in[0], starts = in[1], lens = in[2];
   const Array amplitudes = in[3], signal = in[4];
-  const PaddedIndex idx =
-      padded_index(det_ids, starts, lens, s.max_len, s.n_samp);
-  const Array amp = gather(amplitudes, amplitude_index(idx));
+  const PaddedIndex idx = padded_index(in, s.max_len, s.n_samp);
+  const Array amp = gather(amplitudes, amplitude_index(s, idx));
   const Array updated = gather(signal, idx.detmaj) + amp;
   return {scatter_set(signal, masked(idx.detmaj, idx.valid), updated)};
 }
 
-std::vector<xla::Array> project_graph(const std::vector<xla::Array>& in) {
+Arrays project_graph(const Statics& s, const Arrays& in) {
   using namespace xla;
-  const Array det_ids = in[0], starts = in[1], lens = in[2];
   const Array signal = in[3], amplitudes = in[4];
-  const PaddedIndex idx =
-      padded_index(det_ids, starts, lens, s.max_len, s.n_samp);
+  const PaddedIndex idx = padded_index(in, s.max_len, s.n_samp);
   const Array contrib = gather(signal, idx.detmaj);
-  return {scatter_add(amplitudes, masked(amplitude_index(idx), idx.valid),
+  return {scatter_add(amplitudes, masked(amplitude_index(s, idx), idx.valid),
                       contrib)};
 }
 
-std::vector<xla::Array> precond_graph(const std::vector<xla::Array>& in) {
+struct NoStatics {};
+
+Arrays precond_graph(const NoStatics&, const Arrays& in) {
   return {xla::mul(in[0], in[1])};
 }
+
+const JaxKernel<Statics> add_kernel{"template_offset_add_to_signal",
+                                    add_graph, {4}, {0, 1, 2}};
+const JaxKernel<Statics> project_kernel{"template_offset_project_signal",
+                                        project_graph, {4}, {0, 1, 2}};
+const JaxKernel<NoStatics> precond_kernel{
+    "template_offset_apply_diag_precond", precond_graph, {}, {}};
 
 }  // namespace
 
@@ -65,24 +70,11 @@ void template_offset_add_to_signal(std::int64_t step_length,
   if (view.rows == 0 || view.max_len == 0) {
     return;
   }
-  s = {view.max_len, n_samp, step_length, n_amp_det};
-
-  std::vector<xla::Literal> args;
-  args.push_back(view.det_ids);
-  args.push_back(view.starts);
-  args.push_back(view.lens);
-  args.push_back(lit_f64(amplitudes, n_det * n_amp_det));
-  args.push_back(lit_f64(signal, n_det * n_samp));
-
-  auto& jit = registered_jit("template_offset_add_to_signal", add_graph);
-  jit.set_donated_params({4});
-  jit.set_invariant_params({0, 1, 2});
-  const std::string key = "maxlen=" + std::to_string(s.max_len) + ";nsamp=" +
-                          std::to_string(s.n_samp) +
-                          ";step=" + std::to_string(step_length) +
-                          ";namp=" + std::to_string(n_amp_det);
-  const auto out = jit.call(ctx.jax(), std::move(args), key);
-  store_f64(out[0], signal);
+  add_kernel.call(ctx, {view.max_len, n_samp, step_length, n_amp_det},
+                  pack_args(view.det_ids, view.starts, view.lens,
+                            lit_f64(amplitudes, n_det * n_amp_det),
+                            lit_f64(signal, n_det * n_samp)),
+                  signal);
 }
 
 void template_offset_project_signal(
@@ -94,24 +86,11 @@ void template_offset_project_signal(
   if (view.rows == 0 || view.max_len == 0) {
     return;
   }
-  s = {view.max_len, n_samp, step_length, n_amp_det};
-
-  std::vector<xla::Literal> args;
-  args.push_back(view.det_ids);
-  args.push_back(view.starts);
-  args.push_back(view.lens);
-  args.push_back(lit_f64(signal, n_det * n_samp));
-  args.push_back(lit_f64(amplitudes, n_det * n_amp_det));
-
-  auto& jit = registered_jit("template_offset_project_signal", project_graph);
-  jit.set_donated_params({4});
-  jit.set_invariant_params({0, 1, 2});
-  const std::string key = "maxlen=" + std::to_string(s.max_len) + ";nsamp=" +
-                          std::to_string(s.n_samp) +
-                          ";step=" + std::to_string(step_length) +
-                          ";namp=" + std::to_string(n_amp_det);
-  const auto out = jit.call(ctx.jax(), std::move(args), key);
-  store_f64(out[0], amplitudes);
+  project_kernel.call(ctx, {view.max_len, n_samp, step_length, n_amp_det},
+                      pack_args(view.det_ids, view.starts, view.lens,
+                                lit_f64(signal, n_det * n_samp),
+                                lit_f64(amplitudes, n_det * n_amp_det)),
+                      amplitudes);
 }
 
 void template_offset_apply_diag_precond(const double* offset_var,
@@ -121,14 +100,9 @@ void template_offset_apply_diag_precond(const double* offset_var,
   if (n_amp == 0) {
     return;
   }
-  std::vector<xla::Literal> args;
-  args.push_back(lit_f64(amp_in, n_amp));
-  args.push_back(lit_f64(offset_var, n_amp));
-
-  auto& jit =
-      registered_jit("template_offset_apply_diag_precond", precond_graph);
-  const auto out = jit.call(ctx.jax(), std::move(args), "");
-  store_f64(out[0], amp_out);
+  precond_kernel.call(
+      ctx, {}, pack_args(lit_f64(amp_in, n_amp), lit_f64(offset_var, n_amp)),
+      amp_out);
 }
 
 }  // namespace toast::kernels::jax

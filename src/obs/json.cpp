@@ -328,6 +328,16 @@ void append(std::string& path, const char* key) {
 
 }  // namespace
 
+std::int64_t Value::as_integer(const std::string& what) const {
+  const double lim = static_cast<double>(kMaxExactInteger);
+  if (!is_number() || !(number >= -lim && number <= lim) ||
+      number != std::floor(number)) {
+    throw ParseError(what + " must be an integer in [" + fmt("%.0f", -lim) +
+                     ", " + fmt("%.0f", lim) + "]");
+  }
+  return static_cast<std::int64_t>(number);
+}
+
 Reader::Reader(const Value& doc, const std::string& where, const char* schema,
                Keys known)
     : obj_(&doc), where_(&where) {
@@ -444,7 +454,7 @@ void Reader::locate(std::string& element, std::string& keys) const {
   append(element, keys.c_str());
   keys.clear();
   append(element, key_);
-  element += "[" + std::to_string(index_) + "]";
+  element.append("[").append(std::to_string(index_)).append("]");
 }
 
 std::string Reader::path(const char* key) const {

@@ -58,6 +58,15 @@ class Value {
     const Value* v = find(key);
     return v != nullptr && v->is_number() ? v->number : fallback;
   }
+  /// This value as an integer of magnitude at most kMaxExactInteger;
+  /// throws ParseError naming `what` for anything else.
+  std::int64_t as_integer(const std::string& what) const;
+  /// Integer member `key` (see as_integer), or `fallback` when absent.
+  std::int64_t integer_or(const std::string& key,
+                          std::int64_t fallback) const {
+    const Value* v = find(key);
+    return v != nullptr ? v->as_integer("'" + key + "'") : fallback;
+  }
 
   /// Parse a complete JSON document; throws ParseError on malformed input,
   /// nesting deeper than 256, a repeated object key or a number that

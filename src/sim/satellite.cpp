@@ -49,7 +49,7 @@ core::Focalplane hex_focalplane(std::int64_t n_det, double sample_rate,
       const double psi =
           0.5 * kPi * pair + 0.25 * kPi * static_cast<double>(ring % 2);
       fp.quats.push_back(qarray::from_iso_angles(theta, phi, psi));
-      fp.names.push_back("d" + std::to_string(placed));
+      fp.names.push_back(std::string("d").append(std::to_string(placed)));
       fp.pol_angles.push_back(psi);
       fp.pol_eff.push_back(0.95 + 0.05 * static_cast<double>(pair));
       fp.net.push_back(net * (1.0 + 0.1 * static_cast<double>(placed % 7)));

@@ -202,7 +202,7 @@ int cmd_lanes(const std::string& path) {
     if (ph == nullptr) {
       continue;
     }
-    const long tid = static_cast<long>(ev.number_or("tid", 0.0));
+    const long tid = ev.integer_or("tid", 0);
     if (ph->string == "M") {
       const json::Value* name = ev.find("name");
       const json::Value* args = ev.find("args");
@@ -420,7 +420,7 @@ int cmd_comm(const std::string& path) {
     if (ph == nullptr) {
       continue;
     }
-    const long tid = static_cast<long>(ev.number_or("tid", 0.0));
+    const long tid = ev.integer_or("tid", 0);
     if (ph->string == "M") {
       const json::Value* name = ev.find("name");
       const json::Value* args = ev.find("args");
@@ -542,7 +542,7 @@ int cmd_plan(const std::string& path) {
   };
   std::vector<OpSteps> per_op(ops.size());
   for (const auto& s : steps) {
-    const long op = static_cast<long>(s.number_or("op", -1.0));
+    const long op = s.integer_or("op", -1);
     if (op < 0 || op >= static_cast<long>(per_op.size())) {
       continue;
     }
@@ -579,11 +579,11 @@ int cmd_plan(const std::string& path) {
   const json::Value& stats = doc.at("stats");
   std::printf("\nstatic dataflow: %ld transfers planned vs %ld naive "
               "(%ld avoided), %ld liveness evictions, %ld prefetch uploads\n",
-              static_cast<long>(stats.number_or("planned_transfers", 0.0)),
-              static_cast<long>(stats.number_or("naive_transfers", 0.0)),
-              static_cast<long>(stats.number_or("transfers_avoided", 0.0)),
-              static_cast<long>(stats.number_or("planned_evictions", 0.0)),
-              static_cast<long>(stats.number_or("prefetch_uploads", 0.0)));
+              stats.integer_or("planned_transfers", 0),
+              stats.integer_or("naive_transfers", 0),
+              stats.integer_or("transfers_avoided", 0),
+              stats.integer_or("planned_evictions", 0),
+              stats.integer_or("prefetch_uploads", 0));
   return 0;
 }
 
@@ -762,8 +762,8 @@ int cmd_serve(const std::string& path) {
       const auto& nodes = j.at("nodes").array;
       std::string node_list;
       for (std::size_t n = 0; n < nodes.size(); ++n) {
-        node_list += (n > 0 ? "," : "") + std::to_string(
-            static_cast<long>(nodes[n].number));
+        node_list += n > 0 ? "," : "";
+        node_list += std::to_string(nodes[n].as_integer("'nodes'"));
       }
       std::snprintf(status, sizeof(status), "done on node%s %s%s",
                     nodes.size() == 1 ? "" : "s", node_list.c_str(),

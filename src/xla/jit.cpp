@@ -72,7 +72,8 @@ const Compiled* Jit::lookup(const std::vector<Literal>& args,
 
 const Compiled& Jit::get_or_compile(Runtime& rt,
                                     const std::vector<Literal>& args,
-                                    const std::string& static_key) {
+                                    const std::string& static_key,
+                                    const TracedFn& trace) {
   const std::string key = signature(args, static_key);
   const auto it = cache_.find(key);
   if (it != cache_.end()) {
@@ -93,7 +94,7 @@ const Compiled& Jit::get_or_compile(Runtime& rt,
     ctx.module().params.push_back(id);
     params.emplace_back(&ctx, id);
   }
-  const std::vector<Array> results = fn_(params);
+  const std::vector<Array> results = trace ? trace(params) : fn_(params);
   std::vector<InstrId> roots;
   roots.reserve(results.size());
   for (const auto& r : results) {
@@ -121,8 +122,9 @@ const Compiled& Jit::get_or_compile(Runtime& rt,
 
 std::vector<Literal> Jit::call_reported(Runtime& rt, std::vector<Literal> args,
                                         const std::string& static_key,
-                                        ExecutionReport& report) {
-  const Compiled& compiled = get_or_compile(rt, args, static_key);
+                                        ExecutionReport& report,
+                                        const TracedFn& trace) {
+  const Compiled& compiled = get_or_compile(rt, args, static_key, trace);
   // Memory accounting: temporaries live for the duration of the call.
   // Donated parameter buffers are recycled for outputs.  Summed before
   // execute() takes the arguments.
@@ -259,9 +261,10 @@ std::vector<Literal> Jit::call_reported(Runtime& rt, std::vector<Literal> args,
 }
 
 std::vector<Literal> Jit::call(Runtime& rt, std::vector<Literal> args,
-                               const std::string& static_key) {
+                               const std::string& static_key,
+                               const TracedFn& trace) {
   ExecutionReport report;
-  return call_reported(rt, std::move(args), static_key, report);
+  return call_reported(rt, std::move(args), static_key, report, trace);
 }
 
 }  // namespace toast::xla

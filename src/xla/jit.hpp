@@ -114,7 +114,8 @@ using TracedFn =
 
 class Jit {
  public:
-  Jit(std::string name, TracedFn fn)
+  /// `fn` is traced on a miss unless the call hands its own function.
+  explicit Jit(std::string name, TracedFn fn = {})
       : name_(std::move(name)), fn_(std::move(fn)) {}
 
   /// Parameters whose device buffers the runtime may recycle for outputs
@@ -134,16 +135,19 @@ class Jit {
   void set_invariant_params(std::vector<int> params);
 
   /// Execute.  `static_key` distinguishes traces that depend on static
-  /// (non-array) arguments, e.g. the padded interval length.  The call
-  /// owns `args`: their buffers are recycled once dead, so a caller that
-  /// is done with them passes them with std::move.
+  /// (non-array) arguments, e.g. the padded interval length, which reach
+  /// a per-call `trace` as its captures.  The call owns `args`: their
+  /// buffers are recycled once dead, so a caller that is done with them
+  /// passes them with std::move.
   std::vector<Literal> call(Runtime& rt, std::vector<Literal> args,
-                            const std::string& static_key = "");
+                            const std::string& static_key = "",
+                            const TracedFn& trace = {});
 
   /// Like call, and also expose the execution report (for tests/benches).
   std::vector<Literal> call_reported(Runtime& rt, std::vector<Literal> args,
                                      const std::string& static_key,
-                                     ExecutionReport& report);
+                                     ExecutionReport& report,
+                                     const TracedFn& trace = {});
 
   const std::string& name() const { return name_; }
   std::size_t cache_size() const { return cache_.size(); }
@@ -168,7 +172,8 @@ class Jit {
   void reset_reuse(std::vector<int> params);
   const Compiled& get_or_compile(Runtime& rt,
                                  const std::vector<Literal>& args,
-                                 const std::string& static_key);
+                                 const std::string& static_key,
+                                 const TracedFn& trace);
 
   std::string name_;
   TracedFn fn_;

@@ -23,7 +23,7 @@ core::Focalplane tiny_fp(int n_det = 2) {
   core::Focalplane fp;
   for (int d = 0; d < n_det; ++d) {
     fp.quats.push_back({0.0, 0.0, 0.0, 1.0});
-    fp.names.push_back("d" + std::to_string(d));
+    fp.names.push_back(std::string("d").append(std::to_string(d)));
     fp.pol_angles.push_back(0.0);
     fp.pol_eff.push_back(1.0);
     fp.net.push_back(1.0);
@@ -151,7 +151,8 @@ TEST(ExecContext, WorkScaleAppliesOnlyToScaledCharge) {
 }
 
 TEST(ExecContext, ConflictRateHitsOnEqualContentAtAnotherAddress) {
-  core::ExecContext ctx(core::ExecConfig{});
+  const core::ExecConfig config;
+  core::ExecContext ctx(config);
   const auto a = pixel_stream(1000, 3);
   const auto b = a;
   ASSERT_NE(a.data(), b.data());
@@ -161,7 +162,8 @@ TEST(ExecContext, ConflictRateHitsOnEqualContentAtAnotherAddress) {
 }
 
 TEST(ExecContext, ConflictRateRecountsALaneChangedInPlace) {
-  core::ExecContext ctx(core::ExecConfig{});
+  const core::ExecConfig config;
+  core::ExecContext ctx(config);
   std::vector<std::int64_t> lanes(64, 7);
   const double before = ctx.conflict_rate(lanes);
   EXPECT_EQ(before, scanned_rate(lanes));
@@ -174,7 +176,8 @@ TEST(ExecContext, ConflictRateRecountsALaneChangedInPlace) {
 }
 
 TEST(ExecContext, ConflictRateCorrectAfterEviction) {
-  core::ExecContext ctx(core::ExecConfig{});
+  const core::ExecConfig config;
+  core::ExecContext ctx(config);
   const auto first = pixel_stream(500, 0);
   const std::vector<std::int64_t> second(500, 7);
   ASSERT_NE(scanned_rate(first), scanned_rate(second));
@@ -192,7 +195,8 @@ TEST(ExecContext, ConflictRateCorrectAfterEviction) {
 }
 
 TEST(ExecContext, ConflictRateOfEmptyStream) {
-  core::ExecContext ctx(core::ExecConfig{});
+  const core::ExecConfig config;
+  core::ExecContext ctx(config);
   const std::vector<std::int64_t> empty;
   EXPECT_EQ(ctx.conflict_rate(empty), scanned_rate(empty));
   EXPECT_EQ(ctx.conflict_rate(empty), 0.0);
@@ -202,7 +206,8 @@ TEST(ExecContext, ConflictRateOfEmptyStream) {
 }
 
 TEST(ExecContext, ConflictRateEqualPrefixDifferentLength) {
-  core::ExecContext ctx(core::ExecConfig{});
+  const core::ExecConfig config;
+  core::ExecContext ctx(config);
   const auto lanes = pixel_stream(256, 5);
   const std::span<const std::int64_t> whole(lanes);
   const auto prefix = whole.first(40);

@@ -9,9 +9,11 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <map>
-#include <string>
 #include <random>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "kernels/cpu.hpp"
@@ -567,7 +569,7 @@ MapMakingRun run_map_making(const TestData& d, int iterations, bool cold,
   }
   run.log = ctx.log();
   for (const char* name : kMapMakingKernels) {
-    run.hits[name] = k::jax::registered_jit(name, nullptr).reuse_hits();
+    run.hits[name] = k::jax::registered_jit(name).reuse_hits();
   }
   return run;
 }
@@ -612,4 +614,146 @@ TEST(KernelReuse, PixelsChangedInPlaceRecompute) {
   expect_same_run(reused, cold);
   EXPECT_EQ(reused.hits.at("build_noise_weighted"), 0u);
   EXPECT_EQ(reused.hits.at("noise_weight"), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Static arguments.  A double static is keyed by its bits: two scales that
+// print alike to six decimals are still two traces, so neither call runs
+// the other's graph.
+// ---------------------------------------------------------------------------
+
+TEST(KernelStatics, ScanMapScalesThatPrintAlikeAreDistinctTraces) {
+  TestData d;
+  const std::int64_t nside = 16, nnz = 3;
+  const std::int64_t n_pix = 12 * nside * nside;
+  std::vector<double> sky(static_cast<std::size_t>(n_pix * nnz));
+  std::mt19937 gen(5);
+  std::normal_distribution<double> nd(0.0, 1.0);
+  for (auto& v : sky) v = nd(gen);
+
+  auto ctx_cpu = make_ctx(Backend::kCpu);
+  auto ctx_jax = make_ctx(Backend::kJax);
+  for (const double scale : {1e-7, 2e-7}) {
+    std::vector<double> sig_cpu = d.signal, sig_jax = d.signal;
+    k::cpu::scan_map(sky, nnz, d.pixels, d.weights, scale, d.intervals,
+                     d.n_det, d.n_samp, sig_cpu, ctx_cpu);
+    k::jax::scan_map(sky.data(), n_pix, nnz, d.pixels.data(),
+                     d.weights.data(), scale, d.intervals, d.n_det, d.n_samp,
+                     sig_jax.data(), ctx_jax);
+    expect_equal(sig_cpu, sig_jax, scale == 1e-7 ? "1e-7" : "2e-7");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Concurrency: each thread owns its JIT registry, so two threads with their
+// own ExecContexts run every JAX entry point exactly as one thread alone:
+// the same products and the same TimeLog, cold compiles included.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct AllKernelsRun {
+  std::vector<double> quats, weights, weights_i, signal, zmap, amps, amp_out;
+  std::vector<std::int64_t> pixels;
+  toast::accel::TimeLog log;
+};
+
+/// Two passes over all ten JAX entry points, each feeding the next, on a
+/// fresh context and with this thread's JIT caches cleared first.
+AllKernelsRun run_all_kernels(const TestData& d) {
+  const std::int64_t nside = 16, nnz = 3, step = 32;
+  const std::int64_t n_pix = 12 * nside * nside;
+  const std::int64_t n_amp_det = (d.n_samp + step - 1) / step;
+  const std::int64_t n_amp = d.n_det * n_amp_det;
+  const std::int64_t n = d.n_det * d.n_samp;
+  const std::vector<double> det_w = {0.5, 2.0, 1.5};
+  const std::vector<double> det_scale = {1.0, 0.8, 1.2};
+  std::vector<double> sky(static_cast<std::size_t>(n_pix * nnz));
+  for (std::size_t i = 0; i < sky.size(); ++i) sky[i] = std::sin(0.37 * i);
+  std::vector<double> var(static_cast<std::size_t>(n_amp), 0.5);
+
+  AllKernelsRun run;
+  run.quats.assign(static_cast<std::size_t>(4 * n), 0.0);
+  run.pixels.assign(static_cast<std::size_t>(n), 0);
+  run.weights.assign(static_cast<std::size_t>(3 * n), 0.0);
+  run.weights_i.assign(static_cast<std::size_t>(n), 0.0);
+  run.signal = d.signal;
+  run.zmap.assign(static_cast<std::size_t>(n_pix * nnz), 0.0);
+  run.amps.assign(static_cast<std::size_t>(n_amp), 0.0);
+  run.amp_out.assign(static_cast<std::size_t>(n_amp), 0.0);
+  k::jax::clear_jit_caches();
+  auto ctx = make_ctx(Backend::kJax);
+  for (int pass = 0; pass < 2; ++pass) {
+    k::jax::pointing_detector(d.fp_quats.data(), d.boresight.data(),
+                              d.flags.data(), 1, d.intervals, d.n_det,
+                              d.n_samp, run.quats.data(), ctx);
+    k::jax::pixels_healpix(run.quats.data(), d.flags.data(), 1, nside,
+                           pass == 0, d.intervals, d.n_det, d.n_samp,
+                           run.pixels.data(), ctx);
+    k::jax::stokes_weights_iqu(run.quats.data(), d.hwp.data(),
+                               d.pol_eff.data(), d.intervals, d.n_det,
+                               d.n_samp, run.weights.data(), ctx);
+    k::jax::stokes_weights_i(d.intervals, d.n_det, d.n_samp,
+                             run.weights_i.data(), ctx);
+    k::jax::scan_map(sky.data(), n_pix, nnz, run.pixels.data(),
+                     run.weights.data(), 1.5, d.intervals, d.n_det, d.n_samp,
+                     run.signal.data(), ctx);
+    k::jax::noise_weight(det_w.data(), d.intervals, d.n_det, d.n_samp,
+                         run.signal.data(), ctx);
+    k::jax::build_noise_weighted(run.pixels.data(), run.weights.data(), n_pix,
+                                 nnz, run.signal.data(), det_scale.data(),
+                                 d.flags.data(), 1, d.intervals, d.n_det,
+                                 d.n_samp, run.zmap.data(), ctx);
+    k::jax::template_offset_project_signal(step, run.signal.data(),
+                                           d.intervals, d.n_det, d.n_samp,
+                                           run.amps.data(), n_amp_det, ctx);
+    k::jax::template_offset_apply_diag_precond(var.data(), run.amps.data(),
+                                               n_amp, run.amp_out.data(),
+                                               ctx);
+    k::jax::template_offset_add_to_signal(step, run.amp_out.data(), n_amp_det,
+                                          d.intervals, d.n_det, d.n_samp,
+                                          run.signal.data(), ctx);
+  }
+  run.log = ctx.log();
+  return run;
+}
+
+void expect_same_all(const AllKernelsRun& a, const AllKernelsRun& b) {
+  expect_same_bits(a.quats, b.quats, "quats");
+  EXPECT_EQ(a.pixels, b.pixels);
+  expect_same_bits(a.weights, b.weights, "weights");
+  expect_same_bits(a.weights_i, b.weights_i, "weights_i");
+  expect_same_bits(a.signal, b.signal, "signal");
+  expect_same_bits(a.zmap, b.zmap, "zmap");
+  expect_same_bits(a.amps, b.amps, "amps");
+  expect_same_bits(a.amp_out, b.amp_out, "amp_out");
+  ASSERT_EQ(a.log.categories(), b.log.categories());
+  for (const auto& cat : a.log.categories()) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.log.seconds(cat)),
+              std::bit_cast<std::uint64_t>(b.log.seconds(cat)))
+        << cat;
+    EXPECT_EQ(a.log.calls(cat), b.log.calls(cat)) << cat;
+  }
+}
+
+}  // namespace
+
+TEST(KernelThreads, TwoThreadsMatchOneThread) {
+  const TestData d;
+  const AllKernelsRun alone = run_all_kernels(d);
+  EXPECT_EQ(alone.log.calls("jit_compile"), 11);
+  const auto run_into = [&d](AllKernelsRun& out) {
+    try {
+      out = run_all_kernels(d);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << e.what();
+    }
+  };
+  AllKernelsRun first, second;
+  std::thread a(run_into, std::ref(first));
+  std::thread b(run_into, std::ref(second));
+  a.join();
+  b.join();
+  expect_same_all(first, alone);
+  expect_same_all(second, alone);
 }

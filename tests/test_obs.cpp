@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -345,6 +349,24 @@ TEST(Json, NumberOrFallsBackOnWrongTypes) {
   EXPECT_DOUBLE_EQ(v.number_or("n", -1.0), 2.5);
 }
 
+TEST(Json, IntegerOrRangeChecksBeforeTheCast) {
+  const json::Value v = json::Value::parse(
+      R"({"n":-3,"big":9007199254740992,"huge":1e30,"frac":2.5,"s":"1"})");
+  EXPECT_EQ(v.integer_or("n", 0), -3);
+  EXPECT_EQ(v.integer_or("big", 0), std::int64_t{1} << 53);
+  EXPECT_EQ(v.integer_or("missing", 7), 7);
+  for (const char* key : {"huge", "frac", "s"}) {
+    try {
+      v.integer_or(key, 0);
+      ADD_FAILURE() << key << " was accepted";
+    } catch (const json::ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("must be an integer"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Json, RejectsNestingDeeperThanTheLimit) {
   const auto nested = [](std::size_t depth) {
     return std::string(depth, '[') + std::string(depth, ']');
@@ -416,6 +438,29 @@ TEST(Export, FaultCounterRoundTrip) {
       rows.at("fault_fallback").counters.at("kernel_noise_weight"), 1.0);
   EXPECT_DOUBLE_EQ(
       rows.at("fault_fallback").counters.at("reason_persistent_fault"), 1.0);
+}
+
+// --- toast-trace CLI ---------------------------------------------------------
+
+/// Runs `toast-trace <args>`; returns its exit code and its stderr.
+std::pair<int, std::string> run_toast_trace(const std::string& args) {
+  const std::string err = testing::TempDir() + "toast_trace.err";
+  const int status = std::system(
+      (std::string(TOAST_TRACE_BIN) + " " + args + " 2> " + err).c_str());
+  std::ifstream in(err);
+  std::stringstream text;
+  text << in.rdbuf();
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, text.str()};
+}
+
+TEST(ToastTrace, LanesRejectsATidNoIntegerHolds) {
+  const std::string path = testing::TempDir() + "huge_tid.json";
+  std::ofstream(path) << R"({"traceEvents": [)"
+                      << R"({"ph": "X", "name": "k", "tid": 1e30,)"
+                      << R"( "ts": 0, "dur": 1}]})";
+  const auto [code, err] = run_toast_trace("lanes " + path);
+  EXPECT_EQ(code, 1);
+  EXPECT_NE(err.find("'tid' must be an integer"), std::string::npos) << err;
 }
 
 }  // namespace
