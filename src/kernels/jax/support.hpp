@@ -6,10 +6,10 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "core/byte_key.hpp"
 #include "core/context.hpp"
 #include "core/types.hpp"
 #include "xla/jit.hpp"
@@ -87,37 +87,6 @@ xla::Jit& registered_jit(const std::string& name,
                          const std::vector<int>& donated = {},
                          const std::vector<int>& invariant = {});
 
-namespace detail {
-struct Wide {
-  template <class T>
-    requires(sizeof(T) == 8)
-  operator T() const;
-};
-/// Leading 8-byte fields of the aggregate S: the longest brace list of
-/// Wide (which converts to 8-byte types only) that S accepts.
-template <class S, class... F>
-constexpr std::size_t wide_fields() {
-  if constexpr (requires { S{F{}..., Wide{}}; }) {
-    return wide_fields<S, F..., Wide>();
-  }
-  return sizeof...(F);
-}
-}  // namespace detail
-
-/// The trace-cache key of a kernel's statics: all their bytes, so no
-/// field can be left out and a double is keyed by its bits.  Every field
-/// must be 8 bytes wide (flags are int64), which leaves no padding to key.
-template <class S>
-std::string static_key(const S& s) {
-  if constexpr (std::is_empty_v<S>) {
-    return {};
-  } else {
-    static_assert(sizeof(S) == 8 * detail::wide_fields<S>(),
-                  "every static must be 8 bytes wide");
-    return std::string(reinterpret_cast<const char*>(&s), sizeof(S));
-  }
-}
-
 /// The statics of a kernel that loops over the padded view only.
 struct PaddedStatics {
   std::int64_t max_len = 0;
@@ -142,7 +111,7 @@ struct JaxKernel {
             std::vector<xla::Literal> args, T* out) const {
     xla::Jit& jit = registered_jit(name, donated, invariant);
     const auto result =
-        jit.call(ctx.jax(), std::move(args), static_key(s),
+        jit.call(ctx.jax(), std::move(args), core::byte_key(s),
                  [this, &s](const Arrays& in) { return graph(s, in); });
     store(result[0], out);
   }

@@ -1,21 +1,33 @@
 #include "sim/satellite.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <complex>
 #include <numbers>
+#include <span>
 
 #include "fft/fft.hpp"
 #include "healpix/healpix.hpp"
 #include "qarray/qarray.hpp"
 #include "rng/rng.hpp"
+#include "sim/input_cache.hpp"
 
 namespace toast::sim {
 
 namespace {
 constexpr double kPi = std::numbers::pi;
 constexpr double kDegToRad = std::numbers::pi / 180.0;
+
+// Input-cache keys: every input of the cached computation.
+struct SkyKey {
+  std::int64_t nside;
+  std::int64_t nnz;
+  std::uint64_t seed;
+};
+struct ScanKey {
+  std::int64_t n_samples;
+  ScanParams params;
+};
 }  // namespace
 
 core::Focalplane hex_focalplane(std::int64_t n_det, double sample_rate,
@@ -68,6 +80,53 @@ core::Focalplane hex_focalplane(std::int64_t n_det, double sample_rate,
   return fp;
 }
 
+std::vector<double> satellite_scan(std::int64_t n_samples,
+                                   const ScanParams& params) {
+  const auto n = static_cast<std::size_t>(n_samples);
+  std::vector<double> scan(6 * n);
+  const std::span<double> t_span(scan.data(), n);
+  const std::span<double> b_span(scan.data() + n, 4 * n);
+  const std::span<double> h_span(scan.data() + 5 * n, n);
+
+  const double dt = 1.0 / params.sample_rate;
+  const double spin_rate = 2.0 * kPi / params.spin_period;
+  const double prec_rate = 2.0 * kPi / params.prec_period;
+  const double hwp_rate = 2.0 * kPi * 1.0;  // 1 Hz continuous rotation
+  const qarray::Vec3 zaxis{0.0, 0.0, 1.0};
+  const qarray::Vec3 yaxis{0.0, 1.0, 0.0};
+  // The anti-solar direction lies in the ecliptic plane: tilt the whole
+  // assembly so the precession axis sweeps the equator over a year
+  // (this is what gives satellite missions full-sky coverage).
+  const auto q_ecliptic = qarray::from_axisangle(yaxis, 0.5 * kPi);
+  const auto q_prec_tilt =
+      qarray::from_axisangle(yaxis, params.prec_angle_deg * kDegToRad);
+  const auto q_spin_tilt =
+      qarray::from_axisangle(yaxis, params.spin_angle_deg * kDegToRad);
+
+  for (std::int64_t s = 0; s < n_samples; ++s) {
+    const double t = static_cast<double>(s) * dt;
+    t_span[static_cast<std::size_t>(s)] = t;
+    // Anti-solar direction advances slowly along the ecliptic (1 year);
+    // the spin axis precesses about it; the boresight spins about the
+    // spin axis.
+    const double solar = 2.0 * kPi * t / (365.25 * 86400.0);
+    const auto q_solar =
+        qarray::mult(qarray::from_axisangle(zaxis, solar), q_ecliptic);
+    const auto q_prec_spin =
+        qarray::from_axisangle(zaxis, prec_rate * t);
+    const auto q_spin = qarray::from_axisangle(zaxis, spin_rate * t);
+    auto q = qarray::mult(q_solar, qarray::mult(q_prec_spin, q_prec_tilt));
+    q = qarray::mult(q, qarray::mult(q_spin, q_spin_tilt));
+    q = qarray::normalize(q);
+    for (int c = 0; c < 4; ++c) {
+      b_span[static_cast<std::size_t>(4 * s + c)] =
+          q[static_cast<std::size_t>(c)];
+    }
+    h_span[static_cast<std::size_t>(s)] = std::fmod(hwp_rate * t, 2.0 * kPi);
+  }
+  return scan;
+}
+
 core::Observation simulate_satellite(const std::string& name,
                                      const core::Focalplane& fp,
                                      std::int64_t n_samples,
@@ -83,45 +142,14 @@ core::Observation simulate_satellite(const std::string& name,
   auto& flags =
       ob.create_shared(core::fields::kSharedFlags, core::FieldType::kU8);
 
-  const double dt = 1.0 / params.sample_rate;
-  const double spin_rate = 2.0 * kPi / params.spin_period;
-  const double prec_rate = 2.0 * kPi / params.prec_period;
-  const double hwp_rate = 2.0 * kPi * 1.0;  // 1 Hz continuous rotation
-  const qarray::Vec3 zaxis{0.0, 0.0, 1.0};
-  const qarray::Vec3 yaxis{0.0, 1.0, 0.0};
-
-  auto t_span = times.f64();
-  auto b_span = bore.f64();
-  auto h_span = hwp.f64();
-  for (std::int64_t s = 0; s < n_samples; ++s) {
-    const double t = static_cast<double>(s) * dt;
-    t_span[static_cast<std::size_t>(s)] = t;
-    // Anti-solar direction advances slowly along the ecliptic (1 year);
-    // the spin axis precesses about it; the boresight spins about the
-    // spin axis.
-    const double solar = 2.0 * kPi * t / (365.25 * 86400.0);
-    // The anti-solar direction lies in the ecliptic plane: tilt the whole
-    // assembly so the precession axis sweeps the equator over a year
-    // (this is what gives satellite missions full-sky coverage).
-    const auto q_solar = qarray::mult(
-        qarray::from_axisangle(zaxis, solar),
-        qarray::from_axisangle(yaxis, 0.5 * kPi));
-    const auto q_prec_tilt =
-        qarray::from_axisangle(yaxis, params.prec_angle_deg * kDegToRad);
-    const auto q_prec_spin =
-        qarray::from_axisangle(zaxis, prec_rate * t);
-    const auto q_spin_tilt =
-        qarray::from_axisangle(yaxis, params.spin_angle_deg * kDegToRad);
-    const auto q_spin = qarray::from_axisangle(zaxis, spin_rate * t);
-    auto q = qarray::mult(q_solar, qarray::mult(q_prec_spin, q_prec_tilt));
-    q = qarray::mult(q, qarray::mult(q_spin, q_spin_tilt));
-    q = qarray::normalize(q);
-    for (int c = 0; c < 4; ++c) {
-      b_span[static_cast<std::size_t>(4 * s + c)] =
-          q[static_cast<std::size_t>(c)];
-    }
-    h_span[static_cast<std::size_t>(s)] = std::fmod(hwp_rate * t, 2.0 * kPi);
-  }
+  const ScanKey key{n_samples, params};
+  const auto scan = input_cache().get(InputCache::Kind::kScan, key, [&] {
+    return satellite_scan(n_samples, params);
+  });
+  const auto n = static_cast<std::ptrdiff_t>(n_samples);
+  std::copy(scan->begin(), scan->begin() + n, times.f64().begin());
+  std::copy(scan->begin() + n, scan->begin() + 5 * n, bore.f64().begin());
+  std::copy(scan->begin() + 5 * n, scan->end(), hwp.f64().begin());
 
   // Flag a small fraction of samples (glitches / repointing).
   auto f_span = flags.u8();
@@ -192,12 +220,13 @@ void SynthSkyOp::exec(core::Observation& ob, core::ExecContext& ctx,
   (void)accel;
   (void)backend;
   if (!ob.has_field(core::fields::kSkyMap)) {
-    if (map_.empty()) {
-      map_ = synthetic_sky(nside_, nnz_);
-    }
+    const SkyKey key{nside_, nnz_, kSkySeed};
+    const auto map = input_cache().get(InputCache::Kind::kSky, key, [&] {
+      return synthetic_sky(nside_, nnz_, kSkySeed);
+    });
     auto& f = ob.create_buffer(core::fields::kSkyMap, core::FieldType::kF64,
-                               static_cast<std::int64_t>(map_.size()));
-    std::copy(map_.begin(), map_.end(), f.f64().begin());
+                               static_cast<std::int64_t>(map->size()));
+    std::copy(map->begin(), map->end(), f.f64().begin());
   }
   // Host-side generation cost: map domain, so it scales with the map
   // resolution ratio, not the sample ratio.
@@ -216,58 +245,50 @@ void SimNoiseOp::ensure_fields(core::Observation& ob) {
   }
 }
 
+std::vector<double> noise_addend(const NoiseInputs& in) {
+  const auto n_fft = fft::next_pow2(static_cast<std::size_t>(in.n_samples));
+  const double df = in.sample_rate / static_cast<double>(n_fft);
+  // Shape a Gaussian random spectrum by the detector PSD:
+  //   P(f) = NET^2 * (1 + (f_knee / f)^alpha), f >= f_min.
+  std::vector<std::complex<double>> spectrum(n_fft / 2 + 1);
+  std::vector<double> re(n_fft / 2 + 1), im(n_fft / 2 + 1);
+  rng::random_gaussian(in.seed, static_cast<std::uint64_t>(in.det), 0, 0, re);
+  rng::random_gaussian(in.seed, static_cast<std::uint64_t>(in.det), 1, 0, im);
+  for (std::size_t bin = 0; bin < spectrum.size(); ++bin) {
+    const double f = std::max(df * static_cast<double>(bin), in.fmin);
+    const double psd =
+        in.net * in.net * (1.0 + std::pow(in.fknee / f, in.alpha));
+    const double amp = std::sqrt(0.5 * psd * in.sample_rate *
+                                 static_cast<double>(n_fft)) /
+                       std::sqrt(static_cast<double>(n_fft));
+    spectrum[bin] = {amp * re[bin], amp * im[bin]};
+  }
+  spectrum[0] = {0.0, 0.0};  // zero mean
+  spectrum.back() = {spectrum.back().real(), 0.0};
+  const auto noise = fft::irfft(spectrum, n_fft);
+  std::vector<double> addend(static_cast<std::size_t>(in.n_samples));
+  for (std::size_t s = 0; s < addend.size(); ++s) {
+    addend[s] = noise[s] * std::sqrt(static_cast<double>(n_fft));
+  }
+  return addend;
+}
+
 void SimNoiseOp::exec(core::Observation& ob, core::ExecContext& ctx,
                       core::AccelStore* accel, core::Backend backend) {
   (void)accel;
   (void)backend;
   const auto& fp = ob.focalplane();
-  const std::int64_t n_samp = ob.n_samples();
-  const std::size_t n_fft = fft::next_pow2(static_cast<std::size_t>(n_samp));
-  const double df =
-      fp.sample_rate / static_cast<double>(n_fft);
-
-  if (memo_.size() < static_cast<std::size_t>(ob.n_detectors())) {
-    memo_.resize(static_cast<std::size_t>(ob.n_detectors()));
-  }
+  const std::size_t n_fft =
+      fft::next_pow2(static_cast<std::size_t>(ob.n_samples()));
   for (std::int64_t det = 0; det < ob.n_detectors(); ++det) {
     const auto d = static_cast<std::size_t>(det);
-    const NoiseKey key{static_cast<std::uint64_t>(n_samp),
-                       std::bit_cast<std::uint64_t>(fp.sample_rate),
-                       std::bit_cast<std::uint64_t>(fp.net[d]),
-                       std::bit_cast<std::uint64_t>(fp.fknee[d]),
-                       std::bit_cast<std::uint64_t>(fp.fmin[d]),
-                       std::bit_cast<std::uint64_t>(fp.alpha[d])};
-    auto& memo = memo_[d];
-    if (memo.addend.empty() || memo.key != key) {
-      // Shape a Gaussian random spectrum by the detector PSD:
-      //   P(f) = NET^2 * (1 + (f_knee / f)^alpha), f >= f_min.
-      std::vector<std::complex<double>> spectrum(n_fft / 2 + 1);
-      std::vector<double> re(n_fft / 2 + 1), im(n_fft / 2 + 1);
-      rng::random_gaussian(seed_, static_cast<std::uint64_t>(det), 0, 0, re);
-      rng::random_gaussian(seed_, static_cast<std::uint64_t>(det), 1, 0, im);
-      for (std::size_t bin = 0; bin < spectrum.size(); ++bin) {
-        const double f = std::max(df * static_cast<double>(bin), fp.fmin[d]);
-        const double psd =
-            fp.net[d] * fp.net[d] *
-            (1.0 + std::pow(fp.fknee[d] / f, fp.alpha[d]));
-        const double amp = std::sqrt(0.5 * psd * fp.sample_rate *
-                                     static_cast<double>(n_fft)) /
-                           std::sqrt(static_cast<double>(n_fft));
-        spectrum[bin] = {amp * re[bin], amp * im[bin]};
-      }
-      spectrum[0] = {0.0, 0.0};  // zero mean
-      spectrum.back() = {spectrum.back().real(), 0.0};
-      const auto noise = fft::irfft(spectrum, n_fft);
-      memo.key = key;
-      ++realizations_;
-      memo.addend.resize(static_cast<std::size_t>(n_samp));
-      for (std::size_t s = 0; s < memo.addend.size(); ++s) {
-        memo.addend[s] = noise[s] * std::sqrt(static_cast<double>(n_fft));
-      }
-    }
+    const NoiseInputs in{seed_, det, ob.n_samples(), fp.sample_rate,
+                         fp.net[d], fp.fknee[d], fp.fmin[d], fp.alpha[d]};
+    const auto addend = input_cache().get(InputCache::Kind::kNoise, in,
+                                          [&] { return noise_addend(in); });
     auto signal = ob.det_f64(core::fields::kSignal, det);
-    for (std::size_t s = 0; s < memo.addend.size(); ++s) {
-      signal[s] += memo.addend[s];
+    for (std::size_t s = 0; s < addend->size(); ++s) {
+      signal[s] += (*addend)[s];
     }
   }
 

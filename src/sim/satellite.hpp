@@ -6,7 +6,6 @@
 // the boresight opening out from the spin axis - plus a hexagonal
 // focalplane, scan intervals, a synthetic sky and 1/f detector noise.
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -35,22 +34,32 @@ core::Focalplane hex_focalplane(std::int64_t n_det, double sample_rate,
                                 double fov_deg = 10.0, double net = 50.0e-6,
                                 double fknee = 0.05, double alpha = 1.0);
 
+/// The scan arrays of `n_samples` samples: times, then boresight
+/// quaternions (4 per sample), then HWP angles, 6 * n_samples values.  A
+/// pure function of its arguments.
+std::vector<double> satellite_scan(std::int64_t n_samples,
+                                   const ScanParams& params = {});
+
 /// Create one observation: boresight quaternions, HWP angle, times, shared
 /// flags (a small flagged fraction) and varying-length scan intervals.
+/// The scan arrays come from input_cache(); the flags and intervals are
+/// drawn from `seed` on every call.
 core::Observation simulate_satellite(const std::string& name,
                                      const core::Focalplane& fp,
                                      std::int64_t n_samples,
                                      const ScanParams& params = {},
                                      std::uint64_t seed = 0);
 
+/// The seed of the benchmark's sky.
+inline constexpr std::uint64_t kSkySeed = 42;
+
 /// Synthesize a smooth sky map (low-order harmonics in I, Q, U) for the
 /// given nside; stored as the "sky_map" field, n_pix x nnz.
 std::vector<double> synthetic_sky(std::int64_t nside, std::int64_t nnz,
-                                  std::uint64_t seed = 42);
+                                  std::uint64_t seed = kSkySeed);
 
-/// Operator: attach the synthetic sky to each observation.  The map is a
-/// pure function of (nside, nnz), so it is built once, on first use, and
-/// copied into every later observation.
+/// Operator: attach the synthetic sky (seed kSkySeed) to each observation
+/// that has none.  The map is read from input_cache().
 class SynthSkyOp : public core::Operator {
  public:
   SynthSkyOp(std::int64_t nside, std::int64_t nnz = 3)
@@ -65,18 +74,29 @@ class SynthSkyOp : public core::Operator {
  private:
   std::int64_t nside_;
   std::int64_t nnz_;
-  std::vector<double> map_;  // empty until first needed
 };
+
+/// Everything one detector's noise depends on.  The RNG key is (seed,
+/// det), with no observation component.
+struct NoiseInputs {
+  std::uint64_t seed = 0;
+  std::int64_t det = 0;
+  std::int64_t n_samples = 0;
+  double sample_rate = 0.0;
+  double net = 0.0;
+  double fknee = 0.0;
+  double fmin = 0.0;
+  double alpha = 0.0;
+};
+
+/// One detector's per-sample noise, `noise[s] * sqrt(n_fft)`: a Gaussian
+/// spectrum shaped by the 1/f PSD, inverse-FFT'd.  A pure function.
+std::vector<double> noise_addend(const NoiseInputs& in);
 
 /// Operator: simulate 1/f + white detector noise into "signal" using the
 /// counter-based RNG and the FFT substrate (host only, like TOAST's
-/// sim_noise at the time of the paper).
-///
-/// The RNG key is (seed, detector index), with no observation component,
-/// so a detector's noise depends only on the sample count and its
-/// focalplane noise parameters.  The op keeps the last noise it computed
-/// for each detector index and adds it again when those inputs are
-/// bit-identical.
+/// sim_noise at the time of the paper).  Each detector's noise_addend is
+/// read from input_cache() and added to the signal.
 class SimNoiseOp : public core::Operator {
  public:
   explicit SimNoiseOp(std::uint64_t seed = 1234567) : seed_(seed) {}
@@ -87,22 +107,9 @@ class SimNoiseOp : public core::Operator {
   void ensure_fields(core::Observation& ob) override;
   void exec(core::Observation& ob, core::ExecContext& ctx,
             core::AccelStore* accel, core::Backend backend) override;
-  /// Per-detector noise realizations computed so far (the rest of the
-  /// detector-observations reused a kept one).
-  std::int64_t realizations() const { return realizations_; }
 
  private:
-  /// n_samples, then the bit patterns of sample_rate, net, fknee, fmin
-  /// and alpha: equal keys mean bit-identical noise.
-  using NoiseKey = std::array<std::uint64_t, 6>;
-  struct NoiseMemo {
-    NoiseKey key{};
-    std::vector<double> addend;  // per-sample noise; empty = unfilled
-  };
-
   std::uint64_t seed_;
-  std::vector<NoiseMemo> memo_;  // indexed by detector
-  std::int64_t realizations_ = 0;
 };
 
 }  // namespace toast::sim

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -176,27 +177,47 @@ int cmd_summarize(const std::string& path, std::size_t limit) {
   return 0;
 }
 
-/// Per-lane (Chrome tid) occupancy plus the overlap fraction across the
-/// stream lanes (tid >= 2): 1 - union/sum of their busy time, i.e. the
-/// share of stream work that ran concurrently with another stream.
-int cmd_lanes(const std::string& path) {
+/// One Chrome-trace lane (tid): its thread_name and the spans read from it.
+struct Lane {
+  std::string name;
+  long spans = 0;
+  double bytes = 0.0;  // summed "bytes" args of its spans
+  std::vector<std::pair<double, double>> intervals;  // seconds
+};
+
+/// Totals of the spans that share a name.
+struct SpanTotals {
+  long spans = 0;
+  double bytes = 0.0;
+  double seconds = 0.0;
+};
+
+/// The lanes of a Chrome trace, its per-name span totals and the window
+/// the spans cover.
+struct LaneTrace {
+  std::map<long, Lane> lanes;
+  std::map<std::string, SpanTotals> names;
+  double t_min = 0.0;
+  double t_max = 0.0;
+  bool any = false;  // at least one span was read
+};
+
+/// Reads the Chrome trace at `path`: every tid's thread_name and its "X"
+/// spans, only those of `category` when one is given.  Prints an error
+/// naming `command` and returns nothing when the file is not a Chrome
+/// trace.
+std::optional<LaneTrace> read_lanes(const std::string& path,
+                                    const char* command,
+                                    const char* category = nullptr) {
   const json::Value doc = json::load_file(path);
   if (!doc.is_object() || doc.find("traceEvents") == nullptr) {
     std::fprintf(stderr,
                  "toast-trace: %s is not a Chrome trace-event file "
-                 "(lanes needs one; pass the --trace output)\n",
-                 path.c_str());
-    return 1;
+                 "(%s needs one; pass the --trace output)\n",
+                 path.c_str(), command);
+    return std::nullopt;
   }
-  struct Lane {
-    std::string name;
-    long spans = 0;
-    std::vector<std::pair<double, double>> intervals;  // seconds
-  };
-  std::map<long, Lane> lanes;
-  double t_min = 0.0;
-  double t_max = 0.0;
-  bool any = false;
+  LaneTrace out;
   for (const auto& ev : doc.at("traceEvents").array) {
     const json::Value* ph = ev.find("ph");
     if (ph == nullptr) {
@@ -208,45 +229,67 @@ int cmd_lanes(const std::string& path) {
       const json::Value* args = ev.find("args");
       if (name != nullptr && name->string == "thread_name" &&
           args != nullptr && args->find("name") != nullptr) {
-        lanes[tid].name = args->at("name").string;
+        out.lanes[tid].name = args->at("name").string;
       }
       continue;
     }
     if (ph->string != "X") {
       continue;
     }
+    const json::Value* cat = ev.find("cat");
+    if (category != nullptr && (cat == nullptr || cat->string != category)) {
+      continue;
+    }
     const double start = ev.number_or("ts", 0.0) * 1e-6;
-    const double end = start + ev.number_or("dur", 0.0) * 1e-6;
-    auto& lane = lanes[tid];
+    const double dur = ev.number_or("dur", 0.0) * 1e-6;
+    const double bytes =
+        ev.find("args") != nullptr ? ev.at("args").number_or("bytes", 0.0)
+                                   : 0.0;
+    auto& lane = out.lanes[tid];
     lane.spans += 1;
-    lane.intervals.emplace_back(start, end);
-    t_min = any ? std::min(t_min, start) : start;
-    t_max = any ? std::max(t_max, end) : end;
-    any = true;
+    lane.bytes += bytes;
+    lane.intervals.emplace_back(start, start + dur);
+    auto& totals = out.names[ev.at("name").string];
+    totals.spans += 1;
+    totals.bytes += bytes;
+    totals.seconds += dur;
+    out.t_min = out.any ? std::min(out.t_min, start) : start;
+    out.t_max = out.any ? std::max(out.t_max, start + dur) : start + dur;
+    out.any = true;
   }
-  if (!any) {
+  return out;
+}
+
+/// Busy time of a set of intervals = length of their union.
+double merged_length(std::vector<std::pair<double, double>> iv) {
+  std::sort(iv.begin(), iv.end());
+  double busy = 0.0;
+  double hi = -1.0;
+  for (const auto& [a, b] : iv) {
+    if (a > hi) {
+      busy += b - a;
+      hi = b;
+    } else if (b > hi) {
+      busy += b - hi;
+      hi = b;
+    }
+  }
+  return busy;
+}
+
+/// Per-lane (Chrome tid) occupancy plus the overlap fraction across the
+/// stream lanes (tid >= 2): 1 - union/sum of their busy time, i.e. the
+/// share of stream work that ran concurrently with another stream.
+int cmd_lanes(const std::string& path) {
+  const auto trace = read_lanes(path, "lanes");
+  if (!trace) {
+    return 1;
+  }
+  if (!trace->any) {
     std::printf("%s: no spans\n", path.c_str());
     return 0;
   }
-
-  // Busy time of a set of intervals = length of their union.
-  const auto merged_length = [](std::vector<std::pair<double, double>> iv) {
-    std::sort(iv.begin(), iv.end());
-    double busy = 0.0;
-    double hi = -1.0;
-    for (const auto& [a, b] : iv) {
-      if (a > hi) {
-        busy += b - a;
-        hi = b;
-      } else if (b > hi) {
-        busy += b - hi;
-        hi = b;
-      }
-    }
-    return busy;
-  };
-
-  const double window = t_max - t_min;
+  const double window = trace->t_max - trace->t_min;
   std::printf("%s: window %.4fs\n\n", path.c_str(), window);
   std::printf("%-4s %-24s %7s %12s %10s\n", "tid", "lane", "spans", "busy",
               "occupancy");
@@ -256,7 +299,7 @@ int cmd_lanes(const std::string& path) {
   std::vector<std::pair<double, double>> stream_intervals;
   double stream_busy_sum = 0.0;
   int stream_lanes = 0;
-  for (const auto& [tid, lane] : lanes) {
+  for (const auto& [tid, lane] : trace->lanes) {
     if (lane.spans == 0) {
       continue;  // named but empty lane
     }
@@ -391,107 +434,31 @@ int cmd_faults(const std::string& path) {
 /// busy time and occupancy over the collective's window, plus per-
 /// collective totals (bytes moved, steps).
 int cmd_comm(const std::string& path) {
-  const json::Value doc = json::load_file(path);
-  if (!doc.is_object() || doc.find("traceEvents") == nullptr) {
-    std::fprintf(stderr,
-                 "toast-trace: %s is not a Chrome trace-event file "
-                 "(comm needs one; pass the --trace output)\n",
-                 path.c_str());
+  const auto trace = read_lanes(path, "comm", "comm");
+  if (!trace) {
     return 1;
   }
-  struct Lane {
-    std::string name;
-    long steps = 0;
-    double bytes = 0.0;
-    std::vector<std::pair<double, double>> intervals;  // seconds
-  };
-  std::map<long, Lane> lanes;
-  struct Collective {
-    long steps = 0;
-    double bytes = 0.0;
-    double seconds = 0.0;
-  };
-  std::map<std::string, Collective> collectives;
-  double t_min = 0.0;
-  double t_max = 0.0;
-  bool any = false;
-  for (const auto& ev : doc.at("traceEvents").array) {
-    const json::Value* ph = ev.find("ph");
-    if (ph == nullptr) {
-      continue;
-    }
-    const long tid = ev.integer_or("tid", 0);
-    if (ph->string == "M") {
-      const json::Value* name = ev.find("name");
-      const json::Value* args = ev.find("args");
-      if (name != nullptr && name->string == "thread_name" &&
-          args != nullptr && args->find("name") != nullptr) {
-        lanes[tid].name = args->at("name").string;
-      }
-      continue;
-    }
-    if (ph->string != "X") {
-      continue;
-    }
-    const json::Value* cat = ev.find("cat");
-    if (cat == nullptr || cat->string != "comm") {
-      continue;
-    }
-    const double start = ev.number_or("ts", 0.0) * 1e-6;
-    const double dur = ev.number_or("dur", 0.0) * 1e-6;
-    const double bytes =
-        ev.find("args") != nullptr ? ev.at("args").number_or("bytes", 0.0)
-                                   : 0.0;
-    auto& lane = lanes[tid];
-    lane.steps += 1;
-    lane.bytes += bytes;
-    lane.intervals.emplace_back(start, start + dur);
-    auto& coll = collectives[ev.at("name").string];
-    coll.steps += 1;
-    coll.bytes += bytes;
-    coll.seconds += dur;
-    t_min = any ? std::min(t_min, start) : start;
-    t_max = any ? std::max(t_max, start + dur) : start + dur;
-    any = true;
-  }
-  if (!any) {
+  if (!trace->any) {
     std::printf("%s: no comm-engine spans (run a job with --comm engine or "
                 "bench_comm --trace)\n",
                 path.c_str());
     return 0;
   }
-
-  const auto merged_length = [](std::vector<std::pair<double, double>> iv) {
-    std::sort(iv.begin(), iv.end());
-    double busy = 0.0;
-    double hi = -1.0;
-    for (const auto& [a, b] : iv) {
-      if (a > hi) {
-        busy += b - a;
-        hi = b;
-      } else if (b > hi) {
-        busy += b - hi;
-        hi = b;
-      }
-    }
-    return busy;
-  };
-
-  const double window = t_max - t_min;
+  const double window = trace->t_max - trace->t_min;
   std::printf("%s: comm window %.6fs\n\n", path.c_str(), window);
   std::printf("%-4s %-24s %7s %12s %12s %10s\n", "tid", "lane", "steps",
               "busy", "bytes", "occupancy");
   std::printf("%.*s\n", 74,
               "--------------------------------------------------------------"
               "------------------------------");
-  for (const auto& [tid, lane] : lanes) {
-    if (lane.steps == 0) {
+  for (const auto& [tid, lane] : trace->lanes) {
+    if (lane.spans == 0) {
       continue;  // named but carried no comm spans
     }
     const double busy = merged_length(lane.intervals);
     std::printf("%-4ld %-24s %7ld %11.6fs %12s %9.1f%%\n", tid,
                 lane.name.empty() ? "(unnamed)" : lane.name.c_str(),
-                lane.steps, busy, fmt_bytes(lane.bytes).c_str(),
+                lane.spans, busy, fmt_bytes(lane.bytes).c_str(),
                 window > 0.0 ? 100.0 * busy / window : 0.0);
   }
   std::printf("\n%-36s %7s %12s %12s\n", "collective", "steps", "bytes",
@@ -499,8 +466,8 @@ int cmd_comm(const std::string& path) {
   std::printf("%.*s\n", 70,
               "--------------------------------------------------------------"
               "------------------------------");
-  for (const auto& [name, coll] : collectives) {
-    std::printf("%-36s %7ld %12s %11.6fs\n", name.c_str(), coll.steps,
+  for (const auto& [name, coll] : trace->names) {
+    std::printf("%-36s %7ld %12s %11.6fs\n", name.c_str(), coll.spans,
                 fmt_bytes(coll.bytes).c_str(), coll.seconds);
   }
   return 0;
