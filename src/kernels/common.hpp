@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <span>
 
+#include "accel/host_threads.hpp"
 #include "core/types.hpp"
 
 namespace toast::kernels {
@@ -31,6 +32,16 @@ void for_each_step(const core::Interval& ival, std::int64_t step_length,
     visit(step, s, end);
     s = end;
   }
+}
+
+/// The host form of "#pragma omp parallel for" over detectors: runs
+/// body(det) once for each det in [0, n_det) on accel::host_threads().
+/// Detector `det` must write only its own rows and amplitudes.
+template <typename Body>
+void for_each_detector(std::int64_t n_det, const Body& body) {
+  accel::host_threads().parallel_for(
+      static_cast<std::size_t>(std::max<std::int64_t>(n_det, 0)),
+      [&](std::size_t det) { body(static_cast<std::int64_t>(det)); });
 }
 
 /// Default shared-flag mask used by the operators.

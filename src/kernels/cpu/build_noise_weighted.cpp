@@ -18,6 +18,8 @@ void build_noise_weighted(std::span<const std::int64_t> pixels,
                           std::span<const core::Interval> intervals,
                           std::int64_t n_det, std::int64_t n_samp,
                           std::span<double> zmap, core::ExecContext& ctx) {
+  // Serial on the host: every detector scatters into the one zmap, and
+  // its floating-point sums depend on the order they arrive in.
   for (std::int64_t det = 0; det < n_det; ++det) {
     const double scale = det_scale[static_cast<std::size_t>(det)];
     for (const auto& ival : intervals) {

@@ -10,14 +10,14 @@ void noise_weight(std::span<const double> det_weights,
                   std::span<const core::Interval> intervals,
                   std::int64_t n_det, std::int64_t n_samp,
                   std::span<double> signal, core::ExecContext& ctx) {
-  for (std::int64_t det = 0; det < n_det; ++det) {
+  for_each_detector(n_det, [&](std::int64_t det) {
     const double dw = det_weights[static_cast<std::size_t>(det)];
     for (const auto& ival : intervals) {
       for (std::int64_t s = ival.start; s < ival.stop; ++s) {
         signal[static_cast<std::size_t>(det * n_samp + s)] *= dw;
       }
     }
-  }
+  });
 
   accel::WorkEstimate w;
   const double iters = static_cast<double>(

@@ -17,7 +17,7 @@ void pixels_healpix(std::span<const double> quats,
                     std::span<std::int64_t> pixels, core::ExecContext& ctx) {
   const healpix::Healpix hp(nside);
   const double zaxis[3] = {0.0, 0.0, 1.0};
-  for (std::int64_t det = 0; det < n_det; ++det) {
+  for_each_detector(n_det, [&](std::int64_t det) {
     for (const auto& ival : intervals) {
       for (std::int64_t s = ival.start; s < ival.stop; ++s) {
         const std::size_t off = static_cast<std::size_t>(det * n_samp + s);
@@ -35,7 +35,7 @@ void pixels_healpix(std::span<const double> quats,
                            : hp.vec2pix_ring(dir[0], dir[1], dir[2]);
       }
     }
-  }
+  });
 
   accel::WorkEstimate w;
   const double iters = static_cast<double>(

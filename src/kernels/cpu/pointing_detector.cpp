@@ -14,7 +14,7 @@ void pointing_detector(std::span<const double> fp_quats,
                        std::span<const core::Interval> intervals,
                        std::int64_t n_det, std::int64_t n_samp,
                        std::span<double> quats, core::ExecContext& ctx) {
-  for (std::int64_t det = 0; det < n_det; ++det) {
+  for_each_detector(n_det, [&](std::int64_t det) {
     const double* fp = &fp_quats[static_cast<std::size_t>(4 * det)];
     for (const auto& ival : intervals) {
       for (std::int64_t s = ival.start; s < ival.stop; ++s) {
@@ -35,7 +35,7 @@ void pointing_detector(std::span<const double> fp_quats,
         }
       }
     }
-  }
+  });
 
   accel::WorkEstimate w;
   const double iters = static_cast<double>(

@@ -12,7 +12,7 @@ void scan_map(std::span<const double> sky_map, std::int64_t nnz,
               std::span<const core::Interval> intervals, std::int64_t n_det,
               std::int64_t n_samp, std::span<double> signal,
               core::ExecContext& ctx) {
-  for (std::int64_t det = 0; det < n_det; ++det) {
+  for_each_detector(n_det, [&](std::int64_t det) {
     for (const auto& ival : intervals) {
       for (std::int64_t s = ival.start; s < ival.stop; ++s) {
         const std::size_t off = static_cast<std::size_t>(det * n_samp + s);
@@ -29,7 +29,7 @@ void scan_map(std::span<const double> sky_map, std::int64_t nnz,
         signal[off] += data_scale * value;
       }
     }
-  }
+  });
 
   accel::WorkEstimate w;
   const double iters = static_cast<double>(

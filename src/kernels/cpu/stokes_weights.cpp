@@ -15,7 +15,7 @@ void stokes_weights_iqu(std::span<const double> quats,
                         std::span<const core::Interval> intervals,
                         std::int64_t n_det, std::int64_t n_samp,
                         std::span<double> weights, core::ExecContext& ctx) {
-  for (std::int64_t det = 0; det < n_det; ++det) {
+  for_each_detector(n_det, [&](std::int64_t det) {
     const double eta = pol_eff[static_cast<std::size_t>(det)];
     for (const auto& ival : intervals) {
       for (std::int64_t s = ival.start; s < ival.stop; ++s) {
@@ -31,7 +31,7 @@ void stokes_weights_iqu(std::span<const double> quats,
         w[2] = eta * std::sin(2.0 * ang);
       }
     }
-  }
+  });
 
   accel::WorkEstimate w;
   const double iters = static_cast<double>(
@@ -48,13 +48,13 @@ void stokes_weights_iqu(std::span<const double> quats,
 void stokes_weights_i(std::span<const core::Interval> intervals,
                       std::int64_t n_det, std::int64_t n_samp,
                       std::span<double> weights, core::ExecContext& ctx) {
-  for (std::int64_t det = 0; det < n_det; ++det) {
+  for_each_detector(n_det, [&](std::int64_t det) {
     for (const auto& ival : intervals) {
       for (std::int64_t s = ival.start; s < ival.stop; ++s) {
         weights[static_cast<std::size_t>(det * n_samp + s)] = 1.0;
       }
     }
-  }
+  });
 
   accel::WorkEstimate w;
   const double iters = static_cast<double>(

@@ -15,7 +15,7 @@ void template_offset_add_to_signal(std::int64_t step_length,
                                    std::int64_t n_det, std::int64_t n_samp,
                                    std::span<double> signal,
                                    core::ExecContext& ctx) {
-  for (std::int64_t det = 0; det < n_det; ++det) {
+  for_each_detector(n_det, [&](std::int64_t det) {
     const std::size_t amp_base = static_cast<std::size_t>(det * n_amp_det);
     for (const auto& ival : intervals) {
       for_each_step(ival, step_length, [&](std::int64_t step,
@@ -28,7 +28,7 @@ void template_offset_add_to_signal(std::int64_t step_length,
         }
       });
     }
-  }
+  });
 
   accel::WorkEstimate w;
   const double iters = static_cast<double>(
@@ -47,7 +47,7 @@ void template_offset_project_signal(
     std::span<const core::Interval> intervals, std::int64_t n_det,
     std::int64_t n_samp, std::span<double> amplitudes,
     std::int64_t n_amp_det, core::ExecContext& ctx) {
-  for (std::int64_t det = 0; det < n_det; ++det) {
+  for_each_detector(n_det, [&](std::int64_t det) {
     const std::size_t amp_base = static_cast<std::size_t>(det * n_amp_det);
     for (const auto& ival : intervals) {
       for_each_step(ival, step_length, [&](std::int64_t step,
@@ -62,7 +62,7 @@ void template_offset_project_signal(
         amp = sum;
       });
     }
-  }
+  });
 
   accel::WorkEstimate w;
   const double iters = static_cast<double>(

@@ -80,6 +80,8 @@ void build_noise_weighted(const std::int64_t* pixels, const double* weights,
 
   // Host path.
   // #pragma omp parallel for collapse(2)
+  // Serial here: every detector scatters into the one zmap, and its
+  // floating-point sums depend on the order they arrive in.
   for (std::int64_t det = 0; det < n_det; ++det) {
     for (std::int64_t view = 0; view < n_view; ++view) {
       const auto& ival = intervals[static_cast<std::size_t>(view)];

@@ -40,14 +40,14 @@ void noise_weight(const double* det_weights,
 
   // Host path.
   // #pragma omp parallel for collapse(2)
-  for (std::int64_t det = 0; det < n_det; ++det) {
+  for_each_detector(n_det, [&](std::int64_t det) {
     for (std::int64_t view = 0; view < n_view; ++view) {
       const auto& ival = intervals[static_cast<std::size_t>(view)];
       for (std::int64_t s = ival.start; s < ival.stop; ++s) {
         signal[det * n_samp + s] *= det_weights[det];
       }
     }
-  }
+  });
   accel::WorkEstimate w;
   const double iters =
       static_cast<double>(n_det * total_interval_samples(intervals));

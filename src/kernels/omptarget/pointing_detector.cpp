@@ -68,7 +68,7 @@ void pointing_detector(const double* fp_quats, const double* boresight,
 
   // Host path: the pre-existing OpenMP CPU loop.
   // #pragma omp parallel for collapse(2)
-  for (std::int64_t det = 0; det < n_det; ++det) {
+  for_each_detector(n_det, [&](std::int64_t det) {
     for (std::int64_t view = 0; view < n_view; ++view) {
       const auto& ival = intervals[static_cast<std::size_t>(view)];
       for (std::int64_t s = ival.start; s < ival.stop; ++s) {
@@ -76,7 +76,7 @@ void pointing_detector(const double* fp_quats, const double* boresight,
                                 n_samp, det, s, quats);
       }
     }
-  }
+  });
   accel::WorkEstimate w;
   const double iters =
       static_cast<double>(n_det * total_interval_samples(intervals));

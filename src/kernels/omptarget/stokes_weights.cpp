@@ -64,7 +64,7 @@ void stokes_weights_iqu(const double* quats, const double* hwp_angle,
 
   // Host path.
   // #pragma omp parallel for collapse(2)
-  for (std::int64_t det = 0; det < n_det; ++det) {
+  for_each_detector(n_det, [&](std::int64_t det) {
     for (std::int64_t view = 0; view < n_view; ++view) {
       const auto& ival = intervals[static_cast<std::size_t>(view)];
       for (std::int64_t s = ival.start; s < ival.stop; ++s) {
@@ -72,7 +72,7 @@ void stokes_weights_iqu(const double* quats, const double* hwp_angle,
                          weights);
       }
     }
-  }
+  });
   accel::WorkEstimate w;
   const double iters =
       static_cast<double>(n_det * total_interval_samples(intervals));
@@ -113,14 +113,14 @@ void stokes_weights_i(std::span<const core::Interval> intervals,
     return;
   }
 
-  for (std::int64_t det = 0; det < n_det; ++det) {
+  for_each_detector(n_det, [&](std::int64_t det) {
     for (std::int64_t view = 0; view < n_view; ++view) {
       const auto& ival = intervals[static_cast<std::size_t>(view)];
       for (std::int64_t s = ival.start; s < ival.stop; ++s) {
         weights[det * n_samp + s] = 1.0;
       }
     }
-  }
+  });
   accel::WorkEstimate w;
   const double iters =
       static_cast<double>(n_det * total_interval_samples(intervals));

@@ -60,7 +60,7 @@ void template_offset_add_to_signal(std::int64_t step_length,
 
   // Host path.
   // #pragma omp parallel for collapse(2)
-  for (std::int64_t det = 0; det < n_det; ++det) {
+  for_each_detector(n_det, [&](std::int64_t det) {
     for (std::int64_t view = 0; view < n_view; ++view) {
       const auto& ival = intervals[static_cast<std::size_t>(view)];
       for_each_step(ival, step_length, [&](std::int64_t step,
@@ -72,7 +72,7 @@ void template_offset_add_to_signal(std::int64_t step_length,
         }
       });
     }
-  }
+  });
   accel::WorkEstimate w;
   const double iters =
       static_cast<double>(n_det * total_interval_samples(intervals));
@@ -112,21 +112,31 @@ void template_offset_project_signal(
     cost.atomic_conflict_rate = (warp - distinct) / warp;
     ctx.omp().target_for_collapse3(
         "template_offset_project_signal", n_det, n_view, max_len, cost,
-        [&, amp = std::int64_t{0}, left = std::int64_t{0}](
+        [&, amp = std::int64_t{0}, left = std::int64_t{0}, sum = 0.0](
             std::int64_t det, std::int64_t view, std::int64_t i) mutable {
           const auto& ival = intervals[static_cast<std::size_t>(view)];
           const std::int64_t s = ival.start + i;
           if (s >= ival.stop) {
             return false;
           }
-          // Running step position, as in add_to_signal.
+          // Running step position, as in add_to_signal, and the step's
+          // running sum in a local: loaded when a step starts in this
+          // row, stored when it ends or the row does.  The region runs in
+          // program order (it declares atomics), so these are the same
+          // additions in the same order as one += per sample.
           if (i == 0) {
             amp = det * n_amp_det + s / step_length;
             left = step_length - s % step_length;
+            sum = amplitudes[amp];
+          } else if (left == step_length) {
+            sum = amplitudes[amp];
           }
           // #pragma omp atomic update
-          amplitudes[amp] += signal[det * n_samp + s];
-          if (--left == 0) {
+          sum += signal[det * n_samp + s];
+          if (--left == 0 || s + 1 == ival.stop) {
+            amplitudes[amp] = sum;
+          }
+          if (left == 0) {
             ++amp;
             left = step_length;
           }
@@ -137,7 +147,7 @@ void template_offset_project_signal(
 
   // Host path: sequential within each detector, no atomics needed.
   // #pragma omp parallel for
-  for (std::int64_t det = 0; det < n_det; ++det) {
+  for_each_detector(n_det, [&](std::int64_t det) {
     for (std::int64_t view = 0; view < n_view; ++view) {
       const auto& ival = intervals[static_cast<std::size_t>(view)];
       for_each_step(ival, step_length, [&](std::int64_t step,
@@ -150,7 +160,7 @@ void template_offset_project_signal(
         amplitudes[det * n_amp_det + step] = sum;
       });
     }
-  }
+  });
   accel::WorkEstimate w;
   const double iters =
       static_cast<double>(n_det * total_interval_samples(intervals));

@@ -16,12 +16,16 @@
 // of the mapped buffers: a kernel that runs before its inputs were
 // update_device()'d sees stale data, exactly like a real offload bug.
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "accel/host_threads.hpp"
 #include "accel/sim_device.hpp"
 #include "accel/timelog.hpp"
 #include "accel/work.hpp"
@@ -140,26 +144,55 @@ class Runtime {
 
   /// #pragma omp target teams distribute parallel for collapse(3).
   ///
-  /// Executes body(a, b, c) over [0,na) x [0,nb) x [0,nc), `c` fastest;
-  /// the body returns false when the interval guard cut the iteration.
-  /// Charges the device model with the measured executed/cut mix and logs
-  /// the virtual time under `name`.  Returns the (scaled) work estimate
-  /// for inspection.  The body is a template parameter, so the loop
-  /// inlines it as the compiler inlines a real target region's body.
+  /// Executes body(a, b, c) over [0,na) x [0,nb) x [0,nc); the body
+  /// returns false when the interval guard cut the iteration.  Rows of `a`
+  /// run in parallel on accel::host_threads(), each on its own copy of the
+  /// body with `c` fastest from 0, so a body may keep running state within
+  /// a row but must write disjoint memory per row.  A region that declares
+  /// atomic updates (cost.atomic_ops != 0), or whose body cannot be
+  /// copied, runs the caller's body in place in row-major order: program
+  /// order stands in for the device's atomics.  Charges the device model
+  /// with the measured executed/cut mix and logs the virtual time under
+  /// `name`.  Returns the (scaled) work estimate for inspection.  The body
+  /// is a template parameter, so the loop inlines it as the compiler
+  /// inlines a real target region's body.
   template <typename Body>
   accel::WorkEstimate target_for_collapse3(const std::string& name,
                                            std::int64_t na, std::int64_t nb,
                                            std::int64_t nc,
                                            const IterCost& cost, Body&& body,
                                            const LaunchOptions& opts = {}) {
-    std::int64_t executed = 0;
-    for (std::int64_t a = 0; a < na; ++a) {
+    using RowBody = std::remove_cvref_t<Body>;
+    const auto run_row = [nb, nc](auto& row_body, std::int64_t a) {
+      std::int64_t executed = 0;
       for (std::int64_t b = 0; b < nb; ++b) {
         for (std::int64_t c = 0; c < nc; ++c) {
-          executed += body(a, b, c) ? 1 : 0;
+          executed += row_body(a, b, c) ? 1 : 0;
         }
       }
-    }
+      return executed;
+    };
+    const std::int64_t executed = [&] {
+      if constexpr (std::is_copy_constructible_v<RowBody>) {
+        if (cost.atomic_ops == 0.0) {
+          std::atomic<std::int64_t> sum{0};
+          accel::host_threads().parallel_for(
+              static_cast<std::size_t>(std::max<std::int64_t>(na, 0)),
+              [&](std::size_t a) {
+                RowBody row_body = body;
+                sum.fetch_add(
+                    run_row(row_body, static_cast<std::int64_t>(a)),
+                    std::memory_order_relaxed);
+              });
+          return sum.load(std::memory_order_relaxed);
+        }
+      }
+      std::int64_t in_order = 0;
+      for (std::int64_t a = 0; a < na; ++a) {
+        in_order += run_row(body, a);
+      }
+      return in_order;
+    }();
     // Trip counts are exact in a double below 2^53.
     const std::int64_t total = (na > 0 && nb > 0 && nc > 0) ? na * nb * nc : 0;
     return charge(name, static_cast<double>(executed),

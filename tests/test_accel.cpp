@@ -1,8 +1,9 @@
-// Tests for the simulated-device performance model, problem sizing and the
-// host block recycler.
+// Tests for the simulated-device performance model, problem sizing, the
+// host block recycler and the host thread pool.
 
 #include "accel/host_model.hpp"
 #include "accel/host_pool.hpp"
+#include "accel/host_threads.hpp"
 #include "accel/sim_device.hpp"
 #include "bench_model/problem.hpp"
 #include "core/accel_store.hpp"
@@ -10,10 +11,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstring>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -496,4 +503,131 @@ TEST(HostPoolDeathTest, UseAfterReleaseStillAborts) {
 #else
   GTEST_SKIP() << "needs an AddressSanitizer build (TOAST_SANITIZE=ON)";
 #endif
+}
+
+// ---------------------------------------------------------------------------
+// Host thread pool: every index exactly once, whoever runs it.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Runs parallel_for(n) on the shared pool and returns how often each
+/// index ran.  Each index sleeps for `pause` on the calling thread and
+/// for `worker_pause` on a worker.
+std::vector<int> visit_counts(std::size_t n,
+                              std::chrono::microseconds pause = {},
+                              std::chrono::microseconds worker_pause = {}) {
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> hits(n);
+  accel::host_threads().parallel_for(n, [&](std::size_t i) {
+    std::this_thread::sleep_for(std::this_thread::get_id() == caller
+                                    ? pause
+                                    : worker_pause);
+    hits[i].fetch_add(1);
+  });
+  std::vector<int> out;
+  for (const auto& h : hits) {
+    out.push_back(h.load());
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(HostThreads, EveryIndexRunsExactlyOnce) {
+  const auto workers =
+      static_cast<std::size_t>(accel::host_threads().workers());
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, workers,
+        workers + 1, std::size_t{1000}}) {
+    EXPECT_EQ(visit_counts(n), std::vector<int>(n, 1)) << "n = " << n;
+  }
+  // Slow indices, slower on the workers: the caller runs out of indices
+  // first, and the call must still wait for the workers to finish.
+  EXPECT_EQ(visit_counts(64, std::chrono::microseconds{100},
+                         std::chrono::microseconds{2000}),
+            std::vector<int>(64, 1));
+}
+
+TEST(HostThreads, WorkerCountFollowsTheAffinityMaskAndTheCap) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  const int cpus = CPU_COUNT(&set);
+  EXPECT_EQ(accel::host_threads().workers(),
+            std::min(cpus - 1, accel::HostThreads::kMaxWorkers));
+  EXPECT_EQ(accel::HostThreads::workers_for(1), 0);
+  EXPECT_EQ(accel::HostThreads::workers_for(2), 1);
+  EXPECT_EQ(accel::HostThreads::workers_for(4), 3);
+  EXPECT_EQ(accel::HostThreads::workers_for(8), 7);
+  EXPECT_EQ(accel::HostThreads::workers_for(64), 7);
+}
+
+TEST(HostThreads, ExceptionReachesTheCallerAndThePoolStaysUsable) {
+  auto& pool = accel::host_threads();
+  const auto caller = std::this_thread::get_id();
+  // Thrown on the caller's own share, then on a worker's: each index
+  // sleeps long enough that the workers join in.
+  for (const bool on_worker : {false, true}) {
+    if (on_worker && pool.workers() == 0) {
+      continue;
+    }
+    std::atomic<bool> thrown{false};
+    try {
+      pool.parallel_for(64, [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        if ((std::this_thread::get_id() != caller) == on_worker &&
+            !thrown.exchange(true)) {
+          throw std::runtime_error(on_worker ? "worker" : "caller");
+        }
+      });
+      ADD_FAILURE() << "no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), on_worker ? "worker" : "caller");
+    }
+    EXPECT_TRUE(thrown.load());
+    EXPECT_EQ(visit_counts(257), std::vector<int>(257, 1));
+  }
+}
+
+TEST(HostThreads, NestedCallsRunInline) {
+  const std::size_t n = 16;
+  std::vector<std::atomic<int>> hits(n * n);
+  accel::host_threads().parallel_for(n, [&](std::size_t i) {
+    accel::host_threads().parallel_for(
+        n, [&](std::size_t j) { hits[i * n + j].fetch_add(1); });
+  });
+  for (const auto& h : hits) {
+    EXPECT_EQ(h.load(), 1);
+  }
+}
+
+TEST(HostThreads, TwoUserThreadsShareThePool) {
+  // Each thread fills its own rows; whichever finds the pool busy runs
+  // its loop inline.  The sums are per row, so they are exact.
+  const std::size_t rows = 64, cols = 512;
+  auto fill = [&](std::vector<double>& out, double scale) {
+    for (int round = 0; round < 50; ++round) {
+      accel::host_threads().parallel_for(rows, [&](std::size_t r) {
+        double sum = 0.0;
+        for (std::size_t c = 0; c < cols; ++c) {
+          sum += scale * static_cast<double>(r * cols + c);
+        }
+        out[r] = sum;
+      });
+    }
+  };
+  std::vector<double> a(rows), b(rows), want_a(rows), want_b(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      want_a[r] += 1.0 * static_cast<double>(r * cols + c);
+      want_b[r] += 0.5 * static_cast<double>(r * cols + c);
+    }
+  }
+  std::thread ta(fill, std::ref(a), 1.0);
+  std::thread tb(fill, std::ref(b), 0.5);
+  ta.join();
+  tb.join();
+  EXPECT_EQ(a, want_a);
+  EXPECT_EQ(b, want_b);
 }

@@ -6,16 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "healpix/healpix.hpp"
+#include "kernels/common.hpp"
 #include "kernels/cpu.hpp"
 #include "kernels/jax.hpp"
 #include "kernels/jax/support.hpp"
@@ -756,4 +761,321 @@ TEST(KernelThreads, TwoThreadsMatchOneThread) {
   b.join();
   expect_same_all(first, alone);
   expect_same_all(second, alone);
+}
+
+// ---------------------------------------------------------------------------
+// Host threads: the cpu kernels and both omp-target paths run their
+// detector loops on accel::host_threads().  Each must equal a serial loop
+// written here, bit for bit, on 8 detectors and jittered intervals.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr std::uint8_t kMask = 1;
+
+/// 8 detectors over intervals of random length and gap (some adjacent, so
+/// offset steps straddle interval boundaries).
+struct WideData {
+  std::int64_t n_det = 8;
+  std::int64_t n_samp = 1031;
+  std::int64_t nside = 16;
+  std::int64_t nnz = 3;
+  std::int64_t step = 7;
+  std::vector<Interval> intervals;
+  std::vector<double> fp_quats, boresight, hwp, pol_eff, det_w, sky, signal,
+      amps;
+  std::vector<std::uint8_t> flags;
+
+  std::int64_t n_amp_det() const { return (n_samp + step - 1) / step; }
+
+  WideData() {
+    std::mt19937 gen(2024);
+    std::normal_distribution<double> nd(0.0, 1.0);
+    std::uniform_int_distribution<std::int64_t> len(1, 150), gap(0, 5);
+    for (std::int64_t s = gap(gen); s < n_samp;) {
+      const std::int64_t stop = std::min(n_samp, s + len(gen));
+      intervals.push_back({s, stop});
+      const std::int64_t g = gap(gen);
+      s = stop + (g < 3 ? 0 : g);
+    }
+    auto unit_quats = [&](std::int64_t n) {
+      std::vector<double> out;
+      for (std::int64_t i = 0; i < n; ++i) {
+        const auto q = toast::qarray::normalize(
+            toast::qarray::Quat{nd(gen), nd(gen), nd(gen), nd(gen)});
+        out.insert(out.end(), q.begin(), q.end());
+      }
+      return out;
+    };
+    fp_quats = unit_quats(n_det);
+    boresight = unit_quats(n_samp);
+    flags.assign(static_cast<std::size_t>(n_samp), 0);
+    for (std::int64_t s = 3; s < n_samp; s += 13) {
+      flags[static_cast<std::size_t>(s)] = kMask;
+    }
+    for (std::int64_t s = 0; s < n_samp; ++s) {
+      hwp.push_back(0.01 * static_cast<double>(s));
+    }
+    for (std::int64_t d = 0; d < n_det; ++d) {
+      pol_eff.push_back(0.9 + 0.01 * static_cast<double>(d));
+      det_w.push_back(0.5 + 0.25 * static_cast<double>(d));
+    }
+    sky.resize(static_cast<std::size_t>(12 * nside * nside * nnz));
+    for (auto& v : sky) v = nd(gen);
+    signal.resize(static_cast<std::size_t>(n_det * n_samp));
+    for (auto& v : signal) v = nd(gen);
+    amps.resize(static_cast<std::size_t>(n_det * n_amp_det()));
+    for (auto& v : amps) v = nd(gen);
+  }
+};
+
+/// The products of the eight detector-parallel kernels, chained.
+struct HostChain {
+  std::vector<double> quats, weights, weights_i, signal, amps;
+  std::vector<std::int64_t> pixels;
+  toast::accel::TimeLog log;
+
+  explicit HostChain(const WideData& d) {
+    const auto n = static_cast<std::size_t>(d.n_det * d.n_samp);
+    quats.assign(4 * n, 0.0);
+    weights.assign(3 * n, 0.0);
+    weights_i.assign(n, 0.0);
+    pixels.assign(n, 0);
+    signal = d.signal;
+    amps = d.amps;
+  }
+};
+
+/// Serial reference: one detector after another, one sample at a time.
+HostChain serial_chain(const WideData& d) {
+  HostChain r(d);
+  const toast::healpix::Healpix hp(d.nside);
+  const double zaxis[3] = {0.0, 0.0, 1.0};
+  auto each = [&](auto&& visit) {
+    for (std::int64_t det = 0; det < d.n_det; ++det) {
+      for (const auto& ival : d.intervals) {
+        for (std::int64_t s = ival.start; s < ival.stop; ++s) {
+          visit(det, s, static_cast<std::size_t>(det * d.n_samp + s));
+        }
+      }
+    }
+  };
+  auto flagged = [&](std::int64_t s) {
+    return (d.flags[static_cast<std::size_t>(s)] & kMask) != 0;
+  };
+  each([&](std::int64_t det, std::int64_t s, std::size_t off) {
+    const double* fp = &d.fp_quats[static_cast<std::size_t>(4 * det)];
+    double* out = &r.quats[4 * off];
+    if (flagged(s)) {
+      std::copy(fp, fp + 4, out);
+    } else {
+      k::quat_mult(&d.boresight[static_cast<std::size_t>(4 * s)], fp, out);
+    }
+  });
+  each([&](std::int64_t, std::int64_t s, std::size_t off) {
+    double dir[3];
+    k::quat_rotate(&r.quats[4 * off], zaxis, dir);
+    r.pixels[off] = flagged(s) ? -1 : hp.vec2pix_nest(dir[0], dir[1], dir[2]);
+  });
+  each([&](std::int64_t det, std::int64_t s, std::size_t off) {
+    const double eta = d.pol_eff[static_cast<std::size_t>(det)];
+    const double ang = k::detector_angle(&r.quats[4 * off]) +
+                       2.0 * d.hwp[static_cast<std::size_t>(s)];
+    r.weights[3 * off] = 1.0;
+    r.weights[3 * off + 1] = eta * std::cos(2.0 * ang);
+    r.weights[3 * off + 2] = eta * std::sin(2.0 * ang);
+    r.weights_i[off] = 1.0;
+  });
+  each([&](std::int64_t, std::int64_t, std::size_t off) {
+    const std::int64_t pix = r.pixels[off];
+    if (pix < 0) {
+      return;
+    }
+    double value = 0.0;
+    for (std::int64_t c = 0; c < d.nnz; ++c) {
+      value += d.sky[static_cast<std::size_t>(d.nnz * pix + c)] *
+               r.weights[static_cast<std::size_t>(d.nnz) * off +
+                         static_cast<std::size_t>(c)];
+    }
+    r.signal[off] += 1.5 * value;
+  });
+  each([&](std::int64_t det, std::int64_t, std::size_t off) {
+    r.signal[off] *= d.det_w[static_cast<std::size_t>(det)];
+  });
+  auto amp = [&](std::int64_t det, std::int64_t s) -> double& {
+    return r.amps[static_cast<std::size_t>(det * d.n_amp_det() +
+                                           s / d.step)];
+  };
+  each([&](std::int64_t det, std::int64_t s, std::size_t off) {
+    amp(det, s) += r.signal[off];
+  });
+  each([&](std::int64_t det, std::int64_t s, std::size_t off) {
+    r.signal[off] += amp(det, s);
+  });
+  return r;
+}
+
+HostChain cpu_chain(const WideData& d) {
+  HostChain r(d);
+  auto ctx = make_ctx(Backend::kCpu);
+  k::cpu::pointing_detector(d.fp_quats, d.boresight, d.flags, kMask,
+                            d.intervals, d.n_det, d.n_samp, r.quats, ctx);
+  k::cpu::pixels_healpix(r.quats, d.flags, kMask, d.nside, true, d.intervals,
+                         d.n_det, d.n_samp, r.pixels, ctx);
+  k::cpu::stokes_weights_iqu(r.quats, d.hwp, d.pol_eff, d.intervals, d.n_det,
+                             d.n_samp, r.weights, ctx);
+  k::cpu::stokes_weights_i(d.intervals, d.n_det, d.n_samp, r.weights_i, ctx);
+  k::cpu::scan_map(d.sky, d.nnz, r.pixels, r.weights, 1.5, d.intervals,
+                   d.n_det, d.n_samp, r.signal, ctx);
+  k::cpu::noise_weight(d.det_w, d.intervals, d.n_det, d.n_samp, r.signal,
+                       ctx);
+  k::cpu::template_offset_project_signal(d.step, r.signal, d.intervals,
+                                         d.n_det, d.n_samp, r.amps,
+                                         d.n_amp_det(), ctx);
+  k::cpu::template_offset_add_to_signal(d.step, r.amps, d.n_amp_det(),
+                                        d.intervals, d.n_det, d.n_samp,
+                                        r.signal, ctx);
+  r.log = ctx.log();
+  return r;
+}
+
+HostChain omp_chain(const WideData& d, bool use_accel) {
+  HostChain r(d);
+  auto ctx = make_ctx(Backend::kOmpTarget);
+  k::omp::pointing_detector(d.fp_quats.data(), d.boresight.data(),
+                            d.flags.data(), kMask, d.intervals, d.n_det,
+                            d.n_samp, r.quats.data(), ctx, use_accel);
+  k::omp::pixels_healpix(r.quats.data(), d.flags.data(), kMask, d.nside, true,
+                         d.intervals, d.n_det, d.n_samp, r.pixels.data(), ctx,
+                         use_accel);
+  k::omp::stokes_weights_iqu(r.quats.data(), d.hwp.data(), d.pol_eff.data(),
+                             d.intervals, d.n_det, d.n_samp,
+                             r.weights.data(), ctx, use_accel);
+  k::omp::stokes_weights_i(d.intervals, d.n_det, d.n_samp,
+                           r.weights_i.data(), ctx, use_accel);
+  k::omp::scan_map(d.sky.data(), d.nnz, r.pixels.data(), r.weights.data(),
+                   1.5, d.intervals, d.n_det, d.n_samp, r.signal.data(), ctx,
+                   use_accel);
+  k::omp::noise_weight(d.det_w.data(), d.intervals, d.n_det, d.n_samp,
+                       r.signal.data(), ctx, use_accel);
+  k::omp::template_offset_project_signal(
+      d.step, r.signal.data(), d.intervals, d.n_det, d.n_samp, r.amps.data(),
+      d.n_amp_det(), ctx, use_accel);
+  k::omp::template_offset_add_to_signal(
+      d.step, r.amps.data(), d.n_amp_det(), d.intervals, d.n_det, d.n_samp,
+      r.signal.data(), ctx, use_accel);
+  r.log = ctx.log();
+  return r;
+}
+
+void expect_same_chain(const HostChain& a, const HostChain& b,
+                       bool same_log) {
+  expect_same_bits(a.quats, b.quats, "quats");
+  EXPECT_EQ(a.pixels, b.pixels);
+  expect_same_bits(a.weights, b.weights, "weights");
+  expect_same_bits(a.weights_i, b.weights_i, "weights_i");
+  expect_same_bits(a.signal, b.signal, "signal");
+  expect_same_bits(a.amps, b.amps, "amps");
+  if (!same_log) {
+    return;
+  }
+  ASSERT_EQ(a.log.categories(), b.log.categories());
+  for (const auto& cat : a.log.categories()) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.log.seconds(cat)),
+              std::bit_cast<std::uint64_t>(b.log.seconds(cat)))
+        << cat;
+    EXPECT_EQ(a.log.calls(cat), b.log.calls(cat)) << cat;
+  }
+}
+
+}  // namespace
+
+TEST(KernelHostThreads, EveryDetectorLoopMatchesASerialLoop) {
+  const WideData d;
+  ASSERT_GT(d.intervals.size(), 8u);
+  const HostChain want = serial_chain(d);
+  {
+    SCOPED_TRACE("cpu");
+    expect_same_chain(cpu_chain(d), want, false);
+  }
+  {
+    SCOPED_TRACE("omp-host");
+    expect_same_chain(omp_chain(d, false), want, false);
+  }
+  {
+    SCOPED_TRACE("omp-device");
+    expect_same_chain(omp_chain(d, true), want, false);
+  }
+}
+
+TEST(KernelHostThreads, ProjectSignalStepsStraddlingIntervals) {
+  // Adjacent intervals whose boundaries fall inside a step: the device
+  // path's running sum is stored at a row's last sample and reloaded by
+  // the next row, which must equal the per-sample += of the host paths.
+  const std::int64_t n_det = 8, n_samp = 300;
+  const std::vector<Interval> intervals{
+      {0, 13}, {13, 40}, {40, 41}, {41, 90}, {97, 150}, {150, 151},
+      {151, 299}};
+  std::mt19937 gen(77);
+  std::normal_distribution<double> nd(0.0, 1.0);
+  std::vector<double> signal(static_cast<std::size_t>(n_det * n_samp));
+  for (auto& v : signal) v = nd(gen);
+  for (const std::int64_t step : {1, 4, 16, 64, 300}) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const std::int64_t n_amp_det = (n_samp + step - 1) / step;
+    std::vector<double> start(static_cast<std::size_t>(n_det * n_amp_det));
+    for (auto& v : start) v = nd(gen);
+    std::vector<double> want = start;
+    for (std::int64_t det = 0; det < n_det; ++det) {
+      for (const auto& ival : intervals) {
+        for (std::int64_t s = ival.start; s < ival.stop; ++s) {
+          want[static_cast<std::size_t>(det * n_amp_det + s / step)] +=
+              signal[static_cast<std::size_t>(det * n_samp + s)];
+        }
+      }
+    }
+    auto ctx_cpu = make_ctx(Backend::kCpu);
+    auto ctx_omp = make_ctx(Backend::kOmpTarget);
+    std::vector<double> a_cpu = start, a_host = start, a_dev = start;
+    k::cpu::template_offset_project_signal(step, signal, intervals, n_det,
+                                           n_samp, a_cpu, n_amp_det, ctx_cpu);
+    k::omp::template_offset_project_signal(step, signal.data(), intervals,
+                                           n_det, n_samp, a_host.data(),
+                                           n_amp_det, ctx_omp, false);
+    k::omp::template_offset_project_signal(step, signal.data(), intervals,
+                                           n_det, n_samp, a_dev.data(),
+                                           n_amp_det, ctx_omp, true);
+    expect_equal(want, a_cpu, "cpu");
+    expect_equal(want, a_host, "omp-host");
+    expect_equal(want, a_dev, "omp-device");
+  }
+}
+
+TEST(KernelThreads, HostKernelsTwoThreadsMatchOneThread) {
+  // Two user threads contend for the host pool: whichever finds it busy
+  // runs its detector loop inline, with the same products and TimeLog.
+  const WideData d;
+  auto run_all = [&d] {
+    return std::array<HostChain, 3>{cpu_chain(d), omp_chain(d, false),
+                                    omp_chain(d, true)};
+  };
+  const auto alone = run_all();
+  std::vector<std::thread> threads;
+  std::array<std::optional<std::array<HostChain, 3>>, 2> out;
+  for (auto& slot : out) {
+    threads.emplace_back([&slot, &run_all] {
+      for (int round = 0; round < 3; ++round) {
+        slot = run_all();
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  for (const auto& slot : out) {
+    ASSERT_TRUE(slot.has_value());
+    for (std::size_t i = 0; i < alone.size(); ++i) {
+      expect_same_chain((*slot)[i], alone[i], true);
+    }
+  }
 }

@@ -328,11 +328,70 @@ TEST(OmpTargetLaunch, ExecutesFullIndexSpace) {
   }
 }
 
-TEST(OmpTargetLaunch, VisitsRowMajorWithLastIndexFastest) {
+namespace {
+
+/// A collapse(3) body that records, per row, the (b, c) order it saw and
+/// how many calls its own object had made when the row began.
+struct RowRecorder {
+  std::vector<std::vector<std::array<std::int64_t, 2>>>* visits;
+  std::vector<std::int64_t>* calls_at_row_start;
+  std::int64_t calls = 0;
+
+  bool operator()(std::int64_t a, std::int64_t b, std::int64_t c) {
+    auto& row = (*visits)[static_cast<std::size_t>(a)];
+    if (row.empty()) {
+      (*calls_at_row_start)[static_cast<std::size_t>(a)] = calls;
+    }
+    ++calls;
+    row.push_back({b, c});
+    return (a + b + c) % 3 != 0;  // the guard cuts one in three
+  }
+};
+
+}  // namespace
+
+TEST(OmpTargetLaunch, RowsWithoutAtomicsRunOnTheirOwnBodyCopy) {
   Fixture f;
-  const std::int64_t na = 2, nb = 3, nc = 4;
+  const std::int64_t na = 16, nb = 3, nc = 5;
+  std::vector<std::vector<std::array<std::int64_t, 2>>> visits(na);
+  std::vector<std::int64_t> calls_at_row_start(na, -1);
+  RowRecorder body{&visits, &calls_at_row_start};
+  omp::IterCost cost;
+  cost.flops = 10.0;
+  cost.guard_flops = 3.0;
+  const auto w = f.rt.target_for_collapse3("k", na, nb, nc, cost, body);
+  std::vector<std::array<std::int64_t, 2>> row_order;
+  std::int64_t executed = 0;
+  for (std::int64_t a = 0; a < na; ++a) {
+    for (std::int64_t b = 0; b < nb; ++b) {
+      for (std::int64_t c = 0; c < nc; ++c) {
+        if (a == 0) {
+          row_order.push_back({b, c});
+        }
+        executed += (a + b + c) % 3 != 0 ? 1 : 0;
+      }
+    }
+  }
+  for (std::int64_t a = 0; a < na; ++a) {
+    EXPECT_EQ(visits[a], row_order) << "row " << a;
+    EXPECT_EQ(calls_at_row_start[a], 0) << "row " << a;
+  }
+  EXPECT_EQ(body.calls, 0);  // the caller's object only seeds the copies
+  const std::int64_t cut = na * nb * nc - executed;
+  EXPECT_EQ(w.flops, static_cast<double>(executed) * 10.0 +
+                         static_cast<double>(cut) * 3.0);
+  EXPECT_EQ(w.parallel_items, static_cast<double>(na * nb * nc));
+}
+
+TEST(OmpTargetLaunch, VisitsRowMajorWithLastIndexFastest) {
+  // A region that declares atomics runs in program order, so a body may
+  // share state across rows.
+  Fixture f;
+  const std::int64_t na = 4, nb = 3, nc = 4;
   std::vector<std::array<std::int64_t, 3>> order;
-  f.rt.target_for_collapse3("k", na, nb, nc, omp::IterCost{},
+  omp::IterCost cost;
+  cost.atomic_ops = 1.0;
+  f.rt.target_for_collapse3("k", na, nb, nc, cost,
                             [&](std::int64_t a, std::int64_t b,
                                 std::int64_t c) {
                               order.push_back({a, b, c});
@@ -349,6 +408,21 @@ TEST(OmpTargetLaunch, VisitsRowMajorWithLastIndexFastest) {
   EXPECT_EQ(order, want);
 }
 
+TEST(OmpTargetLaunch, RegionWithAtomicsRunsTheCallersBodyInPlace) {
+  Fixture f;
+  const std::int64_t na = 6, nb = 2, nc = 3;
+  std::vector<std::vector<std::array<std::int64_t, 2>>> visits(na);
+  std::vector<std::int64_t> calls_at_row_start(na, -1);
+  RowRecorder body{&visits, &calls_at_row_start};
+  omp::IterCost cost;
+  cost.atomic_ops = 2.0;
+  f.rt.target_for_collapse3("k", na, nb, nc, cost, body);
+  EXPECT_EQ(body.calls, na * nb * nc);
+  for (std::int64_t a = 0; a < na; ++a) {
+    EXPECT_EQ(calls_at_row_start[a], a * nb * nc) << "row " << a;
+  }
+}
+
 TEST(OmpTargetLaunch, StatefulMoveOnlyBodyRuns) {
   Fixture f;
   omp::IterCost cost;
@@ -363,12 +437,18 @@ TEST(OmpTargetLaunch, StatefulMoveOnlyBodyRuns) {
   const auto w = f.rt.target_for("k", 10, cost, body);
   EXPECT_EQ(*visits, 10);
   EXPECT_DOUBLE_EQ(w.flops, 5.0 * 1.0 + 5.0 * cost.guard_flops);
-  f.rt.target_for_collapse3(
-      "k3", 2, 2, 2, cost,
-      [state = std::make_unique<int>(0)](std::int64_t, std::int64_t,
-                                         std::int64_t) mutable {
-        return ++*state <= 8;
-      });
+  // collapse(3) shares state across rows only in a region that declares
+  // atomics, which runs in program order on the caller's object.
+  cost.atomic_ops = 1.0;
+  auto owned3 = std::make_unique<std::int64_t>(0);
+  const std::int64_t* visits3 = owned3.get();
+  auto body3 = [state = std::move(owned3)](std::int64_t, std::int64_t,
+                                           std::int64_t) mutable {
+    return ++*state <= 6;
+  };
+  const auto w3 = f.rt.target_for_collapse3("k3", 2, 2, 2, cost, body3);
+  EXPECT_EQ(*visits3, 8);
+  EXPECT_DOUBLE_EQ(w3.flops, 6.0 * 1.0 + 2.0 * cost.guard_flops);
   EXPECT_EQ(f.tracer.calls("k3"), 1);
 }
 
