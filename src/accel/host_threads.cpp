@@ -2,8 +2,8 @@
 
 #include <sched.h>
 
-#include <algorithm>
 #include <system_error>
+#include <utility>
 
 namespace toast::accel {
 
@@ -15,6 +15,24 @@ int affinity_cpus() {
     return CPU_COUNT(&set);
   }
   return static_cast<int>(std::thread::hardware_concurrency());
+}
+
+/// Moves the calling thread off `cpu` and leaves its allowed CPUs as
+/// they were: narrowing the set migrates the thread before the call
+/// returns, and widening it again does not move it back.
+void leave_cpu(int cpu) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (cpu < 0 || cpu >= CPU_SETSIZE ||
+      sched_getaffinity(0, sizeof(allowed), &allowed) != 0) {
+    return;
+  }
+  cpu_set_t others = allowed;
+  CPU_CLR(cpu, &others);
+  if (CPU_COUNT(&others) > 0 &&
+      sched_setaffinity(0, sizeof(others), &others) == 0) {
+    sched_setaffinity(0, sizeof(allowed), &allowed);
+  }
 }
 }  // namespace
 
@@ -42,69 +60,83 @@ void HostThreads::run(std::size_t n, const void* fn,
     }
     return;
   }
-  Job job;
-  job.fn = fn;
-  job.call = call;
-  job.n = n;
-  {
-    std::lock_guard lock(mu_);
-    job_ = &job;
-    ++generation_;
+  // The last job closed with inside_ == 0, and a worker that enters now
+  // finds open_ false: nobody reads these fields while they are written.
+  caller_cpu_.store(sched_getcpu(), std::memory_order_relaxed);
+  fn_ = fn;
+  call_ = call;
+  n_ = n;
+  next_.store(0, std::memory_order_relaxed);
+  failed_.store(false, std::memory_order_relaxed);
+  open_.store(true);
+  generation_.fetch_add(1);
+  if (sleepers_.load() > 0) {
+    // Between its check of generation_ and its wait a sleeper holds mu_,
+    // so taking mu_ here orders this notify after that wait began.
+    { std::lock_guard lock(mu_); }
+    wake_.notify_all();
   }
-  const std::size_t helpers =
-      std::min(static_cast<std::size_t>(workers_), n - 1);
-  for (std::size_t k = 0; k < helpers; ++k) {
-    wake_.notify_one();
+  work();
+  // Close the job, then wait out the workers inside it: after this no
+  // worker touches the job again.
+  open_.store(false);
+  while (inside_.load() != 0) {
+    sched_yield();
   }
-  work(job);
-  std::exception_ptr error;
-  {
-    // Withdraw the job, then wait for the workers inside it: after this
-    // no worker touches `job` again.
-    std::unique_lock lock(mu_);
-    job_ = nullptr;
-    done_.wait(lock, [this] { return active_ == 0; });
-    error = job.error;
-  }
+  const std::exception_ptr error = std::exchange(error_, nullptr);
   busy_.store(false, std::memory_order_release);
   if (error) {
     std::rethrow_exception(error);
   }
 }
 
-void HostThreads::work(Job& job) {
+void HostThreads::work() {
   for (;;) {
-    const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= job.n) {
+    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= n_) {
       return;
     }
     try {
-      job.call(job.fn, i);
+      call_(fn_, i);
     } catch (...) {
-      std::lock_guard lock(mu_);
-      if (!job.error) {
-        job.error = std::current_exception();
+      if (!failed_.exchange(true, std::memory_order_relaxed)) {
+        error_ = std::current_exception();
       }
-      job.next.store(job.n, std::memory_order_relaxed);
+      next_.store(n_, std::memory_order_relaxed);
     }
   }
 }
 
 void HostThreads::worker_loop() {
+  using Clock = std::chrono::steady_clock;
   unsigned long seen = 0;
-  std::unique_lock lock(mu_);
   for (;;) {
-    wake_.wait(lock,
-               [&] { return job_ != nullptr && generation_ != seen; });
-    seen = generation_;
-    Job& job = *job_;
-    ++active_;
-    lock.unlock();
-    work(job);
-    lock.lock();
-    if (--active_ == 0) {
-      done_.notify_one();
+    unsigned long g = generation_.load(std::memory_order_relaxed);
+    const auto until = Clock::now() + kSpinWindow;
+    while (g == seen && Clock::now() < until) {
+      sched_yield();
+      g = generation_.load(std::memory_order_relaxed);
+      // A worker woken onto its caller's CPU yields to the caller and
+      // polls only when the caller's time slice ends; it would sit out
+      // every short job.  Move it to another CPU.
+      const int cpu = sched_getcpu();
+      if (cpu == caller_cpu_.load(std::memory_order_relaxed)) {
+        leave_cpu(cpu);
+      }
     }
+    if (g == seen) {
+      std::unique_lock lock(mu_);
+      sleepers_.fetch_add(1);
+      wake_.wait(lock, [&] { return (g = generation_.load()) != seen; });
+      sleepers_.fetch_sub(1);
+    }
+    // Job g, or a later one: whichever is open when this worker enters.
+    seen = g;
+    inside_.fetch_add(1);
+    if (open_.load()) {
+      work();
+    }
+    inside_.fetch_sub(1);
   }
 }
 

@@ -96,31 +96,11 @@ struct WindowConflicts {
 /// Scan an atomic index stream in warp-sized (32) windows of concurrent
 /// lanes: a lane conflicts when an earlier lane of its window targets the
 /// same element.  Lanes < 0 or >= `bound` do no update and are dropped
-/// (flagged samples, out-of-range scatter indices).
-inline WindowConflicts count_window_conflicts(
+/// (flagged samples, out-of-range scatter indices).  Long streams are
+/// scanned in ranges of whole windows on the host pool; the counts are
+/// integer sums, so they do not depend on the ranges.
+WindowConflicts count_window_conflicts(
     std::span<const std::int64_t> lanes,
-    std::int64_t bound = std::numeric_limits<std::int64_t>::max()) {
-  constexpr std::size_t kWarp = 32;
-  std::int64_t seen[kWarp] = {};
-  WindowConflicts out;
-  for (std::size_t w0 = 0; w0 < lanes.size(); w0 += kWarp) {
-    std::size_t distinct = 0;
-    const std::size_t w1 = std::min(lanes.size(), w0 + kWarp);
-    for (std::size_t k = w0; k < w1; ++k) {
-      const auto j = lanes[k];
-      if (j < 0 || j >= bound) continue;
-      ++out.valid;
-      // Newest first: neighbouring lanes usually share a target.
-      std::size_t s = distinct;
-      while (s > 0 && seen[s - 1] != j) --s;
-      if (s > 0) {
-        ++out.conflicts;
-      } else {
-        seen[distinct++] = j;
-      }
-    }
-  }
-  return out;
-}
+    std::int64_t bound = std::numeric_limits<std::int64_t>::max());
 
 }  // namespace toast::accel

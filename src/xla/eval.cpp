@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <type_traits>
 
+#include "accel/host_threads.hpp"
+
 namespace toast::xla {
 
 namespace {
@@ -15,6 +17,20 @@ namespace {
 // Every instruction picks its element types once, then runs one loop over
 // raw pointers.  The typed accessors throw std::bad_variant_access when a
 // literal does not hold T (a dtype-mixed module), before any loop runs.
+// Loops whose elements are independent run in element ranges on the
+// host pool (chunks()); each element is computed as in one serial loop,
+// so the ranges cannot change a result.  Scatter, full reductions and dot
+// accumulate in element order and stay serial.
+
+/// body(begin, end) over ranges covering [0, n), on the host pool.
+template <typename F>
+void chunks(std::int64_t n, const F& body) {
+  accel::host_threads().parallel_chunks(
+      static_cast<std::size_t>(std::max<std::int64_t>(n, 0)),
+      [&](std::size_t b, std::size_t e) {
+        body(static_cast<std::int64_t>(b), static_cast<std::int64_t>(e));
+      });
+}
 
 template <typename T>
 std::span<const T> elems(const Literal& l) {
@@ -67,13 +83,21 @@ auto with_dtype(DType d, F&& f) {
   return f(std::uint8_t{});
 }
 
+/// o[i] = f(views[i]...) for i in [b, e).  The views are parameters, so
+/// a store through `o` cannot alias their strides.
+template <typename Out, typename F, typename... V>
+void map_range(Out* o, std::int64_t b, std::int64_t e, F f, V... views) {
+  for (std::int64_t i = b; i < e; ++i) o[i] = static_cast<Out>(f(views[i]...));
+}
+
 /// out[i] = f(views[i]...) over every output element.  `out` may share
 /// storage with a full-size view: element i is read before it is written.
 template <typename Out, typename F, typename... V>
 void map(Literal& out, F f, V... views) {
   Out* o = out_data<Out>(out);
-  const std::int64_t n = out.num_elements();
-  for (std::int64_t i = 0; i < n; ++i) o[i] = static_cast<Out>(f(views[i]...));
+  chunks(out.num_elements(), [&](std::int64_t b, std::int64_t e) {
+    map_range(o, b, e, f, views...);
+  });
 }
 
 /// Elementwise op whose operands and result share the result dtype,
@@ -222,16 +246,36 @@ void reduce_all(const Literal& a, T init, F f, Literal& out) {
   out_data<T>(out)[0] = acc;
 }
 
+/// Row sums of a rank-2 operand.  A row is summed, in column order, by
+/// the range that holds its first element.
 template <typename T>
 void reduce_rows(const Literal& a, Literal& out) {
   const std::int64_t rows = a.shape().dim(0);
   const std::int64_t cols = a.shape().dim(1);
   const T* src = elems<T>(a).data();
   T* o = out_data<T>(out);
-  for (std::int64_t r = 0; r < rows; ++r) {
-    T s = 0;
-    for (std::int64_t c = 0; c < cols; ++c) s += src[r * cols + c];
-    o[r] = s;
+  if (cols == 0) {
+    std::fill_n(o, rows, T{0});
+    return;
+  }
+  chunks(rows * cols, [&](std::int64_t b, std::int64_t e) {
+    for (std::int64_t r = (b + cols - 1) / cols; r * cols < e; ++r) {
+      const T* row = src + r * cols;
+      T s = 0;
+      for (std::int64_t c = 0; c < cols; ++c) s += row[c];
+      o[r] = s;
+    }
+  });
+}
+
+/// o[i] = table[clamp(idx[i], 0, t - 1)] for i in [b, e); `o` may be
+/// `idx`.
+template <typename T>
+void gather_range(T* o, const std::int64_t* idx, const T* table,
+                  std::int64_t t, std::int64_t b, std::int64_t e) {
+  for (std::int64_t i = b; i < e; ++i) {
+    // JAX clamps out-of-range gather indices.
+    o[i] = table[std::clamp<std::int64_t>(idx[i], 0, t - 1)];
   }
 }
 
@@ -279,8 +323,9 @@ void evaluate_instruction(const HloInstruction& in,
       return;
     case Opcode::kIota: {
       std::int64_t* o = out.i64().data();
-      for (std::int64_t i = 0; i < in.i0; ++i) o[i] = i;
-      return;
+      return chunks(in.i0, [&](std::int64_t b, std::int64_t e) {
+        for (std::int64_t i = b; i < e; ++i) o[i] = i;
+      });
     }
     case Opcode::kSelect:
       return with_dtype(in.dtype, [&](auto tag) {
@@ -298,8 +343,11 @@ void evaluate_instruction(const HloInstruction& in,
     case Opcode::kScatterSet:
       with_dtype(in.dtype, [&](auto tag) {
         using T = decltype(tag);
-        const auto src = elems<T>(*ops[0]);
-        std::copy(src.begin(), src.end(), out_data<T>(out));
+        const T* src = elems<T>(*ops[0]).data();
+        T* o = out_data<T>(out);
+        chunks(out.num_elements(), [&](std::int64_t b, std::int64_t e) {
+          std::copy(src + b, src + e, o + b);
+        });
       });
       if (in.opcode != Opcode::kReshape) {
         scatter_into(in, out, *ops[1], *ops[2]);
@@ -313,22 +361,33 @@ void evaluate_instruction(const HloInstruction& in,
         const std::int64_t cols = in.shape.dim(1);
         const T* a = elems<T>(*ops[0]).data();
         T* o = out_data<T>(out);
-        for (std::int64_t r = 0; r < rows; ++r) {
-          if (in.opcode == Opcode::kBroadcastCol) {
-            std::fill_n(o + r * cols, cols, a[r]);
-          } else {
-            std::copy_n(a, cols, o + r * cols);
+        const bool col = in.opcode == Opcode::kBroadcastCol;
+        chunks(rows * cols, [&](std::int64_t b, std::int64_t e) {
+          // The part of each row that falls in [b, e).
+          for (std::int64_t i = b; i < e;) {
+            const std::int64_t r = i / cols;
+            const std::int64_t c0 = i - r * cols;
+            const std::int64_t len = std::min(cols - c0, e - i);
+            if (col) {
+              std::fill_n(o + i, len, a[r]);
+            } else {
+              std::copy_n(a + c0, len, o + i);
+            }
+            i += len;
           }
-        }
+        });
       });
     case Opcode::kSliceCol:
       return with_dtype(in.dtype, [&](auto tag) {
         using T = decltype(tag);
         const std::int64_t rows = in.shape.dim(0);
         const std::int64_t cols = ops[0]->shape().dim(1);
+        const std::int64_t c = in.i0;
         const T* a = elems<T>(*ops[0]).data();
         T* o = out_data<T>(out);
-        for (std::int64_t r = 0; r < rows; ++r) o[r] = a[r * cols + in.i0];
+        chunks(rows, [&](std::int64_t b, std::int64_t e) {
+          for (std::int64_t r = b; r < e; ++r) o[r] = a[r * cols + c];
+        });
       });
     case Opcode::kGather:
       return with_dtype(in.dtype, [&](auto tag) {
@@ -337,12 +396,9 @@ void evaluate_instruction(const HloInstruction& in,
         const std::int64_t t = static_cast<std::int64_t>(table.size());
         const std::int64_t* idx = elems<std::int64_t>(*ops[1]).data();
         T* o = out_data<T>(out);
-        const std::int64_t n = out.num_elements();
-        for (std::int64_t i = 0; i < n; ++i) {
-          // JAX clamps out-of-range gather indices.
-          const std::int64_t j = std::clamp<std::int64_t>(idx[i], 0, t - 1);
-          o[i] = table[static_cast<std::size_t>(j)];
-        }
+        chunks(out.num_elements(), [&](std::int64_t b, std::int64_t e) {
+          gather_range(o, idx, table.data(), t, b, e);
+        });
       });
     case Opcode::kReduceSum:
       if (in.i0 == -1) {

@@ -5,6 +5,7 @@
 #include "accel/host_pool.hpp"
 #include "accel/host_threads.hpp"
 #include "accel/sim_device.hpp"
+#include "accel/work.hpp"
 #include "bench_model/problem.hpp"
 #include "core/accel_store.hpp"
 #include "core/observation.hpp"
@@ -14,6 +15,7 @@
 #include <sched.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -22,6 +24,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace accel = toast::accel;
@@ -630,4 +633,205 @@ TEST(HostThreads, TwoUserThreadsShareThePool) {
   tb.join();
   EXPECT_EQ(a, want_a);
   EXPECT_EQ(b, want_b);
+}
+
+namespace {
+
+/// Blocks until `started` reaches `want` or a second has passed, so that
+/// a worker has taken an index when the caller goes on.
+void await_count(const std::atomic<int>& started, int want) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (started.load() < want && std::chrono::steady_clock::now() < until) {
+    std::this_thread::yield();
+  }
+}
+
+}  // namespace
+
+TEST(HostThreads, BackToBackTinyJobsRunEveryIndexOnce) {
+  // Jobs shorter than a worker's entry into them: workers enter late,
+  // find a job closed or a newer one open, and the caller may run every
+  // index alone.  Each index must still run exactly once per call.
+  auto& pool = accel::host_threads();
+  std::array<std::atomic<int>, 9> hits{};
+  for (int call = 0; call < 20000; ++call) {
+    const std::size_t n = 2 + static_cast<std::size_t>(call % 8);
+    pool.parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].exchange(0), i < n ? 1 : 0)
+          << "call " << call << " n = " << n << " index " << i;
+    }
+  }
+}
+
+TEST(HostThreads, CallWaitsForAnIndexStillRunningOnAWorker) {
+  auto& pool = accel::host_threads();
+  if (pool.workers() == 0) {
+    GTEST_SKIP() << "no workers";
+  }
+  const auto caller = std::this_thread::get_id();
+  int on_worker = 0;
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<int> started{0};
+    std::atomic<bool> worker_started{false};
+    std::atomic<bool> worker_done{false};
+    pool.parallel_for(2, [&](std::size_t) {
+      started.fetch_add(1);
+      if (std::this_thread::get_id() == caller) {
+        await_count(started, 2);  // then run out of indices at once
+      } else {
+        worker_started.store(true);
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        worker_done.store(true);
+      }
+    });
+    EXPECT_EQ(worker_done.load(), worker_started.load()) << round;
+    on_worker += worker_started.load() ? 1 : 0;
+  }
+  EXPECT_GT(on_worker, 0);
+}
+
+TEST(HostThreads, ExceptionFromAWorkerInATinyJob) {
+  auto& pool = accel::host_threads();
+  if (pool.workers() == 0) {
+    GTEST_SKIP() << "no workers";
+  }
+  const auto caller = std::this_thread::get_id();
+  int thrown = 0;
+  for (int round = 0; round < 200; ++round) {
+    std::atomic<int> started{0};
+    try {
+      pool.parallel_for(2, [&](std::size_t) {
+        started.fetch_add(1);
+        if (std::this_thread::get_id() != caller) {
+          throw std::runtime_error("worker");
+        }
+        await_count(started, 2);
+      });
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "worker");
+      ++thrown;
+    }
+  }
+  // A worker takes the second index while the caller waits in the first
+  // unless the host starves every worker for a second.
+  EXPECT_GT(thrown, 0);
+  EXPECT_EQ(visit_counts(257), std::vector<int>(257, 1));
+}
+
+TEST(HostThreads, BusyPoolRunsCallsInlineOnTheirOwnThread) {
+  auto& pool = accel::host_threads();
+  // Nested: every inner index runs on the thread of its outer index.
+  std::atomic<int> strays{0};
+  pool.parallel_for(8, [&](std::size_t) {
+    const auto outer = std::this_thread::get_id();
+    pool.parallel_for(64, [&](std::size_t) {
+      if (std::this_thread::get_id() != outer) strays.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(strays.load(), 0);
+  // A second user thread calls while this one holds the pool.
+  std::atomic<bool> other_done{false};
+  std::atomic<int> other_strays{0};
+  std::atomic<int> other_hits{0};
+  pool.parallel_for(2, [&](std::size_t i) {
+    if (i != 0) return;
+    std::thread other([&] {
+      const auto self = std::this_thread::get_id();
+      pool.parallel_for(64, [&](std::size_t) {
+        if (std::this_thread::get_id() != self) other_strays.fetch_add(1);
+        other_hits.fetch_add(1);
+      });
+      other_done.store(true);
+    });
+    other.join();
+  });
+  EXPECT_TRUE(other_done.load());
+  EXPECT_EQ(other_hits.load(), 64);
+  EXPECT_EQ(other_strays.load(), 0);
+}
+
+TEST(HostThreads, ChunksCoverEveryElementOnceOnWholeGrains) {
+  auto& pool = accel::host_threads();
+  constexpr std::size_t g = accel::HostThreads::kGrain;
+  const std::size_t most =
+      2 * (static_cast<std::size_t>(pool.workers()) + 1);
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, g - 1, g, g + 1, 2 * g, 7 * g + 5,
+        40 * g + 33}) {
+    std::vector<std::atomic<int>> hits(n);
+    std::atomic<std::size_t> ranges{0};
+    std::atomic<int> misaligned{0};
+    pool.parallel_chunks(n, [&](std::size_t b, std::size_t e) {
+      ranges.fetch_add(1);
+      if (b % g != 0 || b >= e) misaligned.fetch_add(1);
+      for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+    });
+    std::vector<int> counts;
+    for (const auto& h : hits) counts.push_back(h.load());
+    EXPECT_EQ(counts, std::vector<int>(n, 1)) << "n = " << n;
+    EXPECT_EQ(misaligned.load(), 0) << "n = " << n;
+    EXPECT_LE(ranges.load(), n <= g ? std::min<std::size_t>(n, 1) : most)
+        << "n = " << n;
+  }
+  // Inside a pool job the pool is busy: one call over the whole range.
+  const std::size_t n = 40 * g + 33;
+  std::vector<std::pair<std::size_t, std::size_t>> calls;
+  pool.parallel_for(2, [&](std::size_t i) {
+    if (i != 0) return;
+    pool.parallel_chunks(n, [&](std::size_t b, std::size_t e) {
+      calls.emplace_back(b, e);
+    });
+  });
+  EXPECT_EQ(calls, (std::vector<std::pair<std::size_t, std::size_t>>{{0, n}}));
+}
+
+namespace {
+
+/// The window scan written out per window, without ranges or a pool.
+accel::WindowConflicts serial_window_count(const std::vector<std::int64_t>& lanes,
+                                           std::int64_t bound) {
+  accel::WindowConflicts out;
+  for (std::size_t w0 = 0; w0 < lanes.size(); w0 += 32) {
+    const std::size_t w1 = std::min(lanes.size(), w0 + 32);
+    for (std::size_t k = w0; k < w1; ++k) {
+      if (lanes[k] < 0 || lanes[k] >= bound) continue;
+      ++out.valid;
+      for (std::size_t p = w0; p < k; ++p) {
+        if (lanes[p] == lanes[k]) {
+          ++out.conflicts;
+          break;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(WindowConflicts, PoolRangesMatchASerialCount) {
+  constexpr std::size_t g = accel::HostThreads::kGrain;
+  const std::int64_t bound = 50;
+  std::mt19937_64 rng(7);
+  // Targets in [-10, 60): negative lanes and lanes >= bound are dropped.
+  std::uniform_int_distribution<std::int64_t> lane(-10, 59);
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{31}, std::size_t{32}, std::size_t{33},
+        g - 1, g, g + 1, 3 * g + 17, 9 * g + 31}) {
+    std::vector<std::int64_t> lanes(n);
+    for (auto& l : lanes) l = lane(rng);
+    const auto want = serial_window_count(lanes, bound);
+    const auto got = accel::count_window_conflicts(lanes, bound);
+    EXPECT_EQ(got.valid, want.valid) << "n = " << n;
+    EXPECT_EQ(got.conflicts, want.conflicts) << "n = " << n;
+    // From inside a job the pool is busy and the scan runs whole.
+    accel::WindowConflicts inline_count;
+    accel::host_threads().parallel_for(2, [&](std::size_t i) {
+      if (i == 0) inline_count = accel::count_window_conflicts(lanes, bound);
+    });
+    EXPECT_EQ(inline_count.valid, want.valid) << "n = " << n;
+    EXPECT_EQ(inline_count.conflicts, want.conflicts) << "n = " << n;
+  }
 }

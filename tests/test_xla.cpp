@@ -13,11 +13,14 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "accel/host_threads.hpp"
 #include "accel/work.hpp"
+#include "xla/eval.hpp"
 
 namespace xla = toast::xla;
 namespace accel = toast::accel;
@@ -1916,4 +1919,181 @@ TEST(XlaReuse, ClearCacheDropsTheEntry) {
   EXPECT_TRUE(same_bits(out[0], expected[0]));
   jit.call(f.rt, args);
   EXPECT_EQ(jit.reuse_hits(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Element loops in ranges on the host pool: every chunked opcode, at sizes
+// around the pool's grain, equals the same instruction evaluated inside a
+// pool job, where the busy pool runs it inline as one serial loop.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr std::int64_t kGrain =
+    static_cast<std::int64_t>(accel::HostThreads::kGrain);
+
+/// Runs f() inside a pool job, where every nested pool call runs inline.
+template <typename F>
+void inside_pool_job(const F& f) {
+  accel::host_threads().parallel_for(2, [&](std::size_t i) {
+    if (i == 0) f();
+  });
+}
+
+/// One `op` instruction over `args`, evaluated on this thread and inside
+/// a pool job; the two must agree bit for bit.
+void expect_chunked_matches_inline(Op op, DType dtype, const Shape& shape,
+                                   const std::vector<Literal>& args,
+                                   std::int64_t i0 = 0) {
+  xla::HloInstruction in;
+  in.opcode = op;
+  in.dtype = dtype;
+  in.shape = shape;
+  in.i0 = i0;
+  std::vector<const Literal*> ops;
+  for (std::size_t k = 0; k < args.size(); ++k) {
+    in.operands.push_back(static_cast<xla::InstrId>(k));
+    ops.push_back(&args[k]);
+  }
+  Literal pooled(shape, dtype);
+  xla::evaluate_instruction(in, ops, pooled);
+  Literal serial(shape, dtype);
+  inside_pool_job([&] { xla::evaluate_instruction(in, ops, serial); });
+  EXPECT_TRUE(same_bits(pooled, serial))
+      << xla::to_string(op) << "/" << xla::to_string(dtype) << " "
+      << shape.num_elements() << " elements";
+}
+
+const std::int64_t kChunkSizes[] = {kGrain - 1, kGrain, kGrain + 1,
+                                    2 * kGrain + 1, 9 * kGrain + 5};
+/// Rank-2 shapes whose rows straddle range boundaries.
+const std::vector<Shape> kChunkMatrices = {
+    Shape{1, kGrain + 1}, Shape{3, kGrain / 3 + 1}, Shape{2, kGrain / 2},
+    Shape{64, 65},        Shape{37, 1000},          Shape{kGrain + 1, 1}};
+
+}  // namespace
+
+TEST(XlaChunks, EveryChunkedOpMatchesInlineEvaluation) {
+  const DType f64 = DType::kF64, i64 = DType::kI64, pred = DType::kPred;
+  for (const std::int64_t n : kChunkSizes) {
+    const Shape s{n};
+    const Literal f = ramp(f64, s);
+    const Literal i = ramp(i64, s), pr = ramp(pred, s);
+    Literal j(s, i64);  // other i64 values: 1, 2, ..., shifts of 0..63
+    for (std::int64_t k = 0; k < n; ++k) j.i64()[k] = k % 70 - 3;
+    Literal h(s, f64);
+    for (std::int64_t k = 0; k < n; ++k) h.f64()[k] = 0.25 * (k % 17) - 2.0;
+    Literal q(s, pred);
+    for (std::int64_t k = 0; k < n; ++k) q.pred()[k] = k % 5 < 2 ? 1 : 0;
+
+    for (const Op op : {Op::kNeg, Op::kAbs, Op::kSign, Op::kSqrt, Op::kSin,
+                        Op::kCos, Op::kExp, Op::kLog, Op::kFloor,
+                        Op::kTanh}) {
+      expect_chunked_matches_inline(op, f64, s, {f});
+    }
+    for (const Op op : {Op::kNeg, Op::kAbs, Op::kSign}) {
+      expect_chunked_matches_inline(op, i64, s, {i});
+    }
+    expect_chunked_matches_inline(Op::kNot, pred, s, {pr});
+    for (const auto* from : {&f, &i, &pr}) {
+      expect_chunked_matches_inline(Op::kCastF64, f64, s, {*from});
+      expect_chunked_matches_inline(Op::kCastI64, i64, s, {*from});
+    }
+    for (const Op op : {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv, Op::kMin,
+                        Op::kMax, Op::kAtan2, Op::kMod}) {
+      expect_chunked_matches_inline(op, f64, s, {f, h});
+      expect_chunked_matches_inline(op, f64, s, {scalar_of(h), f});
+    }
+    for (const Op op : {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv, Op::kMin,
+                        Op::kMax, Op::kMod, Op::kAnd, Op::kOr, Op::kXor,
+                        Op::kShl, Op::kShr}) {
+      expect_chunked_matches_inline(op, i64, s, {i, j});
+      expect_chunked_matches_inline(op, i64, s, {i, scalar_of(j)});
+    }
+    for (const Op op : {Op::kAnd, Op::kOr, Op::kXor}) {
+      expect_chunked_matches_inline(op, pred, s, {pr, q});
+    }
+    for (const Op op :
+         {Op::kLt, Op::kLe, Op::kGt, Op::kGe, Op::kEq, Op::kNe}) {
+      expect_chunked_matches_inline(op, pred, s, {f, h});
+      expect_chunked_matches_inline(op, pred, s, {i, j});
+    }
+    expect_chunked_matches_inline(Op::kSelect, f64, s, {q, f, h});
+    expect_chunked_matches_inline(Op::kSelect, i64, s, {q, scalar_of(i), j});
+    expect_chunked_matches_inline(Op::kSelect, pred, s, {q, pr, q});
+    expect_chunked_matches_inline(
+        Op::kClamp, f64, s,
+        {f, Literal::scalar_f64(-2.0), Literal::scalar_f64(100.0)});
+    expect_chunked_matches_inline(
+        Op::kClamp, i64, s,
+        {i, Literal::scalar_i64(-5), Literal::scalar_i64(1000)});
+    // Gather indices 3k - 7 run below 0 and past the table: clamped.
+    for (const auto* table : {&f, &i, &pr}) {
+      const Literal t = ramp(table->dtype(), Shape{1000});
+      expect_chunked_matches_inline(Op::kGather, table->dtype(), s, {t, i});
+    }
+    expect_chunked_matches_inline(Op::kIota, i64, s, {}, n);
+    expect_chunked_matches_inline(Op::kSliceCol, f64, s,
+                                  {ramp(f64, Shape{n, 3})}, 2);
+    // A scatter copies its base, then adds serially.
+    Literal idx(Shape{64}, i64);
+    for (std::int64_t k = 0; k < 64; ++k) idx.i64()[k] = (k * 977) % n - 2;
+    expect_chunked_matches_inline(Op::kScatterAdd, f64, s,
+                                  {f, idx, ramp(f64, Shape{64})});
+    expect_chunked_matches_inline(Op::kScatterSet, i64, s,
+                                  {i, idx, ramp(i64, Shape{64})});
+  }
+  for (const Shape& m : kChunkMatrices) {
+    const std::int64_t rows = m.dim(0), cols = m.dim(1);
+    for (const DType d : {DType::kF64, DType::kI64, DType::kPred}) {
+      expect_chunked_matches_inline(Op::kBroadcastRow, d, m,
+                                    {ramp(d, Shape{cols})});
+      expect_chunked_matches_inline(Op::kBroadcastCol, d, m,
+                                    {ramp(d, Shape{rows})});
+      expect_chunked_matches_inline(Op::kReshape, d, m,
+                                    {ramp(d, Shape{rows * cols})});
+    }
+    expect_chunked_matches_inline(Op::kReduceSum, DType::kF64, Shape{rows},
+                                  {ramp(DType::kF64, m)}, 1);
+    expect_chunked_matches_inline(Op::kReduceSum, DType::kI64, Shape{rows},
+                                  {ramp(DType::kI64, m)}, 1);
+  }
+}
+
+TEST(XlaChunks, InPlaceOutputsMatchInlineEvaluation) {
+  // execute() writes an elementwise result over a parameter that dies
+  // there, and an i64 gather over its index operand.
+  for (const std::int64_t n : kChunkSizes) {
+    const Shape s{n};
+    const std::vector<Literal> sum = {ramp(DType::kF64, s),
+                                      ramp(DType::kF64, s)};
+    const std::vector<Literal> sel = {ramp(DType::kPred, s),
+                                      ramp(DType::kI64, s),
+                                      Literal::scalar_i64(5)};
+    const std::vector<Literal> gather = {ramp(DType::kI64, Shape{999}),
+                                         ramp(DType::kI64, s)};
+    for (const auto& [op, dtype, args] :
+         {std::tuple{Op::kAdd, DType::kF64, &sum},
+          std::tuple{Op::kSelect, DType::kI64, &sel},
+          std::tuple{Op::kGather, DType::kI64, &gather}}) {
+      const xla::Compiled compiled = one_op(op, dtype, s, *args);
+      const auto& root = compiled.module.at(compiled.module.roots[0]);
+      xla::BufferPool pool;
+      const auto pooled = xla::execute(compiled, *args, pool);
+      std::vector<Literal> serial;
+      inside_pool_job([&] {
+        xla::BufferPool own;
+        serial = xla::execute(compiled, *args, own);
+      });
+      // And the plain evaluation into a fresh buffer, not in place.
+      std::vector<const Literal*> ops;
+      for (const auto& a : *args) ops.push_back(&a);
+      Literal fresh(root.shape, root.dtype);
+      inside_pool_job([&] { xla::evaluate_instruction(root, ops, fresh); });
+      EXPECT_TRUE(same_bits(pooled[0], serial[0]))
+          << xla::to_string(root.opcode) << " n = " << n;
+      EXPECT_TRUE(same_bits(pooled[0], fresh))
+          << xla::to_string(root.opcode) << " n = " << n;
+    }
+  }
 }
