@@ -20,8 +20,8 @@
 //     the world shrinks to the policy floor and the dead ranks'
 //     observations are redistributed deterministically.
 //   - "degraded": the same chaos solve with a solver_comm degradation
-//     ladder that walks overlap -> sync -> staged; the products must
-//     stay equal to the clean solve while the ladder escalates.
+//     ladder that steps overlap -> staged; the products must stay equal
+//     to the clean solve while the ladder escalates.
 
 #include <cmath>
 #include <cstdio>
@@ -344,7 +344,7 @@ int main(int argc, char** argv) {
   }
   resilience::Policy ladder_policy;
   ladder_policy.ladders.push_back(
-      resilience::LadderSpec{resilience::Domain::kSolverComm, 1, 2});
+      resilience::LadderSpec{resilience::Domain::kSolverComm, 1, 1});
   const auto degraded =
       run_solve(AsyncComm::kOverlap, ladder_plan, ladder_policy);
   const auto clean_overlap = run_solve(AsyncComm::kOverlap, {}, {});

@@ -297,7 +297,7 @@ ASYNC_MIN_OVERLAP = 1.1
 def check_async(path):
     with open(path) as f:
         doc = json.load(f)
-    expect_schema(doc, "toastcase-bench-async-v1")
+    expect_schema(doc, "toastcase-bench-async-v2")
     print(f"async ({path}):")
     warn_unknown_keys(doc, {"plan", "pipeline_overlap", "solver", "chaos"},
                       path)
@@ -337,8 +337,6 @@ def check_async(path):
               f"{name}: overlap speedup {row['speedup']:.3f}x positive")
 
     solver = doc["solver"]
-    check(solver["sync_equal"],
-          "solver: serial engine bitwise-equal to staged collectives")
     check(solver["overlap_products_equal"],
           "solver: overlap mode leaves amplitudes/residuals bitwise")
     check(solver["overlap_speedup"] >= ASYNC_MIN_OVERLAP,
@@ -346,8 +344,9 @@ def check_async(path):
           f">= {ASYNC_MIN_OVERLAP}x floor")
 
     chaos = doc["chaos"]
-    check(chaos["sync_equal"],
-          "chaos: staged/sync bitwise-equal under pinned rank failures")
+    check(chaos["overlap_products_equal"],
+          "chaos: overlap keeps staged products bitwise under pinned "
+          "rank failures")
     check(chaos["checkpoint_restores"] > 0,
           "chaos: checkpoint restores actually fired")
 

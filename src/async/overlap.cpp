@@ -4,7 +4,6 @@
 #include <iomanip>
 #include <ostream>
 
-#include "async/engine.hpp"
 #include "obs/json.hpp"
 #include "sched/scheduler.hpp"
 

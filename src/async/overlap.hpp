@@ -23,6 +23,11 @@
 
 namespace toast::async {
 
+/// First Tracer stream id of the async lanes (clear of the sched stream
+/// ids, which start at 0).  The destriper's overlapped collectives run
+/// on the first one, named "async:comm".
+inline constexpr int kLaneStreamBase = 32;
+
 struct LaneStat {
   std::string name;
   int tasks = 0;

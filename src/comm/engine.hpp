@@ -195,12 +195,10 @@ class Engine {
 /// step (drawing that step's link/chunk fault hooks as it goes) with the
 /// same arithmetic as Engine::schedule — which is itself a place_next()
 /// loop, so incremental and one-shot execution are bit-for-bit identical.
-/// The async task runtime drives this cursor to treat individual
-/// collective steps as tasks.  finish() emits the trace spans and fault
-/// notes (and throws PersistentFaultError when a chunk retry budget was
-/// exhausted), then returns the placement; call it once, after every step
-/// is placed.  The engine, DAG and option pointers must outlive the
-/// scheduler.
+/// finish() emits the trace spans and fault notes (and throws
+/// PersistentFaultError when a chunk retry budget was exhausted), then
+/// returns the placement; call it once, after every step is placed.  The
+/// engine, DAG and option pointers must outlive the scheduler.
 class StepScheduler {
  public:
   StepScheduler(const Engine& engine, const StepDag& dag,

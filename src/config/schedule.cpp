@@ -23,9 +23,7 @@ constexpr obs::json::Name<CommAlgorithm> kCommAlgorithmNames[] = {
     {"recursive", CommAlgorithm::kRecursive},
     {"tree", CommAlgorithm::kTree}};
 constexpr obs::json::Name<SolverComm> kSolverCommNames[] = {
-    {"staged", SolverComm::kStaged},
-    {"sync", SolverComm::kSync},
-    {"overlap", SolverComm::kOverlap}};
+    {"staged", SolverComm::kStaged}, {"overlap", SolverComm::kOverlap}};
 
 }  // namespace
 
@@ -85,8 +83,6 @@ void ScheduleConfig::write_json(std::ostream& out) const {
       << ",\"comm\":{\"mode\":\"" << to_string(comm.mode) << "\""
       << ",\"algorithm\":\"" << to_string(comm.algorithm) << "\""
       << ",\"chunk_bytes\":" << fmt_number(comm.chunk_bytes) << "}"
-      << ",\"solver\":{\"async_comm\":\"" << to_string(solver.async_comm)
-      << "\"}"
       << ",\"shape\":{\"nodes\":" << shape.nodes
       << ",\"procs_per_node\":" << shape.procs_per_node << "}"
       << ",\"device\":{\"mps\":" << (device.mps ? "true" : "false")
@@ -132,7 +128,7 @@ ScheduleConfig config_from_value(const obs::json::Value& doc,
                                  const std::string& where) {
   const obs::json::Reader r(doc, where, "toastcase-schedule-v1",
                             {"backend", "staging", "streams", "comm",
-                             "solver", "shape", "device"});
+                             "shape", "device"});
   ScheduleConfig cfg;
   cfg.backend = r.string("backend", cfg.backend);
   // Resolve eagerly so a bad slot name fails at parse time, not at use.
@@ -149,10 +145,6 @@ ScheduleConfig config_from_value(const obs::json::Value& doc,
         c->enumeration("algorithm", kCommAlgorithmNames, cfg.comm.algorithm);
     cfg.comm.chunk_bytes =
         c->number("chunk_bytes", cfg.comm.chunk_bytes, 0.0, DBL_MAX);
-  }
-  if (const auto s = r.object("solver", {"async_comm"})) {
-    cfg.solver.async_comm =
-        s->enumeration("async_comm", kSolverCommNames, cfg.solver.async_comm);
   }
   if (const auto s = r.object("shape", {"nodes", "procs_per_node"})) {
     cfg.shape.nodes = s->integer("nodes", cfg.shape.nodes, 0, INT_MAX);

@@ -4,15 +4,16 @@
 //
 // Every scheduling knob the stack grew — backend slot, staging strategy,
 // prefetch/evict plan options, stream count, comm algorithm + chunk size,
-// solver async-comm mode, ranks×threads shape, MPS/preallocate device
-// flags — used to live in a different layer's struct (mpisim::JobConfig,
-// solver::DestriperConfig, comm::Algorithm, sched stream counts).  ScheduleConfig is the one typed, serializable artifact
+// ranks×threads shape, MPS/preallocate device flags — used to live in a
+// different layer's struct (mpisim::JobConfig, comm::Algorithm, sched
+// stream counts).  ScheduleConfig is the one typed, serializable artifact
 // those layers now consume: mpisim builds its job from it, the pipeline
 // keys its plan cache off its hash, the exec context applies its stream
-// count to both backend runtimes, the comm engine takes its algorithm and
-// chunk bound, and the destriper its comm view.  The autotuner
-// (src/tune/) searches this space and emits winners as reusable
-// "toastcase-schedule-v1" JSON.
+// count to both backend runtimes, and the comm engine takes its algorithm
+// and chunk bound.  The autotuner (src/tune/) searches this space and
+// emits winners as reusable "toastcase-schedule-v1" JSON.  The
+// destriper's collective mode (SolverComm) is not an axis: no job reads
+// it, so it lives on solver::DestriperConfig alone.
 //
 // JSON schema "toastcase-schedule-v1" (parse/load_file; every key is
 // optional and defaults to the value a default-constructed config holds,
@@ -24,7 +25,6 @@
 //   "staging": {"mode": "pipelined", "prefetch": false, "evict": false},
 //   "streams": 1,
 //   "comm": {"mode": "model", "algorithm": "ring", "chunk_bytes": 0},
-//   "solver": {"async_comm": "staged"},
 //   "shape": {"nodes": 0, "procs_per_node": 0},   // 0 = workload default
 //   "device": {"mps": true, "jax_preallocate": false}
 // }
@@ -61,10 +61,9 @@ enum class CommAlgorithm {
   kTree,       ///< binomial tree (reduce to root + broadcast)
 };
 
-/// Solver collective scheduling mode (docs/MODEL.md §11).
+/// Destriper collective scheduling mode (docs/MODEL.md §11).
 enum class SolverComm {
-  kStaged,   ///< blocking charge at the call site (historical behaviour)
-  kSync,     ///< async engine, serial mode (the bitwise oracle)
+  kStaged,   ///< blocking charge at the call site
   kOverlap,  ///< depth-1 pipelined CG collectives
 };
 
@@ -96,13 +95,6 @@ struct CommConfig {
   bool operator==(const CommConfig&) const = default;
 };
 
-/// Solver collective-scheduling axis.
-struct SolverConfig {
-  SolverComm async_comm = SolverComm::kStaged;
-
-  bool operator==(const SolverConfig&) const = default;
-};
-
 /// Ranks×threads shape override.  0 keeps the workload's own value; a
 /// positive procs_per_node re-partitions the node (threads-per-proc
 /// follows from the fixed core count).
@@ -130,7 +122,6 @@ struct ScheduleConfig {
   /// Device stream count both backend runtimes schedule on.
   int streams = 1;
   CommConfig comm;
-  SolverConfig solver;
   ShapeConfig shape;
   DeviceConfig device;
 

@@ -56,9 +56,9 @@ struct JobConfig {
   bench_model::ProblemSize problem;
   /// The unified schedule-space knob surface (docs/MODEL.md §12):
   /// backend slot, staging mode + prefetch/evict, stream count, comm
-  /// mode/algorithm/chunk bound, solver async-comm mode, shape override
-  /// and device flags (MPS, JAX preallocation).  Everything here used to
-  /// be scattered per-field plumbing; the job threads it through
+  /// mode/algorithm/chunk bound, shape override and device flags (MPS,
+  /// JAX preallocation).  Everything here used to be scattered
+  /// per-field plumbing; the job threads it through
   /// ExecConfig, Pipeline and the comm engine unchanged, so one parsed
   /// `toastcase-schedule-v1` artifact configures the whole stack.
   config::ScheduleConfig schedule;

@@ -64,7 +64,8 @@ Policy policy_from_value(const obs::json::Value& doc,
               ls.domain = l.enumeration("domain", kDomainNames);
               ls.escalate_after =
                   l.integer("escalate_after", ls.escalate_after, 1, INT_MAX);
-              ls.max_level = l.integer("max_level", ls.max_level, 0, INT_MAX);
+              ls.max_level =
+                  l.integer("max_level", ls.max_level, 0, kLastRung);
               policy.ladders.push_back(std::move(ls));
             });
   ElasticSpec& e = policy.elastic;

@@ -5,8 +5,9 @@
 // PR 3 gave the stack deterministic fault *injection*; recovery, however,
 // was a scatter of hard-coded knobs: one global retry budget in the fault
 // plan, fixed in-place rank replay in mpisim, a trace-only task-requeue
-// note in the async engine.  A resilience Policy replaces those knobs
-// with per-site declarations the subsystems consult through one API:
+// note in the destriper's collective pipeline.  A resilience Policy
+// replaces those knobs with per-site declarations the subsystems consult
+// through one API:
 //
 //   - per-site retry budgets with backoff (overriding the fault plan's
 //     single global RetrySpec for matching hook sites),
@@ -17,7 +18,7 @@
 //     clock, optionally jittered from the fault RNG so repeats stay
 //     bitwise),
 //   - graceful-degradation ladders: a closed set of escalation domains
-//     ("solver_comm" overlap->sync->staged, "collectives" engine->model)
+//     ("solver_comm" overlap->staged, "collectives" engine->model)
 //     that step up one rung per `escalate_after` reported faults,
 //   - the elastic world-shrink switch: when a rank-failure replay budget
 //     is exhausted, drop the rank, rebuild the comm topology over the
@@ -39,13 +40,14 @@
 //                  "close_after": 2, "jitter": 0.0}}
 //   ],
 //   "ladders": [{"domain": "solver_comm", "escalate_after": 2,
-//                "max_level": 2}],
+//                "max_level": 1}],
 //   "elastic": {"enabled": true, "min_ranks": 2,
 //               "rebuild_seconds": 1e-3, "requeue": true}
 // }
 //
 // Parsing is strict: unknown keys anywhere in the document are rejected
-// (typos must not silently become defaults).
+// (typos must not silently become defaults), and so is a ladder
+// max_level past its domain's last rung (kLastRung).
 
 #include <string>
 #include <vector>
@@ -97,18 +99,23 @@ struct SitePolicy {
 };
 
 /// The escalation domains the code consults.  Subsystems map levels to
-/// rungs themselves: the destriper maps "solver_comm" levels onto
-/// overlap -> sync -> staged, mpisim falls back from the comm engine to
-/// the closed-form model once "collectives" escalates.
+/// rungs themselves: the destriper steps "solver_comm" from overlap to
+/// staged, mpisim falls back from the comm engine to the closed-form
+/// model once "collectives" escalates.
 enum class Domain {
   kSolverComm,
   kCollectives,
 };
 
+/// The last rung of every domain's ladder: each has two rungs, so a
+/// higher level would change nothing yet still count as a degrade.
+inline constexpr int kLastRung = 1;
+
 const char* to_string(Domain d);
 
 /// One graceful-degradation ladder.  Every `escalate_after` faults
-/// reported for `domain` the level rises one rung, up to `max_level`.
+/// reported for `domain` the level rises one rung, up to `max_level`
+/// (at most kLastRung in a parsed policy).
 struct LadderSpec {
   Domain domain = Domain::kSolverComm;
   int escalate_after = 1;

@@ -49,6 +49,14 @@ InputCache::Stats InputCache::stats() const {
   return stats_;
 }
 
+void InputCache::clear() {
+  std::lock_guard lock(mu_);
+  lru_.clear();
+  index_.clear();
+  stats_.entries = 0;
+  stats_.held_bytes = 0;
+}
+
 InputCache& input_cache() {
   static InputCache* const cache = new InputCache();
   return *cache;

@@ -68,6 +68,10 @@ class InputCache {
 
   Stats stats() const;
 
+  /// Drop every kept value; the counts stay.  A test that counts misses
+  /// starts from an empty cache with it, whatever ran before it.
+  void clear();
+
  private:
   struct Entry {
     std::string key;

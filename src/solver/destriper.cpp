@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "async/overlap.hpp"
 #include "kernels/cpu.hpp"
 #include "kernels/jax.hpp"
 #include "kernels/omptarget.hpp"
@@ -146,28 +147,22 @@ double dot(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 /// The configured scheduling mode stepped `level` rungs down the
-/// "solver_comm" degradation ladder: overlap (0) -> sync (1) -> staged
-/// (2).  Level 0 is always the configured mode.
+/// "solver_comm" degradation ladder: overlap (0) -> staged (1).  Level 0
+/// is always the configured mode.
 AsyncComm ladder_mode(AsyncComm configured, int level) {
-  auto rung = [](AsyncComm m) {
-    switch (m) {
-      case AsyncComm::kOverlap:
-        return 0;
-      case AsyncComm::kSync:
-        return 1;
-      case AsyncComm::kStaged:
-        return 2;
-    }
-    return 2;
-  };
-  switch (std::min(2, rung(configured) + level)) {
-    case 0:
-      return AsyncComm::kOverlap;
-    case 1:
-      return AsyncComm::kSync;
-    default:
-      return AsyncComm::kStaged;
+  return level > 0 ? AsyncComm::kStaged : configured;
+}
+
+/// Advance the clock to `ready`, charging the slack as a logged "wait"
+/// span named `label`; a no-op when `ready` is not after the clock.
+void wait_until(core::ExecContext& ctx, double ready,
+                const std::string& label) {
+  const double slack = ready - ctx.clock().now();
+  if (slack <= 0.0) {
+    return;
   }
+  ctx.clock().advance(slack);
+  ctx.tracer().record(label, "wait", slack);
 }
 
 }  // namespace
@@ -177,31 +172,12 @@ void Destriper::charge_allreduce(core::ExecContext& ctx, double bytes,
   if (live_ranks_ <= 1) {
     return;
   }
-  if (!taskrt_.has_value()) {
-    // Staged: blocking charge at the call site (the historical path).
-    const comm::Engine engine(comm::Topology::cluster(
-        live_ranks_, std::max(1, config_.comm_ranks_per_node),
-        config_.network));
-    comm::RunOptions opt;
-    opt.epoch = ctx.clock().now();
-    opt.site = label;
-    opt.faults = &ctx.faults();
-    opt.max_chunk_bytes = config_.comm.chunk_bytes;
-    const double t =
-        engine.allreduce_seconds(bytes, config_.comm.algorithm, opt);
-    ctx.clock().advance(t);
-    ctx.tracer().record(label, "comm", t);
-    return;
-  }
-  // Depth-1 pipeline: this slot's previous reduction must have landed
-  // before the next one is issued (await is a no-op in serial mode and
-  // whenever the matvec already hid the latency).
-  taskrt_->await(pending_[static_cast<std::size_t>(slot)],
-                 std::string(label) + "_wait");
-  auto cost = [this, &ctx, bytes, label](double start) {
-    const comm::Engine engine(comm::Topology::cluster(
-        live_ranks_, std::max(1, config_.comm_ranks_per_node),
-        config_.network));
+  const comm::Engine engine(comm::Topology::cluster(
+      live_ranks_, std::max(1, config_.comm_ranks_per_node),
+      config_.network));
+  // The cost is a pure function of the start time: an overlapped
+  // collective queued behind the lane prices itself at its placed start.
+  auto seconds_at = [&](double start) {
     comm::RunOptions opt;
     opt.epoch = start;
     opt.site = label;
@@ -209,19 +185,33 @@ void Destriper::charge_allreduce(core::ExecContext& ctx, double bytes,
     opt.max_chunk_bytes = config_.comm.chunk_bytes;
     return engine.allreduce_seconds(bytes, config_.comm.algorithm, opt);
   };
-  pending_[static_cast<std::size_t>(slot)] =
-      taskrt_->submit(comm_lane_, label, "comm", cost);
+  if (!overlap_) {
+    // Staged: blocking charge at the call site.
+    const double t = seconds_at(ctx.clock().now());
+    ctx.clock().advance(t);
+    ctx.tracer().record(label, "comm", t);
+    return;
+  }
+  // Depth-1 pipeline: this slot's previous reduction must have landed
+  // before the next one is issued (no wait when the matvec already hid
+  // its latency).  The new one starts once the lane is free and does
+  // not advance the clock.
+  double& ready = slot_ready_[static_cast<std::size_t>(slot)];
+  wait_until(ctx, ready, std::string(label) + "_wait");
+  const double start = std::max(ctx.clock().now(), lane_ready_);
+  const double t = seconds_at(start);
+  lane_ready_ = start + t;
+  ready = lane_ready_;
+  const obs::SpanId span = ctx.tracer().record_at(label, "comm", start, t);
+  ctx.tracer().set_stream(span, async::kLaneStreamBase);
 }
 
-void Destriper::init_taskrt(core::ExecContext& ctx, AsyncComm mode) {
-  taskrt_.reset();
-  pending_.fill(async::Future{});
-  if (live_ranks_ > 1 && mode != AsyncComm::kStaged) {
-    async::Options aopt;
-    aopt.mode = mode == AsyncComm::kOverlap ? async::Mode::kOverlap
-                                            : async::Mode::kSerial;
-    taskrt_.emplace(ctx.clock(), &ctx.tracer(), aopt);
-    comm_lane_ = taskrt_->lane("comm");
+void Destriper::init_pipeline(core::ExecContext& ctx, AsyncComm mode) {
+  overlap_ = live_ranks_ > 1 && mode == AsyncComm::kOverlap;
+  lane_ready_ = ctx.clock().now();
+  slot_ready_.fill(0.0);
+  if (overlap_) {
+    ctx.tracer().set_stream_name(async::kLaneStreamBase, "async:comm");
   }
 }
 
@@ -327,19 +317,18 @@ DestriperResult Destriper::solve(core::Observation& ob,
   const auto& ivals = ob.intervals();
   const auto& fp = ob.focalplane();
 
-  // Solve-scoped async runtime: kSync is the serial bitwise oracle of
-  // the staged path, kOverlap pipelines the collectives (depth-1
-  // slots) so they hide behind the next matvec.  The effective mode is
-  // the configured one stepped down the "solver_comm" ladder, and the
-  // communicator starts at the configured size (an elastic shrink
-  // drops dead ranks from it mid-solve).
+  // kOverlap pipelines the collectives (depth-1 slots) so they hide
+  // behind the next matvec.  The effective mode is the configured one
+  // stepped down the "solver_comm" ladder, and the communicator starts
+  // at the configured size (an elastic shrink drops dead ranks from it
+  // mid-solve).
   resilience::Manager& rm = ctx.resilience();
   live_ranks_ = config_.comm_ranks;
   active_comm_ =
       rm.armed() ? ladder_mode(config_.async_comm,
                                rm.level(resilience::Domain::kSolverComm))
                  : config_.async_comm;
-  init_taskrt(ctx, active_comm_);
+  init_pipeline(ctx, active_comm_);
 
   std::vector<double> det_weights(static_cast<std::size_t>(n_det));
   for (std::int64_t d = 0; d < n_det; ++d) {
@@ -437,23 +426,29 @@ DestriperResult Destriper::solve(core::Observation& ob,
           !can_restore && rm.armed() && rm.allow_shrink(live_ranks_);
       if ((can_restore || can_shrink) &&
           ctx.faults().rank_failure("destriper_cg")) {
-        if (taskrt_.has_value()) {
+        if (overlap_) {
           // Roll back in-flight collectives with the solver state.
           // With requeue enabled this is a real graph edit: the
           // placements are cancelled (no slack charged) and the replay
-          // re-submits them; otherwise the historical drain charges
-          // their remaining latency first.
-          const int in_flight = taskrt_->pending_count();
+          // issues them again; otherwise a drain charges their
+          // remaining latency first.
+          const double now = ctx.clock().now();
+          const int in_flight = static_cast<int>(
+              std::count_if(slot_ready_.begin(), slot_ready_.end(),
+                            [now](double r) { return r > now; }));
           if (in_flight > 0 && rm.requeue_enabled()) {
-            taskrt_->cancel_pending("destriper_comm_requeue");
+            lane_ready_ = now;
+            const obs::SpanId id = ctx.tracer().record(
+                "destriper_comm_requeue", "resilience", 0.0);
+            ctx.tracer().add_counter(id, "tasks", in_flight);
             rm.note_requeue("destriper_cg", in_flight);
           } else {
-            taskrt_->drain("destriper_comm_drain");
+            wait_until(ctx, lane_ready_, "destriper_comm_drain");
           }
           if (in_flight > 0) {
             ctx.faults().note_task_requeue("destriper_cg", in_flight);
           }
-          pending_.fill(async::Future{});
+          slot_ready_.fill(0.0);
         }
         result.amplitudes = ckpt.amplitudes;
         r = ckpt.r;
@@ -480,7 +475,7 @@ DestriperResult Destriper::solve(core::Observation& ob,
               config_.async_comm, rm.level(resilience::Domain::kSolverComm));
           if (target != active_comm_) {
             active_comm_ = target;
-            init_taskrt(ctx, target);
+            init_pipeline(ctx, target);
           }
         }
         continue;
@@ -515,10 +510,9 @@ DestriperResult Destriper::solve(core::Observation& ob,
     }
     ++iter;
   }
-  if (taskrt_.has_value()) {
+  if (overlap_) {
     // The last iteration's collectives must land before solve returns.
-    taskrt_->drain("destriper_comm_drain");
-    taskrt_.reset();
+    wait_until(ctx, lane_ready_, "destriper_comm_drain");
   }
   return result;
 }

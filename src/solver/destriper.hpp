@@ -20,11 +20,9 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "accel/specs.hpp"
-#include "async/engine.hpp"
 #include "comm/engine.hpp"
 #include "core/context.hpp"
 #include "core/observation.hpp"
@@ -32,12 +30,11 @@
 
 namespace toast::solver {
 
-/// How the solver schedules its simulated collectives.  The canonical
-/// enum is the unified config layer's solver axis (kStaged = blocking
-/// charge at the call site, kSync = async engine in serial mode — the
-/// bitwise oracle, kOverlap = depth-1 pipelined CG collectives whose
-/// unhidden latency is charged as logged "*_wait" spans); the solver
-/// re-exports it under its historical name.
+/// How the solver schedules its simulated collectives: kStaged charges
+/// each one at its call site; kOverlap pipelines the CG collectives at
+/// depth 1 on one comm lane and charges their unhidden latency as
+/// logged "*_wait" spans (docs/MODEL.md §11).  The enum lives in the
+/// config layer; the solver re-exports it under its historical name.
 using AsyncComm = config::SolverComm;
 
 struct DestriperConfig {
@@ -70,13 +67,6 @@ struct DestriperConfig {
   config::CommConfig comm;
   /// Collective scheduling mode (no effect with a single rank).
   AsyncComm async_comm = AsyncComm::kStaged;
-
-  /// Adopt the relevant axes of a full schedule-space config (collective
-  /// algorithm + chunk bound, solver async-comm mode).
-  void apply_schedule(const config::ScheduleConfig& s) {
-    comm = s.comm;
-    async_comm = s.solver.async_comm;
-  }
 };
 
 struct DestriperResult {
@@ -111,8 +101,8 @@ class Destriper {
 
  private:
   /// Per-call-site communication slot (overlap mode keeps one pending
-  /// future per slot; slots never alias, so independent reductions of
-  /// one iteration don't serialize against each other).
+  /// collective per slot; slots never alias, so independent reductions
+  /// of one iteration don't wait for each other).
   enum CommSlot : int {
     kSlotMap = 0,   ///< binned signal+hit map reduction
     kSlotRz,        ///< initial r.z
@@ -136,28 +126,32 @@ class Destriper {
                               core::ExecContext& ctx,
                               core::Backend backend);
 
-  /// Charge (kStaged/kSync) or submit (kOverlap) a step-scheduled
-  /// allreduce of `bytes` across the simulated communicator (no-op for
-  /// a single live rank).  Overlap mode first awaits the slot's previous
-  /// reduction — the depth-1 pipeline.
+  /// Charge (kStaged) or place (kOverlap) a step-scheduled allreduce
+  /// of `bytes` across the simulated communicator (no-op for a single
+  /// live rank).  Overlap mode first waits for the slot's previous
+  /// reduction — the depth-1 pipeline — then places this one on the
+  /// comm lane without advancing the clock.
   void charge_allreduce(core::ExecContext& ctx, double bytes,
                         const char* label, CommSlot slot);
 
-  /// (Re)build the solve-scoped async runtime for `mode` — called at
-  /// solve entry and whenever the "solver_comm" degradation ladder
-  /// changes the effective scheduling mode mid-solve.
-  void init_taskrt(core::ExecContext& ctx, AsyncComm mode);
+  /// Start the overlap pipeline for `mode` (empty lane, no pending
+  /// slots) — at solve entry and whenever the "solver_comm" ladder
+  /// changes the effective mode mid-solve.
+  void init_pipeline(core::ExecContext& ctx, AsyncComm mode);
 
   DestriperConfig config_;
-  /// Solve-scoped async runtime (kSync/kOverlap with live_ranks_ > 1).
-  std::optional<async::Engine> taskrt_;
-  int comm_lane_ = -1;
-  std::array<async::Future, kNumSlots> pending_{};
+  /// The overlap pipeline is live (kOverlap with live_ranks_ > 1 at its
+  /// start).  Its state is two kinds of ready time on the virtual clock:
+  /// the comm lane's, and each slot's pending collective's (one at or
+  /// before the clock has landed).
+  bool overlap_ = false;
+  double lane_ready_ = 0.0;
+  std::array<double, kNumSlots> slot_ready_{};
   /// Communicator size of the current solve: config_.comm_ranks until an
   /// elastic world shrink drops dead ranks from it.
   int live_ranks_ = 1;
   /// Effective scheduling mode of the current solve (the configured mode
-  /// stepped down the "solver_comm" ladder: overlap -> sync -> staged).
+  /// stepped down the "solver_comm" ladder: overlap -> staged).
   AsyncComm active_comm_ = AsyncComm::kStaged;
 };
 

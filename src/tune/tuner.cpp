@@ -55,10 +55,6 @@ std::vector<Axis> make_axes(const SearchSpace& sp) {
       [&sp](config::ScheduleConfig& c, std::size_t i) {
         c.comm.chunk_bytes = sp.chunk_bytes[i];
       });
-  add("solver.async_comm", sp.solver_comms.size(),
-      [&sp](config::ScheduleConfig& c, std::size_t i) {
-        c.solver.async_comm = sp.solver_comms[i];
-      });
   add("shape.nodes", sp.nodes.size(),
       [&sp](config::ScheduleConfig& c, std::size_t i) {
         c.shape.nodes = sp.nodes[i];
@@ -133,8 +129,6 @@ SearchSpace SearchSpace::full() {
                        config::CommAlgorithm::kRecursive,
                        config::CommAlgorithm::kTree};
   s.chunk_bytes = {0.0, 1048576.0, 8388608.0};
-  s.solver_comms = {config::SolverComm::kStaged, config::SolverComm::kSync,
-                    config::SolverComm::kOverlap};
   return s;
 }
 

@@ -17,9 +17,9 @@
 // greedy coordinate descent in a fixed, documented axis order —
 //
 //   staging.mode -> staging.prefetch -> staging.evict -> streams ->
-//   comm.mode -> comm.algorithm -> comm.chunk_bytes ->
-//   solver.async_comm -> shape.nodes -> shape.procs_per_node ->
-//   device.mps -> device.jax_preallocate -> backend
+//   comm.mode -> comm.algorithm -> comm.chunk_bytes -> shape.nodes ->
+//   shape.procs_per_node -> device.mps -> device.jax_preallocate ->
+//   backend
 //
 // — iterated to a fixpoint.  A candidate is adopted only on *strict*
 // runtime improvement (ties keep the incumbent, so the earliest value in
@@ -54,14 +54,13 @@ struct SearchSpace {
   std::vector<config::CommMode> comm_modes;
   std::vector<config::CommAlgorithm> comm_algorithms;
   std::vector<double> chunk_bytes;
-  std::vector<config::SolverComm> solver_comms;
   std::vector<int> nodes;
   std::vector<int> procs_per_node;
   std::vector<bool> mps;
   std::vector<bool> jax_preallocate;
 
-  /// The default schedule search: staging axes, stream counts, the comm
-  /// axes (engine algorithms + chunk bounds) and the solver modes.
+  /// The default schedule search: staging axes, stream counts and the
+  /// comm axes (engine algorithms + chunk bounds).
   /// Backend and shape are left pinned to the base job — the benches
   /// tune per (backend, shape) row.
   static SearchSpace full();

@@ -2,10 +2,7 @@
 // one plan driver (core::execute_plan) records — dependency derivation
 // from declared resource uses, the report, LaneSchedule placement with
 // patch barriers, bitwise equivalence with staged replay including under
-// a pinned launch-chaos plan — and the engine's submit face (serial
-// bitwise oracle, overlap placement with explicit wait charges).
-
-#include "async/engine.hpp"
+// a pinned launch-chaos plan.
 
 #include <gtest/gtest.h>
 
@@ -273,33 +270,7 @@ TEST(StepLog, PatchBarrierPlacementMatchesLaneArithmetic) {
   EXPECT_EQ(log.records[9].start, log.records[6].start + 0.15);
 }
 
-// --- serial face: the bitwise oracle ----------------------------------------
-
-TEST(Engine, SerialSubmitChargesLikeTheBlockingCall) {
-  accel::VirtualClock clock;
-  obs::Tracer tracer(&clock);
-  async::Engine eng(clock, &tracer);  // Mode::kSerial
-  const int lane = eng.lane("comm");
-  const auto f =
-      eng.submit(lane, "allreduce", "comm", [](double) { return 0.25; });
-  // Serial submit charges immediately: the future is already resolved.
-  EXPECT_EQ(clock.now(), 0.25);
-  EXPECT_EQ(f.ready, 0.25);
-  EXPECT_EQ(eng.pending_count(), 0);
-  EXPECT_EQ(eng.await(f, "allreduce_wait"), 0.0);
-  EXPECT_EQ(eng.drain("drain"), 0.0);
-  EXPECT_EQ(clock.now(), 0.25);  // the no-op await charged nothing
-
-  // Bit-for-bit what the blocking code would have logged.
-  accel::VirtualClock manual_clock;
-  obs::Tracer manual(&manual_clock);
-  manual_clock.advance(0.25);
-  manual.record("allreduce", "comm", 0.25);
-  EXPECT_EQ(clock.now(), manual_clock.now());
-  expect_logs_equal(tracer.timelog(), manual.timelog());
-}
-
-TEST(Engine, OverlapGraphRunPlacesAgainstDeps) {
+TEST(StepLog, OverlapGraphRunPlacesAgainstDeps) {
   // Hand-built log: two independent 1s steps on different lanes plus a
   // step depending on both.  The serial sum is 3s; the placed makespan
   // overlaps the independent pair and lands on 2s.
@@ -334,80 +305,6 @@ TEST(Engine, OverlapGraphRunPlacesAgainstDeps) {
   }
   EXPECT_EQ(task_spans, 3);
   EXPECT_TRUE(tracer.timelog().categories().empty());
-}
-
-// --- overlap face: placement and wait charges --------------------------------
-
-TEST(Engine, OverlapPlacesAtMaxOfNowLaneAndDeps) {
-  accel::VirtualClock clock;
-  obs::Tracer tracer(&clock);
-  async::Options opt;
-  opt.mode = async::Mode::kOverlap;
-  async::Engine eng(clock, &tracer, opt);
-  const int a = eng.lane("a");
-  const int b = eng.lane("b");
-
-  const auto f1 = eng.submit(a, "one", "comm", [](double) { return 1.0; });
-  EXPECT_EQ(clock.now(), 0.0);  // submit never advances the clock
-  EXPECT_EQ(f1.ready, 1.0);
-  const auto f2 = eng.submit(a, "two", "comm", [](double) { return 1.0; });
-  EXPECT_EQ(f2.ready, 2.0);  // same lane serializes
-  const auto f3 =
-      eng.submit(b, "three", "comm", [](double) { return 0.5; }, {f2});
-  EXPECT_EQ(f3.ready, 2.5);  // dep-bound, not lane-bound
-  EXPECT_EQ(eng.pending_count(), 3);
-
-  // Awaiting charges the remaining slack as an explicit wait span.
-  EXPECT_EQ(eng.await(f3, "three_wait"), 2.5);
-  EXPECT_EQ(clock.now(), 2.5);
-  EXPECT_EQ(tracer.seconds("three_wait"), 2.5);
-  EXPECT_EQ(eng.pending_count(), 0);
-  EXPECT_EQ(eng.await(f3, "again"), 0.0);  // already resolved: no-op
-}
-
-TEST(Engine, OverlapCostIsAFunctionOfPlacedStartTime) {
-  // The cost callback sees the *placed* start, not submission time: a
-  // task queued behind its lane must price itself at the later epoch.
-  accel::VirtualClock clock;
-  obs::Tracer tracer(&clock);
-  async::Options opt;
-  opt.mode = async::Mode::kOverlap;
-  async::Engine eng(clock, &tracer, opt);
-  const int lane = eng.lane("comm");
-  std::vector<double> starts;
-  const auto cost = [&starts](double start) {
-    starts.push_back(start);
-    return 1.0;
-  };
-  eng.submit(lane, "one", "comm", cost);
-  eng.submit(lane, "two", "comm", cost);
-  ASSERT_EQ(starts.size(), 2u);
-  EXPECT_EQ(starts[0], 0.0);
-  EXPECT_EQ(starts[1], 1.0);
-  EXPECT_EQ(eng.drain("drain"), 2.0);
-  EXPECT_EQ(clock.now(), 2.0);
-}
-
-TEST(Engine, OverlapReplayIsBitwiseDeterministic) {
-  const auto episode = [] {
-    accel::VirtualClock clock;
-    obs::Tracer tracer(&clock);
-    async::Options opt;
-    opt.mode = async::Mode::kOverlap;
-    async::Engine eng(clock, &tracer, opt);
-    const int a = eng.lane("a");
-    const int b = eng.lane("b");
-    async::Future last{};
-    for (int i = 0; i < 8; ++i) {
-      last = eng.submit(i % 2 == 0 ? a : b, "tick", "comm",
-                        [i](double) { return 0.125 * (i + 1); },
-                        last.valid() ? std::vector<async::Future>{last}
-                                     : std::vector<async::Future>{});
-    }
-    eng.drain("drain");
-    return clock.now();
-  };
-  EXPECT_EQ(episode(), episode());
 }
 
 TEST(StepLog, FailedBodyKeepsTheTimeItCharged) {

@@ -34,7 +34,6 @@ namespace {
 using toast::config::CommAlgorithm;
 using toast::config::CommMode;
 using toast::config::ScheduleConfig;
-using toast::config::SolverComm;
 using toast::config::Staging;
 
 /// The fully explicit document from the schedule.hpp header comment:
@@ -45,7 +44,6 @@ constexpr const char* kExplicitDefaults = R"({
   "staging": {"mode": "pipelined", "prefetch": false, "evict": false},
   "streams": 1,
   "comm": {"mode": "model", "algorithm": "ring", "chunk_bytes": 0},
-  "solver": {"async_comm": "staged"},
   "shape": {"nodes": 0, "procs_per_node": 0},
   "device": {"mps": true, "jax_preallocate": false}
 })";
@@ -60,7 +58,6 @@ ScheduleConfig non_default_config() {
   c.comm.mode = CommMode::kEngine;
   c.comm.algorithm = CommAlgorithm::kTree;
   c.comm.chunk_bytes = 1048576.0;
-  c.solver.async_comm = SolverComm::kOverlap;
   c.shape.nodes = 2;
   c.shape.procs_per_node = 8;
   c.device.mps = false;
@@ -108,10 +105,9 @@ TEST(ScheduleConfig, CanonicalSerializationIsPinned) {
       "\"staging\":{\"mode\":\"pipelined\",\"prefetch\":false,"
       "\"evict\":false},\"streams\":1,\"comm\":{\"mode\":\"model\","
       "\"algorithm\":\"ring\",\"chunk_bytes\":0},"
-      "\"solver\":{\"async_comm\":\"staged\"},"
       "\"shape\":{\"nodes\":0,\"procs_per_node\":0},"
       "\"device\":{\"mps\":true,\"jax_preallocate\":false}}");
-  EXPECT_EQ(ScheduleConfig{}.hash_hex(), "99026a826263fd34");
+  EXPECT_EQ(ScheduleConfig{}.hash_hex(), "31a7ca9828351cd2");
 }
 
 TEST(ScheduleConfig, HashDistinguishesEveryAxis) {
@@ -138,10 +134,6 @@ TEST(ScheduleConfig, HashDistinguishesEveryAxis) {
             base);
   EXPECT_NE(mutated([](ScheduleConfig& c) { c.comm.chunk_bytes = 1.0; }),
             base);
-  EXPECT_NE(mutated([](ScheduleConfig& c) {
-              c.solver.async_comm = SolverComm::kSync;
-            }),
-            base);
   EXPECT_NE(mutated([](ScheduleConfig& c) { c.shape.nodes = 1; }), base);
   EXPECT_NE(mutated([](ScheduleConfig& c) { c.shape.procs_per_node = 1; }),
             base);
@@ -160,8 +152,9 @@ TEST(ScheduleConfig, RejectsUnknownKeysAtEveryNestingLevel) {
               "staging": {"mode": "pipelined", "prefetc": true}})");
   rejects(R"({"schema": "toastcase-schedule-v1",
               "comm": {"algoritm": "ring"}})");
+  // The destriper's comm mode is not a schedule axis.
   rejects(R"({"schema": "toastcase-schedule-v1",
-              "solver": {"async": "staged"}})");
+              "solver": {"async_comm": "staged"}})");
   rejects(R"({"schema": "toastcase-schedule-v1",
               "shape": {"nodes": 0, "procs": 16}})");
   rejects(R"({"schema": "toastcase-schedule-v1",
@@ -188,8 +181,6 @@ TEST(ScheduleConfig, RejectsInvalidValues) {
               "comm": {"chunk_bytes": -1}})");
   rejects(R"({"schema": "toastcase-schedule-v1",
               "shape": {"nodes": -1}})");
-  rejects(R"({"schema": "toastcase-schedule-v1",
-              "solver": {"async_comm": "async"}})");
 }
 
 /// `doc` is rejected with an error that names `path` and `expected`.

@@ -65,7 +65,7 @@ TEST(ResiliencePolicy, ParsesFullDocument) {
                    "close_after": 2, "jitter": 0.1}}
     ],
     "ladders": [{"domain": "solver_comm", "escalate_after": 2,
-                 "max_level": 2}],
+                 "max_level": 1}],
     "elastic": {"enabled": true, "min_ranks": 2,
                 "rebuild_seconds": 1e-3, "requeue": false}
   })");
@@ -81,6 +81,7 @@ TEST(ResiliencePolicy, ParsesFullDocument) {
   ASSERT_EQ(p.ladders.size(), 1u);
   EXPECT_EQ(p.ladders[0].domain, Domain::kSolverComm);
   EXPECT_EQ(p.ladders[0].escalate_after, 2);
+  EXPECT_EQ(p.ladders[0].max_level, 1);
   EXPECT_TRUE(p.elastic.enabled);
   EXPECT_EQ(p.elastic.min_ranks, 2);
   EXPECT_FALSE(p.elastic.requeue);
@@ -155,6 +156,28 @@ TEST(ResiliencePolicy, RejectsWrongTypesAndFractions) {
     } catch (const toast::obs::json::ParseError& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find("ladders[0]: 'domain'"), std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(ResiliencePolicy, RejectsMaxLevelPastTheLastRung) {
+  // Both domains have two rungs (overlap -> staged, engine -> model): a
+  // level past the last one would change nothing yet still count as a
+  // degrade, so the reader refuses it with its key path.
+  for (const char* domain : {"solver_comm", "collectives"}) {
+    const std::string head =
+        std::string(R"({"schema": "toastcase-resilience-policy-v1",
+                        "ladders": [{"domain": ")") +
+        domain + R"(", "max_level": )";
+    EXPECT_EQ(Policy::parse(head + "1}]}").ladders[0].max_level,
+              resilience::kLastRung);
+    try {
+      Policy::parse(head + "2}]}");
+      ADD_FAILURE() << domain << ": max_level 2 parsed";
+    } catch (const toast::obs::json::ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("ladders[0]: 'max_level'"), std::string::npos)
           << what;
     }
   }

@@ -213,7 +213,9 @@ using Kind = sim::InputCache::Kind;
 
 // Hits and misses of one kind since construction: each test reads the
 // process-wide cache's counts before and after, and uses keys (noise
-// seeds, nsides, sample counts) no other test uses.
+// seeds, nsides, sample counts) no other test uses.  The SimMemo
+// fixture empties the cache first, so a test's first lookups miss in
+// any order and on any repeat.
 struct CountsSince {
   Kind kind;
   sim::InputCache::Counts before = sim::input_cache().stats()[kind];
@@ -223,6 +225,11 @@ struct CountsSince {
   std::size_t misses() const {
     return sim::input_cache().stats()[kind].misses - before.misses;
   }
+};
+
+class SimMemo : public ::testing::Test {
+ protected:
+  void SetUp() override { sim::input_cache().clear(); }
 };
 
 // Run a sky + noise pair over one observation, as the benchmark pipeline
@@ -284,7 +291,7 @@ std::vector<std::uint64_t> scan_bits(const core::Observation& ob) {
 
 }  // namespace
 
-TEST(SimMemo, ObservationsOfOneJobMatchUncachedInputs) {
+TEST_F(SimMemo, ObservationsOfOneJobMatchUncachedInputs) {
   const std::uint64_t seed = 4101;
   const auto fp = sim::hex_focalplane(4, 37.0);
   const CountsSince sky{Kind::kSky};
@@ -307,7 +314,7 @@ TEST(SimMemo, ObservationsOfOneJobMatchUncachedInputs) {
   EXPECT_EQ(noise.hits(), 12u);
 }
 
-TEST(SimMemo, ChangedNoiseParameterRecomputesThatDetectorOnly) {
+TEST_F(SimMemo, ChangedNoiseParameterRecomputesThatDetectorOnly) {
   const auto fp = sim::hex_focalplane(4, 37.0);
   struct Change {
     const char* what;
@@ -341,7 +348,7 @@ TEST(SimMemo, ChangedNoiseParameterRecomputesThatDetectorOnly) {
   }
 }
 
-TEST(SimMemo, NegativeZeroFminDoesNotAlias) {
+TEST_F(SimMemo, NegativeZeroFminDoesNotAlias) {
   const std::uint64_t seed = 4301;
   auto fp = sim::hex_focalplane(2, 37.0);
   fp.fmin[1] = 0.0;
@@ -360,7 +367,7 @@ TEST(SimMemo, NegativeZeroFminDoesNotAlias) {
   EXPECT_EQ(signal_bits(ob), signal_bits(ref));
 }
 
-TEST(SimMemo, SampleCountOrRateChangeRecomputes) {
+TEST_F(SimMemo, SampleCountOrRateChangeRecomputes) {
   const std::uint64_t seed = 4401;
   const auto fp = sim::hex_focalplane(3, 37.0);
   const CountsSince noise{Kind::kNoise};
@@ -387,7 +394,7 @@ TEST(SimMemo, SampleCountOrRateChangeRecomputes) {
   EXPECT_EQ(signal_bits(slower), signal_bits(slower_ref));
 }
 
-TEST(SimMemo, KeptNoiseIsAddedToExistingSignal) {
+TEST_F(SimMemo, KeptNoiseIsAddedToExistingSignal) {
   const std::uint64_t seed = 4501;
   const auto fp = sim::hex_focalplane(2, 37.0);
   auto first = memo_obs(fp, 700, 50);
@@ -416,7 +423,7 @@ TEST(SimMemo, KeptNoiseIsAddedToExistingSignal) {
   EXPECT_NE(signal_bits(ob), signal_bits(first));
 }
 
-TEST(SimMemo, ExistingSkyMapIsKept) {
+TEST_F(SimMemo, ExistingSkyMapIsKept) {
   const std::uint64_t seed = 4601;
   const auto fp = sim::hex_focalplane(2, 37.0);
   auto first = memo_obs(fp, 300, 60);
@@ -437,7 +444,7 @@ TEST(SimMemo, ExistingSkyMapIsKept) {
   EXPECT_EQ(sky.hits() + sky.misses(), 0u);  // the cache is not asked
 }
 
-TEST(SimMemo, EachScanInputMissesOnItsOwn) {
+TEST_F(SimMemo, EachScanInputMissesOnItsOwn) {
   const std::int64_t n_samp = 4701;
   const auto fp = sim::hex_focalplane(1, 37.0);
   const sim::ScanParams base;
@@ -481,7 +488,7 @@ TEST(SimMemo, EachScanInputMissesOnItsOwn) {
   EXPECT_EQ(scan.hits(), 1u);
 }
 
-TEST(SimMemo, EvictionKeepsValuesBitIdentical) {
+TEST_F(SimMemo, EvictionKeepsValuesBitIdentical) {
   // A cache of its own, with room for two 1000-sample addends.
   sim::InputCache cache(2 * 1000 * sizeof(double) + 8);
   const auto fp = sim::hex_focalplane(3, 37.0);
@@ -518,7 +525,7 @@ TEST(SimMemo, EvictionKeepsValuesBitIdentical) {
   EXPECT_EQ(cache.stats().evictions, 2u);
 }
 
-TEST(SimMemo, TwoThreadsMatchOneThread) {
+TEST_F(SimMemo, TwoThreadsMatchOneThread) {
   // Each thread simulates its own job with its own ExecContext: two
   // observations whose keys both threads share and one whose sky, noise
   // and scan keys are its thread's own.

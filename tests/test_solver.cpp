@@ -235,41 +235,6 @@ TEST(Destriper, DistributedCommChargesTimeNotValues) {
   }
 }
 
-TEST(Destriper, AsyncSerialCommIsBitwiseStaged) {
-  // Routing the CG collectives through the task engine in serial mode is
-  // the oracle case: runtime, TimeLog and solver products must all be
-  // bitwise identical to the staged (blocking) collectives.
-  auto staged = make_scenario(33);
-  staged.cfg.comm_ranks = 4;
-  staged.cfg.comm_ranks_per_node = 2;
-  core::ExecConfig ec;
-  core::ExecContext ctx_staged(ec);
-  const auto r_staged =
-      Destriper(staged.cfg).solve(staged.ob, ctx_staged, Backend::kCpu);
-
-  auto sync = make_scenario(33);
-  sync.cfg.comm_ranks = 4;
-  sync.cfg.comm_ranks_per_node = 2;
-  sync.cfg.async_comm = toast::solver::AsyncComm::kSync;
-  core::ExecContext ctx_sync(ec);
-  const auto r_sync =
-      Destriper(sync.cfg).solve(sync.ob, ctx_sync, Backend::kCpu);
-
-  EXPECT_EQ(ctx_staged.elapsed(), ctx_sync.elapsed());
-  const auto log_staged = ctx_staged.log();
-  const auto log_sync = ctx_sync.log();
-  ASSERT_EQ(log_staged.categories(), log_sync.categories());
-  for (const auto& c : log_staged.categories()) {
-    EXPECT_EQ(log_staged.seconds(c), log_sync.seconds(c)) << c;
-    EXPECT_EQ(log_staged.calls(c), log_sync.calls(c)) << c;
-  }
-  ASSERT_EQ(r_staged.amplitudes.size(), r_sync.amplitudes.size());
-  for (std::size_t i = 0; i < r_staged.amplitudes.size(); ++i) {
-    ASSERT_EQ(r_staged.amplitudes[i], r_sync.amplitudes[i]) << i;
-  }
-  ASSERT_EQ(r_staged.residuals, r_sync.residuals);
-}
-
 TEST(Destriper, AsyncOverlapHidesCollectivesKeepsProducts) {
   // Overlap mode pipelines each allreduce behind the next matvec: the
   // solve must get strictly faster while amplitudes and residuals stay
