@@ -74,7 +74,8 @@ def check_fig6(path):
         doc = json.load(f)
     expect_schema(doc, "toastcase-bench-fig6-v1")
     print(f"fig6 ({path}):")
-    warn_unknown_keys(doc, {"kernels", "mean_jax_over_omp"}, path)
+    warn_unknown_keys(doc, {"kernels", "mean_jax_over_omp", "data_movement",
+                            "procs"}, path)
     kernels = {k["name"]: k for k in non_empty(doc["kernels"], "kernels")}
 
     for name, k in kernels.items():
@@ -136,7 +137,8 @@ def check_fig5(path):
         doc = json.load(f)
     expect_schema(doc, "toastcase-bench-fig5-v1")
     print(f"fig5 ({path}):")
-    warn_unknown_keys(doc, {"implementations"}, path)
+    warn_unknown_keys(doc, {"implementations", "comm", "prefetch", "staging"},
+                      path)
     impls = {i["name"]: i
              for i in non_empty(doc["implementations"], "implementations")}
 
@@ -154,7 +156,7 @@ def check_overlap(path):
         doc = json.load(f)
     expect_schema(doc, "toastcase-bench-overlap-v1")
     print(f"overlap ({path}):")
-    warn_unknown_keys(doc, {"points", "sync_runtime_s"}, path)
+    warn_unknown_keys(doc, {"points", "sync_runtime_s", "chunks"}, path)
     points = {p["streams"]: p["runtime_s"]
               for p in non_empty(doc["points"], "points")}
     sync = doc["sync_runtime_s"]

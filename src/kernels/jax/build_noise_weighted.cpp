@@ -58,20 +58,20 @@ void build_noise_weighted(const std::int64_t* pixels, const double* weights,
                           std::span<const core::Interval> intervals,
                           std::int64_t n_det, std::int64_t n_samp,
                           double* zmap, core::ExecContext& ctx) {
-  const PaddedView view = make_padded_view(intervals, n_det);
+  PaddedView view = make_padded_view(intervals, n_det);
   if (view.rows == 0 || view.max_len == 0) {
     return;
   }
   kernel.call(ctx,
               {view.max_len, n_samp, nnz,
                shared_flags != nullptr ? flag_mask : 0},
-              pack_args(view.det_ids, view.starts, view.lens,
-                        lit_i64(pixels, n_det * n_samp),
-                        lit_f64(weights, nnz * n_det * n_samp),
-                        lit_f64(signal, n_det * n_samp),
-                        lit_f64(det_scale, n_det),
+              pack_args(std::move(view),
+                        borrow(pixels, n_det * n_samp),
+                        borrow(weights, nnz * n_det * n_samp),
+                        borrow(signal, n_det * n_samp),
+                        borrow(det_scale, n_det),
                         lit_u8_as_i64(shared_flags, n_samp),
-                        lit_f64(zmap, n_pix * nnz)),
+                        donate(zmap, n_pix * nnz)),
               zmap);
 }
 

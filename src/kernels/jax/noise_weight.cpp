@@ -26,14 +26,14 @@ void noise_weight(const double* det_weights,
                   std::span<const core::Interval> intervals,
                   std::int64_t n_det, std::int64_t n_samp, double* signal,
                   core::ExecContext& ctx) {
-  const PaddedView view = make_padded_view(intervals, n_det);
+  PaddedView view = make_padded_view(intervals, n_det);
   if (view.rows == 0 || view.max_len == 0) {
     return;
   }
   kernel.call(ctx, {view.max_len, n_samp},
-              pack_args(view.det_ids, view.starts, view.lens,
-                        lit_f64(det_weights, n_det),
-                        lit_f64(signal, n_det * n_samp)),
+              pack_args(std::move(view),
+                        borrow(det_weights, n_det),
+                        donate(signal, n_det * n_samp)),
               signal);
 }
 

@@ -172,17 +172,17 @@ void pixels_healpix(const double* quats, const std::uint8_t* shared_flags,
                     std::span<const core::Interval> intervals,
                     std::int64_t n_det, std::int64_t n_samp,
                     std::int64_t* pixels, core::ExecContext& ctx) {
-  const PaddedView view = make_padded_view(intervals, n_det);
+  PaddedView view = make_padded_view(intervals, n_det);
   if (view.rows == 0 || view.max_len == 0) {
     return;
   }
   kernel.call(ctx,
               {view.max_len, n_samp, shared_flags != nullptr ? flag_mask : 0,
                nside, nest},
-              pack_args(view.det_ids, view.starts, view.lens,
-                        lit_f64(quats, 4 * n_det * n_samp),
+              pack_args(std::move(view),
+                        borrow(quats, 4 * n_det * n_samp),
                         lit_u8_as_i64(shared_flags, n_samp),
-                        lit_i64(pixels, n_det * n_samp)),
+                        donate(pixels, n_det * n_samp)),
               pixels);
 }
 

@@ -64,17 +64,17 @@ void pointing_detector(const double* fp_quats, const double* boresight,
                        std::span<const core::Interval> intervals,
                        std::int64_t n_det, std::int64_t n_samp, double* quats,
                        core::ExecContext& ctx) {
-  const PaddedView view = make_padded_view(intervals, n_det);
+  PaddedView view = make_padded_view(intervals, n_det);
   if (view.rows == 0 || view.max_len == 0) {
     return;
   }
   kernel.call(ctx,
               {view.max_len, n_samp, shared_flags != nullptr ? flag_mask : 0},
-              pack_args(view.det_ids, view.starts, view.lens,
-                        lit_f64(boresight, 4 * n_samp),
-                        lit_f64(fp_quats, 4 * n_det),
+              pack_args(std::move(view),
+                        borrow(boresight, 4 * n_samp),
+                        borrow(fp_quats, 4 * n_det),
                         lit_u8_as_i64(shared_flags, n_samp),
-                        lit_f64(quats, 4 * n_det * n_samp)),
+                        donate(quats, 4 * n_det * n_samp)),
               quats);
 }
 

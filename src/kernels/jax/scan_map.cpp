@@ -48,16 +48,16 @@ void scan_map(const double* sky_map, std::int64_t n_pix, std::int64_t nnz,
               double data_scale, std::span<const core::Interval> intervals,
               std::int64_t n_det, std::int64_t n_samp, double* signal,
               core::ExecContext& ctx) {
-  const PaddedView view = make_padded_view(intervals, n_det);
+  PaddedView view = make_padded_view(intervals, n_det);
   if (view.rows == 0 || view.max_len == 0) {
     return;
   }
   kernel.call(ctx, {view.max_len, n_samp, nnz, data_scale},
-              pack_args(view.det_ids, view.starts, view.lens,
-                        lit_f64(sky_map, n_pix * nnz),
-                        lit_i64(pixels, n_det * n_samp),
-                        lit_f64(weights, nnz * n_det * n_samp),
-                        lit_f64(signal, n_det * n_samp)),
+              pack_args(std::move(view),
+                        borrow(sky_map, n_pix * nnz),
+                        borrow(pixels, n_det * n_samp),
+                        borrow(weights, nnz * n_det * n_samp),
+                        donate(signal, n_det * n_samp)),
               signal);
 }
 

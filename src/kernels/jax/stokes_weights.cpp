@@ -70,29 +70,29 @@ void stokes_weights_iqu(const double* quats, const double* hwp_angle,
                         std::span<const core::Interval> intervals,
                         std::int64_t n_det, std::int64_t n_samp,
                         double* weights, core::ExecContext& ctx) {
-  const PaddedView view = make_padded_view(intervals, n_det);
+  PaddedView view = make_padded_view(intervals, n_det);
   if (view.rows == 0 || view.max_len == 0) {
     return;
   }
   iqu_kernel.call(ctx, {view.max_len, n_samp, hwp_angle != nullptr},
-                  pack_args(view.det_ids, view.starts, view.lens,
-                            lit_f64(quats, 4 * n_det * n_samp),
-                            lit_f64(hwp_angle, n_samp),
-                            lit_f64(pol_eff, n_det),
-                            lit_f64(weights, 3 * n_det * n_samp)),
+                  pack_args(std::move(view),
+                            borrow(quats, 4 * n_det * n_samp),
+                            borrow(hwp_angle, n_samp),
+                            borrow(pol_eff, n_det),
+                            donate(weights, 3 * n_det * n_samp)),
                   weights);
 }
 
 void stokes_weights_i(std::span<const core::Interval> intervals,
                       std::int64_t n_det, std::int64_t n_samp,
                       double* weights, core::ExecContext& ctx) {
-  const PaddedView view = make_padded_view(intervals, n_det);
+  PaddedView view = make_padded_view(intervals, n_det);
   if (view.rows == 0 || view.max_len == 0) {
     return;
   }
   i_kernel.call(ctx, {view.max_len, n_samp},
-                pack_args(view.det_ids, view.starts, view.lens,
-                          lit_f64(weights, n_det * n_samp)),
+                pack_args(std::move(view),
+                          donate(weights, n_det * n_samp)),
                 weights);
 }
 

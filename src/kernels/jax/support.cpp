@@ -98,18 +98,28 @@ void clear_jit_caches() {
   }
 }
 
-xla::Literal lit_f64(const double* data, std::int64_t n) {
+xla::Literal borrow(const double* data, std::int64_t n) {
   if (data == nullptr) {
     return xla::Literal(xla::Shape{n}, xla::DType::kF64);
   }
-  return xla::Literal::from_f64(xla::Shape{n},
-                                std::span<const double>(data, static_cast<std::size_t>(n)));
+  return xla::Literal::borrow(
+      xla::Shape{n}, std::span<const double>(data, static_cast<std::size_t>(n)));
 }
 
-xla::Literal lit_i64(const std::int64_t* data, std::int64_t n) {
-  return xla::Literal::from_i64(
+xla::Literal borrow(const std::int64_t* data, std::int64_t n) {
+  return xla::Literal::borrow(
       xla::Shape{n},
       std::span<const std::int64_t>(data, static_cast<std::size_t>(n)));
+}
+
+xla::Literal donate(double* data, std::int64_t n) {
+  return xla::Literal::borrow_writable(
+      xla::Shape{n}, std::span<double>(data, static_cast<std::size_t>(n)));
+}
+
+xla::Literal donate(std::int64_t* data, std::int64_t n) {
+  return xla::Literal::borrow_writable(
+      xla::Shape{n}, std::span<std::int64_t>(data, static_cast<std::size_t>(n)));
 }
 
 xla::Literal lit_u8_as_i64(const std::uint8_t* data, std::int64_t n) {

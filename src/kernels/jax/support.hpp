@@ -60,12 +60,18 @@ struct Rotated {
 Rotated rotate_axis(xla::Array qx, xla::Array qy, xla::Array qz,
                     xla::Array qw, double v0, double v1, double v2);
 
-/// Wrap a raw buffer as a Literal (copies; the staging costs are charged
-/// by the pipeline's AccelStore, not here).  A null buffer gives zeros,
-/// the stand-in for an absent optional input (flags, HWP angles).
-xla::Literal lit_f64(const double* data, std::int64_t n);
-xla::Literal lit_i64(const std::int64_t* data, std::int64_t n);
+/// Borrow a raw input buffer as a read-only Literal, read in place by the
+/// call (the staging costs are charged by the pipeline's AccelStore, not
+/// here).  A null buffer gives an owned zero array, the stand-in for an
+/// absent optional input (HWP angles).
+xla::Literal borrow(const double* data, std::int64_t n);
+xla::Literal borrow(const std::int64_t* data, std::int64_t n);
+/// Widen 8-bit flags into an owned i64 Literal; null gives zeros.
 xla::Literal lit_u8_as_i64(const std::uint8_t* data, std::int64_t n);
+/// Lend a kernel's output buffer as its donated param: the call updates
+/// it in place.
+xla::Literal donate(double* data, std::int64_t n);
+xla::Literal donate(std::int64_t* data, std::int64_t n);
 
 /// Copy a result Literal back into a raw buffer.
 void store(const xla::Literal& l, double* out);
@@ -78,6 +84,14 @@ std::vector<xla::Literal> pack_args(L... lits) {
   args.reserve(sizeof...(lits));
   (args.push_back(std::move(lits)), ...);
   return args;
+}
+
+/// A padded-view kernel's arguments: the view's three index arrays, then
+/// `lits`.
+template <class... L>
+std::vector<xla::Literal> pack_args(PaddedView view, L... lits) {
+  return pack_args(std::move(view.det_ids), std::move(view.starts),
+                   std::move(view.lens), std::move(lits)...);
 }
 
 /// The calling thread's Jit for kernel `name`.  The first lookup on a
@@ -105,7 +119,8 @@ struct JaxKernel {
   std::vector<int> donated;
   std::vector<int> invariant;
 
-  /// Runs the kernel on `args` and copies its one result to `out`.
+  /// Runs the kernel on `args` and leaves its one result in `out`: in
+  /// place when the result is the donated `out` itself, else copied.
   template <class T>
   void call(core::ExecContext& ctx, const Statics& s,
             std::vector<xla::Literal> args, T* out) const {
@@ -113,7 +128,9 @@ struct JaxKernel {
     const auto result =
         jit.call(ctx.jax(), std::move(args), core::byte_key(s),
                  [this, &s](const Arrays& in) { return graph(s, in); });
-    store(result[0], out);
+    if (result[0].data() != out) {
+      store(result[0], out);
+    }
   }
 };
 

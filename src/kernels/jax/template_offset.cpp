@@ -66,14 +66,14 @@ void template_offset_add_to_signal(std::int64_t step_length,
                                    std::span<const core::Interval> intervals,
                                    std::int64_t n_det, std::int64_t n_samp,
                                    double* signal, core::ExecContext& ctx) {
-  const PaddedView view = make_padded_view(intervals, n_det);
+  PaddedView view = make_padded_view(intervals, n_det);
   if (view.rows == 0 || view.max_len == 0) {
     return;
   }
   add_kernel.call(ctx, {view.max_len, n_samp, step_length, n_amp_det},
-                  pack_args(view.det_ids, view.starts, view.lens,
-                            lit_f64(amplitudes, n_det * n_amp_det),
-                            lit_f64(signal, n_det * n_samp)),
+                  pack_args(std::move(view),
+                            borrow(amplitudes, n_det * n_amp_det),
+                            donate(signal, n_det * n_samp)),
                   signal);
 }
 
@@ -82,14 +82,14 @@ void template_offset_project_signal(
     std::span<const core::Interval> intervals, std::int64_t n_det,
     std::int64_t n_samp, double* amplitudes, std::int64_t n_amp_det,
     core::ExecContext& ctx) {
-  const PaddedView view = make_padded_view(intervals, n_det);
+  PaddedView view = make_padded_view(intervals, n_det);
   if (view.rows == 0 || view.max_len == 0) {
     return;
   }
   project_kernel.call(ctx, {view.max_len, n_samp, step_length, n_amp_det},
-                      pack_args(view.det_ids, view.starts, view.lens,
-                                lit_f64(signal, n_det * n_samp),
-                                lit_f64(amplitudes, n_det * n_amp_det)),
+                      pack_args(std::move(view),
+                                borrow(signal, n_det * n_samp),
+                                donate(amplitudes, n_det * n_amp_det)),
                       amplitudes);
 }
 
@@ -101,7 +101,7 @@ void template_offset_apply_diag_precond(const double* offset_var,
     return;
   }
   precond_kernel.call(
-      ctx, {}, pack_args(lit_f64(amp_in, n_amp), lit_f64(offset_var, n_amp)),
+      ctx, {}, pack_args(borrow(amp_in, n_amp), borrow(offset_var, n_amp)),
       amp_out);
 }
 

@@ -289,6 +289,14 @@ const ShapeReport& shape_report_of(const Compiled& compiled) {
   return *compiled.shape_report;
 }
 
+}  // namespace
+
+std::size_t peak_temp_bytes(const Compiled& compiled) {
+  return shape_report_of(compiled).report.peak_temp_bytes;
+}
+
+namespace {
+
 /// The full report: the cached shape-only part plus this call's
 /// scatter-add lowerings (one per ShapeReport::scatter_adds) folded in SSA
 /// order, then summed into `total`.
@@ -439,9 +447,10 @@ std::vector<Literal> execute(const Compiled& compiled,
     return hit && inv->invariant[i];
   };
 
-  // Params and computed values are owned; constants and kept values are
-  // read in place.  `owned` never resizes, so pointers into it stay
-  // valid.  A value is alive while vals[i] == &owned[i].
+  // Computed values and params (a donated, writable borrow included) are
+  // owned; constants, kept values and read-only borrowed params are read
+  // in place.  `owned` never resizes, so pointers into it stay valid.  A
+  // value is alive while vals[i] == &owned[i].
   const std::size_t n = m.size();
   // Last reader of each value (itself when nothing reads it); skipped
   // instructions read nothing.  Roots, the scatter-add index streams (the
@@ -495,7 +504,12 @@ std::vector<Literal> execute(const Compiled& compiled,
       continue;
     }
     if (in.opcode == Opcode::kParam) {
-      owned[i] = std::move(args[static_cast<std::size_t>(in.i0)]);
+      Literal& arg = args[static_cast<std::size_t>(in.i0)];
+      if (!arg.writable()) {
+        vals[i] = &arg;
+        continue;
+      }
+      owned[i] = std::move(arg);
     } else {
       ops.clear();
       for (const auto op : in.operands) {
@@ -572,9 +586,10 @@ std::vector<Literal> execute(const Compiled& compiled,
     *report = build_report(compiled, lowerings);
   }
 
-  // A root that is a param or computed value is moved out at its last
-  // mention; constants and earlier mentions of a repeated root are
-  // copied.
+  // A root that is an owned param or computed value is moved out at its
+  // last mention (still borrowed when it is held in a donated buffer);
+  // constants, read-only borrows and earlier mentions of a repeated root
+  // are copied.
   std::vector<Literal> outputs;
   outputs.reserve(m.roots.size());
   for (auto r = m.roots.begin(); r != m.roots.end(); ++r) {
@@ -591,7 +606,10 @@ std::vector<Literal> execute(const Compiled& compiled,
     ++reuse->hits;
   } else if (inv != nullptr) {
     for (const auto f : inv->frontier) {
-      reuse->values.push_back(std::move(owned[static_cast<std::size_t>(f)]));
+      // A value held in a donated buffer is copied: the caller owns that
+      // memory once the call returns.
+      Literal& v = owned[static_cast<std::size_t>(f)];
+      reuse->values.push_back(v.borrowed() ? Literal(v) : std::move(v));
       vals[static_cast<std::size_t>(f)] = nullptr;
     }
     reuse->lowerings = std::move(lowerings);

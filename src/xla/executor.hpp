@@ -96,18 +96,29 @@ struct ReuseEntry {
   std::size_t hits = 0;
 };
 
-/// Evaluate the compiled module.  `args` must match module params; they
-/// are owned by the call and, like every computed value, die after their
-/// last reader.  Output buffers are recycled, in order of preference:
+/// Bytes of intermediate buffers a call of `compiled` holds at its peak
+/// (ExecutionReport::peak_temp_bytes): shape-only, so known before the
+/// call runs.
+std::size_t peak_temp_bytes(const Compiled& compiled);
+
+/// Evaluate the compiled module.  `args` must match module params.  An
+/// owned or writable borrowed argument (a donated caller buffer) is owned
+/// by the call and, like every computed value, dies after its last
+/// reader; a scatter whose base is a dead donated buffer thus updates the
+/// caller's memory in place, and a root held in it is returned still
+/// borrowed.  A read-only borrowed argument is read in place, like a
+/// constant: never written, recycled or pooled, and copied when returned
+/// as a root.  Output buffers are recycled, in order of preference:
 ///   1. an elementwise op (or a gather, into its index operand) writes
 ///      over an operand of its dtype and element count that dies there;
 ///   2. a buffer of that dtype and count from `pool`;
 ///   3. a new allocation.
 /// A scatter whose base dies there updates it in place.  Dead values go
-/// back to `pool`, which is first trimmed to the module's buffer
-/// classes.  The report's shape-only part is built once per Compiled and
-/// cached; only the scatter lowering (sortedness, unique targets, warp
-/// conflict rate) is measured per call from the executed index streams.
+/// back to `pool` (borrowed ones are dropped), which is first trimmed to
+/// the module's buffer classes.  The report's shape-only part is built
+/// once per Compiled and cached; only the scatter lowering (sortedness,
+/// unique targets, warp conflict rate) is measured per call from the
+/// executed index streams.
 ///
 /// With a `reuse` entry, an instruction is *invariant* when it is not a
 /// param, constant or root and every param it reads transitively is one

@@ -1,7 +1,8 @@
 #include "xla/jit.hpp"
 
 #include <algorithm>
-
+#include <cstddef>
+#include <functional>
 #include <sstream>
 
 #include "sched/scheduler.hpp"
@@ -120,28 +121,55 @@ const Compiled& Jit::get_or_compile(Runtime& rt,
   return *pos->second;
 }
 
+namespace {
+
+/// Whether the storage of `a` and `b` shares a byte.
+bool overlaps(const Literal& a, const Literal& b) {
+  const auto* a0 = static_cast<const std::byte*>(a.data());
+  const auto* b0 = static_cast<const std::byte*>(b.data());
+  const std::less<const std::byte*> before;
+  return a.byte_size() > 0 && b.byte_size() > 0 &&
+         before(a0, b0 + b.byte_size()) && before(b0, a0 + a.byte_size());
+}
+
+}  // namespace
+
 std::vector<Literal> Jit::call_reported(Runtime& rt, std::vector<Literal> args,
                                         const std::string& static_key,
                                         ExecutionReport& report,
                                         const TracedFn& trace) {
   const Compiled& compiled = get_or_compile(rt, args, static_key, trace);
   // Memory accounting: temporaries live for the duration of the call.
-  // Donated parameter buffers are recycled for outputs.  Summed before
-  // execute() takes the arguments.
+  // Donated parameter buffers are recycled for outputs.
   std::size_t donated_bytes = 0;
   for (const int p : donated_) {
     if (p >= 0 && static_cast<std::size_t>(p) < args.size()) {
       donated_bytes += args[static_cast<std::size_t>(p)].byte_size();
     }
   }
-  std::vector<Literal> outputs =
-      execute(compiled, std::move(args), rt.buffers(), &report,
-              reuse_.params.empty() ? nullptr : &reuse_);
+  // Only a donated param is written in place, and only when no other
+  // argument shares its memory: any other writable borrow is copied.
+  for (std::size_t p = 0; p < args.size(); ++p) {
+    if (!args[p].borrowed() || !args[p].writable()) {
+      continue;
+    }
+    bool copy = std::find(donated_.begin(), donated_.end(),
+                          static_cast<int>(p)) == donated_.end();
+    for (std::size_t q = 0; q < args.size() && !copy; ++q) {
+      copy = q != p && overlaps(args[p], args[q]);
+    }
+    if (copy) {
+      args[p] = Literal(args[p]);
+    }
+  }
 
-  const std::size_t temp =
-      report.peak_temp_bytes > donated_bytes
-          ? report.peak_temp_bytes - donated_bytes
-          : 0;
+  // The capacity check and the launch-fault probe come before execute(),
+  // which may update a donated buffer in place: a call that fails here
+  // leaves the caller's memory as it was.  Both depend only on shapes,
+  // and execute() charges nothing to the clock, so the timeline is the
+  // same as checking after it.
+  const std::size_t peak = peak_temp_bytes(compiled);
+  const std::size_t temp = peak > donated_bytes ? peak - donated_bytes : 0;
   // When preallocation is on the pool already owns the memory; otherwise
   // allocate (and immediately release) against the device to enforce the
   // capacity limit.
@@ -161,6 +189,17 @@ std::vector<Literal> Jit::call_reported(Runtime& rt, std::vector<Literal> args,
     }
     rt.device().deallocate(temp, "xla_temp");
   }
+  if (rt.faults() != nullptr && rt.faults()->armed() && !rt.cpu_backend()) {
+    // Probed before any value is computed, so a persistent launch fault
+    // leaves the device counters and every donated buffer untouched (the
+    // pipeline re-runs the op on the CPU).  Retry penalties land on the
+    // clock here.
+    rt.faults()->attempt_sync(fault::FaultKind::kLaunch, "xla/" + name_,
+                              rt.dispatch_overhead());
+  }
+  std::vector<Literal> outputs =
+      execute(compiled, std::move(args), rt.buffers(), &report,
+              reuse_.params.empty() ? nullptr : &reuse_);
 
   // Charge execution: one dispatch per call, then place the fusion-group
   // DAG onto the runtime's virtual streams (XLA dispatches groups
@@ -168,13 +207,6 @@ std::vector<Literal> Jit::call_reported(Runtime& rt, std::vector<Literal> args,
   // the placement degenerates to the seed's serial sum after the dispatch
   // gap, bit for bit; the whole call is the logged parent span.
   const char* backend_label = rt.cpu_backend() ? "jax-cpu" : "jax";
-  if (rt.faults() != nullptr && rt.faults()->armed() && !rt.cpu_backend()) {
-    // Probed before any group is charged so a persistent launch fault
-    // leaves the device counters untouched (the pipeline re-runs the op
-    // on the CPU).  Retry penalties land on the clock here.
-    rt.faults()->attempt_sync(fault::FaultKind::kLaunch, "xla/" + name_,
-                              rt.dispatch_overhead());
-  }
   const double t_start = rt.clock().now();
   struct GroupCharge {
     std::size_t group;

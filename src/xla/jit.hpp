@@ -118,8 +118,14 @@ class Jit {
   explicit Jit(std::string name, TracedFn fn = {})
       : name_(std::move(name)), fn_(std::move(fn)) {}
 
-  /// Parameters whose device buffers the runtime may recycle for outputs
-  /// (jax.jit donate_argnums).  Affects memory accounting only.
+  /// Parameters whose buffers the call may write (jax.jit donate_argnums).
+  /// Their bytes are subtracted from the temporaries the device must hold
+  /// for the call.  A donated param passed as a writable borrow
+  /// (Literal::borrow_writable) is updated in place, so a functional
+  /// x.at[idx].set/add on it writes straight into the caller's buffer and
+  /// the result comes back holding that memory; one that overlaps any
+  /// other argument's memory is copied first.  A writable borrow at any
+  /// other param is copied too.
   void set_donated_params(std::vector<int> params) {
     donated_ = std::move(params);
   }
@@ -137,8 +143,11 @@ class Jit {
   /// Execute.  `static_key` distinguishes traces that depend on static
   /// (non-array) arguments, e.g. the padded interval length, which reach
   /// a per-call `trace` as its captures.  The call owns `args`: their
-  /// buffers are recycled once dead, so a caller that is done with them
-  /// passes them with std::move.
+  /// owned buffers are recycled once dead, so a caller that is done with
+  /// them passes them with std::move.  Borrowed args are read in place
+  /// (see xla::execute).  The capacity check of the call's temporaries
+  /// and the launch-fault probe run before any value is computed, so a
+  /// call that throws there leaves a donated buffer untouched.
   std::vector<Literal> call(Runtime& rt, std::vector<Literal> args,
                             const std::string& static_key = "",
                             const TracedFn& trace = {});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <type_traits>
 
 namespace toast::xla {
 
@@ -56,6 +57,50 @@ Literal::Literal(Shape shape, DType dtype)
   }
 }
 
+Literal::Literal(const Literal& other)
+    : shape_(other.shape_), dtype_(other.dtype_) {
+  switch (dtype_) {
+    case DType::kF64: {
+      const auto v = other.f64();
+      data_ = std::vector<double>(v.begin(), v.end());
+      break;
+    }
+    case DType::kI64: {
+      const auto v = other.i64();
+      data_ = std::vector<std::int64_t>(v.begin(), v.end());
+      break;
+    }
+    case DType::kPred: {
+      const auto v = other.pred();
+      data_ = std::vector<std::uint8_t>(v.begin(), v.end());
+      break;
+    }
+  }
+}
+
+Literal::Literal(Literal&& other) noexcept
+    : shape_(std::move(other.shape_)),
+      dtype_(other.dtype_),
+      data_(std::move(other.data_)),
+      storage_(std::exchange(other.storage_, Storage::kOwned)),
+      borrowed_(std::exchange(other.borrowed_, nullptr)) {}
+
+Literal& Literal::operator=(const Literal& other) {
+  if (this != &other) {
+    *this = Literal(other);
+  }
+  return *this;
+}
+
+Literal& Literal::operator=(Literal&& other) noexcept {
+  shape_ = std::move(other.shape_);
+  dtype_ = other.dtype_;
+  data_ = std::move(other.data_);
+  storage_ = std::exchange(other.storage_, Storage::kOwned);
+  borrowed_ = std::exchange(other.borrowed_, nullptr);
+  return *this;
+}
+
 Literal Literal::scalar_f64(double v) {
   Literal l(Shape{}, DType::kF64);
   l.f64()[0] = v;
@@ -95,6 +140,49 @@ Literal Literal::from_i64(Shape shape, std::span<const std::int64_t> data) {
   return l;
 }
 
+Literal Literal::borrowed_view(Shape shape, DType dtype, void* data,
+                               std::size_t size, Storage storage) {
+  if (static_cast<std::int64_t>(size) != shape.num_elements()) {
+    throw std::invalid_argument("Literal::borrow: size mismatch");
+  }
+  Literal l;
+  l.shape_ = std::move(shape);
+  l.dtype_ = dtype;
+  l.storage_ = storage;
+  l.borrowed_ = data;
+  return l;
+}
+
+Literal Literal::borrow(Shape shape, std::span<const double> data) {
+  return borrowed_view(std::move(shape), DType::kF64,
+                       const_cast<double*>(data.data()), data.size(),
+                       Storage::kReadOnly);
+}
+
+Literal Literal::borrow(Shape shape, std::span<const std::int64_t> data) {
+  return borrowed_view(std::move(shape), DType::kI64,
+                       const_cast<std::int64_t*>(data.data()), data.size(),
+                       Storage::kReadOnly);
+}
+
+Literal Literal::borrow_writable(Shape shape, std::span<double> data) {
+  return borrowed_view(std::move(shape), DType::kF64, data.data(),
+                       data.size(), Storage::kWritable);
+}
+
+Literal Literal::borrow_writable(Shape shape, std::span<std::int64_t> data) {
+  return borrowed_view(std::move(shape), DType::kI64, data.data(),
+                       data.size(), Storage::kWritable);
+}
+
+const void* Literal::data() const {
+  if (borrowed()) {
+    return borrowed_;
+  }
+  return std::visit([](const auto& v) -> const void* { return v.data(); },
+                    data_);
+}
+
 void Literal::reshape(Shape shape) {
   if (shape.num_elements() != num_elements()) {
     throw std::invalid_argument("Literal::reshape: element count mismatch");
@@ -102,23 +190,36 @@ void Literal::reshape(Shape shape) {
   shape_ = std::move(shape);
 }
 
-std::span<double> Literal::f64() {
-  return std::get<std::vector<double>>(data_);
+template <class T>
+std::span<T> Literal::view(DType dtype, bool write) const {
+  using V = std::vector<std::remove_const_t<T>>;
+  if (!borrowed()) {
+    return const_cast<V&>(std::get<V>(data_));
+  }
+  if (dtype_ != dtype) {
+    throw std::bad_variant_access();
+  }
+  if (write && !writable()) {
+    throw std::logic_error("xla: write to a read-only borrowed literal");
+  }
+  return {static_cast<T*>(borrowed_), static_cast<std::size_t>(num_elements())};
 }
+
+std::span<double> Literal::f64() { return view<double>(DType::kF64, true); }
 std::span<const double> Literal::f64() const {
-  return std::get<std::vector<double>>(data_);
+  return view<const double>(DType::kF64, false);
 }
 std::span<std::int64_t> Literal::i64() {
-  return std::get<std::vector<std::int64_t>>(data_);
+  return view<std::int64_t>(DType::kI64, true);
 }
 std::span<const std::int64_t> Literal::i64() const {
-  return std::get<std::vector<std::int64_t>>(data_);
+  return view<const std::int64_t>(DType::kI64, false);
 }
 std::span<std::uint8_t> Literal::pred() {
-  return std::get<std::vector<std::uint8_t>>(data_);
+  return view<std::uint8_t>(DType::kPred, true);
 }
 std::span<const std::uint8_t> Literal::pred() const {
-  return std::get<std::vector<std::uint8_t>>(data_);
+  return view<const std::uint8_t>(DType::kPred, false);
 }
 
 double Literal::as_double(std::int64_t i) const {
@@ -146,6 +247,9 @@ Literal BufferPool::take(const Shape& shape, DType dtype) {
 }
 
 void BufferPool::give(Literal l) {
+  if (l.borrowed()) {
+    return;
+  }
   free_[{l.dtype(), l.num_elements()}].push_back(std::move(l));
 }
 

@@ -59,17 +59,33 @@ class Shape {
   std::vector<std::int64_t> dims_;
 };
 
-/// A concrete array value: shape + dtype + host storage.
+/// A concrete array value: shape + dtype + host storage.  The storage is
+/// owned, or *borrowed*: caller memory the literal reads in place
+/// (read-only) or may also write (writable: an argument the caller
+/// donates, jax.jit's donate_argnums).  Copying any literal gives an owned
+/// deep copy; moving one keeps its storage, borrowed or not, and leaves
+/// the source owned and empty.
 class Literal {
  public:
   Literal() : dtype_(DType::kF64) {}
   Literal(Shape shape, DType dtype);
+  Literal(const Literal& other);
+  Literal(Literal&& other) noexcept;
+  Literal& operator=(const Literal& other);
+  Literal& operator=(Literal&& other) noexcept;
 
   static Literal scalar_f64(double v);
   static Literal scalar_i64(std::int64_t v);
   static Literal scalar_pred(bool v);
   static Literal from_f64(Shape shape, std::span<const double> data);
   static Literal from_i64(Shape shape, std::span<const std::int64_t> data);
+  /// Read-only views of caller memory, which must outlive the literal and
+  /// hold `shape`'s element count.
+  static Literal borrow(Shape shape, std::span<const double> data);
+  static Literal borrow(Shape shape, std::span<const std::int64_t> data);
+  /// Writable views of caller memory.
+  static Literal borrow_writable(Shape shape, std::span<double> data);
+  static Literal borrow_writable(Shape shape, std::span<std::int64_t> data);
 
   const Shape& shape() const { return shape_; }
   DType dtype() const { return dtype_; }
@@ -77,11 +93,18 @@ class Literal {
   std::size_t byte_size() const {
     return static_cast<std::size_t>(num_elements()) * dtype_size(dtype_);
   }
+  bool borrowed() const { return storage_ != Storage::kOwned; }
+  /// Owned storage and writable borrows may be written.
+  bool writable() const { return storage_ != Storage::kReadOnly; }
+  /// The first byte of the storage.
+  const void* data() const;
 
   /// Reinterpret the storage as `shape`, which must hold as many
   /// elements.
   void reshape(Shape shape);
 
+  /// Typed views of the storage; the mutable ones throw std::logic_error
+  /// on a read-only borrow.
   std::span<double> f64();
   std::span<const double> f64() const;
   std::span<std::int64_t> i64();
@@ -93,11 +116,20 @@ class Literal {
   double as_double(std::int64_t i) const;
 
  private:
+  enum class Storage : std::uint8_t { kOwned, kReadOnly, kWritable };
+
+  static Literal borrowed_view(Shape shape, DType dtype, void* data,
+                               std::size_t size, Storage storage);
+  template <class T>
+  std::span<T> view(DType dtype, bool write) const;
+
   Shape shape_;
   DType dtype_;
   std::variant<std::vector<double>, std::vector<std::int64_t>,
                std::vector<std::uint8_t>>
       data_;
+  Storage storage_ = Storage::kOwned;
+  void* borrowed_ = nullptr;  // the caller memory, when borrowed
 };
 
 /// A (dtype, element count) buffer class and how many buffers of it a
@@ -118,7 +150,8 @@ class BufferPool {
   /// buffer of that dtype and element count when one is free, else a new
   /// one.
   Literal take(const Shape& shape, DType dtype);
-  /// Keep the buffer of `l` for a later take().
+  /// Keep the buffer of `l` for a later take().  A borrowed literal is
+  /// dropped: its memory belongs to the caller.
   void give(Literal l);
   /// Drop every buffer of a class not listed in `keep`, and all but
   /// `keep` buffers of each listed class.

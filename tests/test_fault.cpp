@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -404,10 +405,11 @@ TEST(FaultRecovery, PersistentLaunchFaultsFallBackToCpu) {
 }
 
 TEST(FaultRecovery, PersistentLaunchFaultOnJaxLeavesProductsUntouched) {
-  // A jitted kernel probes for launch faults after computing its values
-  // but before it charges a fusion group or writes a result back: under a
-  // probability-1 plan scan_map raises, the host signal keeps its input
-  // bits, and a second run of the same plan ends on the same clock.
+  // A jitted kernel probes for launch faults before it computes any value
+  // (its donated signal is updated in place once it runs) or charges a
+  // fusion group: under a probability-1 plan scan_map raises, the host
+  // signal keeps its input bits, and a second run of the same plan ends
+  // on the same clock.
   const std::int64_t n_det = 2;
   const std::int64_t n_samp = 64;
   const std::int64_t nnz = 3;
@@ -462,6 +464,92 @@ TEST(FaultRecovery, PersistentLaunchFaultOnJaxLeavesProductsUntouched) {
   EXPECT_DOUBLE_EQ(a.counters.at("fault_persistent"), 1.0);
   EXPECT_GT(a.counters.at("fault_launch_retries"), 0.0);
   EXPECT_EQ(a.counters, b.counters);
+  EXPECT_GT(a.virtual_s, 0.0);
+  EXPECT_EQ(a.virtual_s, b.virtual_s);
+}
+
+namespace {
+
+/// One build_noise_weighted call on a device too small for its
+/// temporaries: whether it raised DeviceOomError, the donated zmap after
+/// it and the clock it ended on.
+struct OverCapacityRun {
+  bool raised = false;
+  std::vector<double> zmap;
+  double virtual_s = 0.0;
+};
+
+const std::vector<double>& over_capacity_zmap() {
+  static const std::vector<double> zmap = [] {
+    std::vector<double> z(48 * 3);
+    for (std::size_t i = 0; i < z.size(); ++i) {
+      z[i] = 0.375 * static_cast<double>(i % 5) - 0.25;
+    }
+    return z;
+  }();
+  return zmap;
+}
+
+OverCapacityRun run_over_capacity() {
+  const std::int64_t n_det = 2;
+  const std::int64_t n_samp = 64;
+  const std::int64_t nnz = 3;
+  const std::int64_t n_pix = 48;
+  const std::vector<core::Interval> intervals = {{0, 30}, {34, 64}};
+  std::vector<std::int64_t> pixels(static_cast<std::size_t>(n_det * n_samp));
+  for (std::size_t i = 0; i < pixels.size(); ++i) {
+    pixels[i] = static_cast<std::int64_t>(i * 7) % n_pix;
+  }
+  const std::vector<double> weights(
+      static_cast<std::size_t>(nnz * n_det * n_samp), 0.5);
+  std::vector<double> signal(static_cast<std::size_t>(n_det * n_samp));
+  for (std::size_t i = 0; i < signal.size(); ++i) {
+    signal[i] = static_cast<double>(i) * 0.125;
+  }
+  const std::vector<double> det_scale = {1.0, 0.5};
+
+  // Cold JIT caches, so both runs pay the same compile charge.
+  toast::kernels::jax::clear_jit_caches();
+  core::ExecConfig cfg;
+  cfg.backend = core::Backend::kJax;
+  cfg.device_spec.memory_bytes = 4096.0;
+  core::ExecContext ctx(cfg);
+  OverCapacityRun r;
+  r.zmap = over_capacity_zmap();
+  try {
+    toast::kernels::jax::build_noise_weighted(
+        pixels.data(), weights.data(), n_pix, nnz, signal.data(),
+        det_scale.data(), nullptr, 0, intervals, n_det, n_samp,
+        r.zmap.data(), ctx);
+  } catch (const DeviceOomError& e) {
+    r.raised = true;
+    EXPECT_FALSE(e.info().injected);
+    EXPECT_EQ(e.info().capacity_bytes, 4096u);
+  }
+  r.virtual_s = ctx.elapsed();
+  return r;
+}
+
+}  // namespace
+
+TEST(FaultRecovery, JaxCallOverCapacityLeavesDonatedBufferUntouched) {
+  // The capacity check of a jitted call's temporaries runs before any
+  // value is computed, so the zmap the call would update in place keeps
+  // its input bits.
+  const OverCapacityRun r = run_over_capacity();
+  EXPECT_TRUE(r.raised);
+  const auto& zmap = over_capacity_zmap();
+  ASSERT_EQ(r.zmap.size(), zmap.size());
+  EXPECT_EQ(std::memcmp(r.zmap.data(), zmap.data(),
+                        zmap.size() * sizeof(double)),
+            0);
+}
+
+TEST(FaultRecovery, JaxCallOverCapacityEndsOnTheSameClock) {
+  const OverCapacityRun a = run_over_capacity();
+  const OverCapacityRun b = run_over_capacity();
+  EXPECT_TRUE(a.raised);
+  EXPECT_TRUE(b.raised);
   EXPECT_GT(a.virtual_s, 0.0);
   EXPECT_EQ(a.virtual_s, b.virtual_s);
 }

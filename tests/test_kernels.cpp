@@ -17,6 +17,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "healpix/healpix.hpp"
@@ -113,10 +114,35 @@ void expect_equal_i(const std::vector<std::int64_t>& a,
   }
 }
 
+/// Bitwise equality of an input buffer before and after a call that only
+/// reads it.
+template <class T>
+void expect_untouched(const std::vector<T>& now, const std::vector<T>& before,
+                      const char* what) {
+  ASSERT_EQ(now.size(), before.size()) << what;
+  EXPECT_EQ(std::memcmp(now.data(), before.data(), now.size() * sizeof(T)), 0)
+      << what << " changed";
+}
+
+/// Every TestData buffer keeps its bits (each is a const kernel input or
+/// the source of a caller-owned output copy).
+void expect_inputs_untouched(const TestData& now, const TestData& before) {
+  expect_untouched(now.fp_quats, before.fp_quats, "fp_quats");
+  expect_untouched(now.boresight, before.boresight, "boresight");
+  expect_untouched(now.quats, before.quats, "quats");
+  expect_untouched(now.flags, before.flags, "flags");
+  expect_untouched(now.hwp, before.hwp, "hwp");
+  expect_untouched(now.pol_eff, before.pol_eff, "pol_eff");
+  expect_untouched(now.signal, before.signal, "signal");
+  expect_untouched(now.pixels, before.pixels, "pixels");
+  expect_untouched(now.weights, before.weights, "weights");
+}
+
 }  // namespace
 
 TEST(KernelEquivalence, PointingDetector) {
   TestData d;
+  const TestData before = d;
   auto ctx_cpu = make_ctx(Backend::kCpu);
   auto ctx_omp = make_ctx(Backend::kOmpTarget);
   auto ctx_jax = make_ctx(Backend::kJax);
@@ -137,6 +163,7 @@ TEST(KernelEquivalence, PointingDetector) {
   k::jax::pointing_detector(d.fp_quats.data(), d.boresight.data(),
                             d.flags.data(), 1, d.intervals, d.n_det,
                             d.n_samp, out_jax.data(), ctx_jax);
+  expect_inputs_untouched(d, before);
 
   expect_equal(out_cpu, out_omp_dev, "omp-device");
   expect_equal(out_cpu, out_omp_host, "omp-host");
@@ -149,6 +176,7 @@ class PixelsHealpixEquivalence
 TEST_P(PixelsHealpixEquivalence, AllBackendsAgree) {
   const auto [nside, nest] = GetParam();
   TestData d;
+  const TestData before = d;
   // Use realistic pointing: detector quaternions from the test data are
   // already random rotations covering the sphere.
   auto ctx_cpu = make_ctx(Backend::kCpu);
@@ -171,6 +199,7 @@ TEST_P(PixelsHealpixEquivalence, AllBackendsAgree) {
   k::jax::pixels_healpix(d.quats.data(), d.flags.data(), 1, nside, nest,
                          d.intervals, d.n_det, d.n_samp, out_jax.data(),
                          ctx_jax);
+  expect_inputs_untouched(d, before);
 
   expect_equal_i(out_cpu, out_omp, "omp-device");
   expect_equal_i(out_cpu, out_host, "omp-host");
@@ -197,6 +226,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(KernelEquivalence, StokesWeightsIqu) {
   TestData d;
+  const TestData before = d;
   auto ctx_cpu = make_ctx(Backend::kCpu);
   auto ctx_omp = make_ctx(Backend::kOmpTarget);
   auto ctx_jax = make_ctx(Backend::kJax);
@@ -216,6 +246,7 @@ TEST(KernelEquivalence, StokesWeightsIqu) {
   k::jax::stokes_weights_iqu(d.quats.data(), d.hwp.data(), d.pol_eff.data(),
                              d.intervals, d.n_det, d.n_samp, out_jax.data(),
                              ctx_jax);
+  expect_inputs_untouched(d, before);
 
   expect_equal(out_cpu, out_omp, "omp-device");
   expect_equal(out_cpu, out_host, "omp-host");
@@ -241,6 +272,7 @@ TEST(KernelEquivalence, StokesWeightsIqu) {
 
 TEST(KernelEquivalence, StokesWeightsIquNoHwp) {
   TestData d;
+  const TestData before = d;
   auto ctx_cpu = make_ctx(Backend::kCpu);
   auto ctx_jax = make_ctx(Backend::kJax);
   const std::size_t n = static_cast<std::size_t>(3 * d.n_det * d.n_samp);
@@ -250,11 +282,13 @@ TEST(KernelEquivalence, StokesWeightsIquNoHwp) {
   k::jax::stokes_weights_iqu(d.quats.data(), nullptr, d.pol_eff.data(),
                              d.intervals, d.n_det, d.n_samp, out_jax.data(),
                              ctx_jax);
+  expect_inputs_untouched(d, before);
   expect_equal(out_cpu, out_jax, "jax-nohwp");
 }
 
 TEST(KernelEquivalence, StokesWeightsI) {
   TestData d;
+  const TestData before = d;
   auto ctx_cpu = make_ctx(Backend::kCpu);
   auto ctx_omp = make_ctx(Backend::kOmpTarget);
   auto ctx_jax = make_ctx(Backend::kJax);
@@ -265,6 +299,7 @@ TEST(KernelEquivalence, StokesWeightsI) {
                            ctx_omp, true);
   k::jax::stokes_weights_i(d.intervals, d.n_det, d.n_samp, out_jax.data(),
                            ctx_jax);
+  expect_inputs_untouched(d, before);
   expect_equal(out_cpu, out_omp, "omp");
   expect_equal(out_cpu, out_jax, "jax");
   // Outside the intervals the buffer is untouched (sample 205 is in the
@@ -274,12 +309,14 @@ TEST(KernelEquivalence, StokesWeightsI) {
 
 TEST(KernelEquivalence, ScanMap) {
   TestData d;
+  const TestData before = d;
   const std::int64_t nside = 16, nnz = 3;
   const std::int64_t n_pix = 12 * nside * nside;
   std::vector<double> sky(static_cast<std::size_t>(n_pix * nnz));
   std::mt19937 gen(5);
   std::normal_distribution<double> nd(0.0, 1.0);
   for (auto& v : sky) v = nd(gen);
+  const std::vector<double> sky_before = sky;
 
   auto ctx_cpu = make_ctx(Backend::kCpu);
   auto ctx_omp = make_ctx(Backend::kOmpTarget);
@@ -298,6 +335,8 @@ TEST(KernelEquivalence, ScanMap) {
   k::jax::scan_map(sky.data(), n_pix, nnz, d.pixels.data(), d.weights.data(),
                    1.25, d.intervals, d.n_det, d.n_samp, sig_jax.data(),
                    ctx_jax);
+  expect_inputs_untouched(d, before);
+  expect_untouched(sky, sky_before, "sky map");
   expect_equal(sig_cpu, sig_omp, "omp-device");
   expect_equal(sig_cpu, sig_host, "omp-host");
   expect_equal(sig_cpu, sig_jax, "jax");
@@ -305,6 +344,7 @@ TEST(KernelEquivalence, ScanMap) {
 
 TEST(KernelEquivalence, NoiseWeight) {
   TestData d;
+  const TestData before = d;
   const std::vector<double> det_w = {0.5, 2.0, 1.5};
   auto ctx_cpu = make_ctx(Backend::kCpu);
   auto ctx_omp = make_ctx(Backend::kOmpTarget);
@@ -315,12 +355,15 @@ TEST(KernelEquivalence, NoiseWeight) {
                        s_omp.data(), ctx_omp, true);
   k::jax::noise_weight(det_w.data(), d.intervals, d.n_det, d.n_samp,
                        s_jax.data(), ctx_jax);
+  expect_inputs_untouched(d, before);
+  expect_untouched(det_w, std::vector<double>{0.5, 2.0, 1.5}, "det weights");
   expect_equal(s_cpu, s_omp, "omp");
   expect_equal(s_cpu, s_jax, "jax");
 }
 
 TEST(KernelEquivalence, BuildNoiseWeighted) {
   TestData d;
+  const TestData before = d;
   const std::int64_t nside = 16, nnz = 3;
   const std::int64_t n_pix = 12 * nside * nside;
   const std::vector<double> det_scale = {1.0, 0.8, 1.2};
@@ -347,6 +390,9 @@ TEST(KernelEquivalence, BuildNoiseWeighted) {
                                d.signal.data(), det_scale.data(),
                                d.flags.data(), 1, d.intervals, d.n_det,
                                d.n_samp, z_jax.data(), ctx_jax);
+  expect_inputs_untouched(d, before);
+  expect_untouched(det_scale, std::vector<double>{1.0, 0.8, 1.2},
+                   "det scale");
   expect_equal(z_cpu, z_omp, "omp-device");
   expect_equal(z_cpu, z_host, "omp-host");
   expect_equal(z_cpu, z_jax, "jax");
@@ -358,6 +404,7 @@ constexpr std::int64_t kOffsetSteps[] = {1, 32, 300};
 
 TEST(KernelEquivalence, TemplateOffsetAddToSignal) {
   TestData d;
+  const TestData before = d;
   for (const std::int64_t step : kOffsetSteps) {
     SCOPED_TRACE("step " + std::to_string(step));
     const std::int64_t n_amp_det = (d.n_samp + step - 1) / step;
@@ -365,6 +412,7 @@ TEST(KernelEquivalence, TemplateOffsetAddToSignal) {
     std::mt19937 gen(9);
     std::normal_distribution<double> nd(0.0, 1.0);
     for (auto& v : amps) v = nd(gen);
+    const std::vector<double> amps_before = amps;
 
     auto ctx_cpu = make_ctx(Backend::kCpu);
     auto ctx_omp = make_ctx(Backend::kOmpTarget);
@@ -382,6 +430,8 @@ TEST(KernelEquivalence, TemplateOffsetAddToSignal) {
     k::jax::template_offset_add_to_signal(step, amps.data(), n_amp_det,
                                           d.intervals, d.n_det, d.n_samp,
                                           s_jax.data(), ctx_jax);
+    expect_inputs_untouched(d, before);
+    expect_untouched(amps, amps_before, "amplitudes");
     expect_equal(s_cpu, s_omp, "omp-device");
     expect_equal(s_cpu, s_host, "omp-host");
     expect_equal(s_cpu, s_jax, "jax");
@@ -390,6 +440,7 @@ TEST(KernelEquivalence, TemplateOffsetAddToSignal) {
 
 TEST(KernelEquivalence, TemplateOffsetProjectSignal) {
   TestData d;
+  const TestData before = d;
   for (const std::int64_t step : kOffsetSteps) {
     SCOPED_TRACE("step " + std::to_string(step));
     const std::int64_t n_amp_det = (d.n_samp + step - 1) / step;
@@ -416,6 +467,7 @@ TEST(KernelEquivalence, TemplateOffsetProjectSignal) {
     k::jax::template_offset_project_signal(step, d.signal.data(), d.intervals,
                                            d.n_det, d.n_samp, a_jax.data(),
                                            n_amp_det, ctx_jax);
+    expect_inputs_untouched(d, before);
     expect_equal(a_cpu, a_omp, "omp-device");
     expect_equal(a_cpu, a_host, "omp-host");
     expect_equal(a_cpu, a_jax, "jax");
@@ -429,6 +481,7 @@ TEST(KernelEquivalence, TemplateOffsetPrecond) {
   std::uniform_real_distribution<double> ud(0.1, 2.0);
   for (auto& v : var) v = ud(gen);
   for (auto& v : in) v = ud(gen);
+  const std::vector<double> var_before = var, in_before = in;
 
   auto ctx_cpu = make_ctx(Backend::kCpu);
   auto ctx_omp = make_ctx(Backend::kOmpTarget);
@@ -439,8 +492,32 @@ TEST(KernelEquivalence, TemplateOffsetPrecond) {
                                              o_omp.data(), ctx_omp, true);
   k::jax::template_offset_apply_diag_precond(var.data(), in.data(), n,
                                              o_jax.data(), ctx_jax);
+  expect_untouched(var, var_before, "offset variance");
+  expect_untouched(in, in_before, "amplitudes");
   expect_equal(o_cpu, o_omp, "omp");
   expect_equal(o_cpu, o_jax, "jax");
+}
+
+TEST(KernelArgs, InputsAreBorrowedAndOutputsDonated) {
+  // The ports hand their inputs to the call as read-only views and their
+  // output as a writable one: no argument is copied.
+  std::vector<double> in = {1.0, 2.0, 3.0};
+  std::vector<std::int64_t> pix = {4, 5};
+  const auto a = k::jax::borrow(std::as_const(in).data(), 3);
+  const auto b = k::jax::borrow(std::as_const(pix).data(), 2);
+  const auto c = k::jax::donate(in.data(), 3);
+  const auto e = k::jax::donate(pix.data(), 2);
+  EXPECT_EQ(a.data(), in.data());
+  EXPECT_EQ(b.data(), pix.data());
+  EXPECT_EQ(c.data(), in.data());
+  EXPECT_EQ(e.data(), pix.data());
+  EXPECT_TRUE(a.borrowed() && b.borrowed() && c.borrowed() && e.borrowed());
+  EXPECT_FALSE(a.writable() || b.writable());
+  EXPECT_TRUE(c.writable() && e.writable());
+  // An absent optional input is an owned zero array.
+  const auto absent = k::jax::borrow(static_cast<const double*>(nullptr), 3);
+  EXPECT_FALSE(absent.borrowed());
+  EXPECT_EQ(absent.f64()[2], 0.0);
 }
 
 TEST(KernelBehaviour, JaxPaysForPadding) {

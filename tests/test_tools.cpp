@@ -1,9 +1,15 @@
 // Tests of the loc counter and the timing CSV merge tooling.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "core/timing.hpp"
 #include "tools/loc.hpp"
@@ -134,4 +140,86 @@ TEST(Timing, MergeLogsAcrossRanks) {
   EXPECT_EQ(a.calls("k"), 2);
   EXPECT_DOUBLE_EQ(a.seconds("other"), 4.0);
   EXPECT_NEAR(a.total_seconds(), 7.0, 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// The toast_timing_merge CLI.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct CliResult {
+  int code = -1;
+  std::string out;
+};
+
+/// A scratch file of this process, so tests running side by side never
+/// share one.
+std::string temp_path(const std::string& name) {
+  return testing::TempDir() + "timing_merge_" + std::to_string(getpid()) +
+         "_" + name;
+}
+
+/// Runs toast_timing_merge with `args`; stdout is captured, stderr
+/// discarded.
+CliResult run_timing_merge(const std::string& args) {
+  const std::string out = temp_path("stdout.txt");
+  const int status =
+      std::system((std::string(TOAST_TIMING_MERGE_BIN) + " " + args + " > " +
+                   out + " 2> /dev/null")
+                      .c_str());
+  std::ifstream in(out);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::remove(out.c_str());
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, text.str()};
+}
+
+}  // namespace
+
+TEST(TimingMerge, NoArgumentsExitsTwo) {
+  EXPECT_EQ(run_timing_merge("").code, 2);
+}
+
+TEST(TimingMerge, UnreadableOrMalformedCsvExitsOne) {
+  const std::string good = temp_path("good.csv");
+  accel::TimeLog log;
+  log.add("k", 1.0);
+  core::write_timing_csv(log, good);
+  EXPECT_EQ(run_timing_merge(good + " " + temp_path("missing.csv")).code, 1);
+  const std::string no_commas = temp_path("no_commas.csv");
+  std::ofstream(no_commas) << "category,calls,seconds\nk 1 2.5\n";
+  EXPECT_EQ(run_timing_merge(good + " " + no_commas).code, 1);
+  const std::string bad_number = temp_path("bad_number.csv");
+  std::ofstream(bad_number) << "category,calls,seconds\nk,one,2.5\n";
+  EXPECT_EQ(run_timing_merge(bad_number).code, 1);
+  for (const auto& f : {good, no_commas, bad_number}) {
+    std::remove(f.c_str());
+  }
+}
+
+TEST(TimingMerge, MergesTwoRunsLikeCompareTimings) {
+  accel::TimeLog cpu;
+  cpu.add("scan_map", 10.0);
+  cpu.add("scan_map", 2.0);
+  cpu.add("noise_weight", 3.0);
+  accel::TimeLog gpu;
+  gpu.add("scan_map", 1.5);
+  gpu.add("noise_weight", 0.75);
+  gpu.add("jit_compile", 0.5);
+  const std::string a = temp_path("cpu.csv");
+  const std::string b = temp_path("gpu.csv");
+  core::write_timing_csv(cpu, a);
+  core::write_timing_csv(gpu, b);
+
+  const CliResult r = run_timing_merge(a + " " + b);
+  ASSERT_EQ(r.code, 0);
+  const auto cmp = core::compare_timings(
+      {{a, core::read_timing_csv_file(a)}, {b, core::read_timing_csv_file(b)}});
+  EXPECT_EQ(r.out, cmp.to_table() + "\nCSV:\n" + cmp.to_csv());
+  // The speedup column: the first run's seconds over the second's.
+  EXPECT_NE(r.out.find("scan_map,12,1.5,8"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("noise_weight,3,0.75,4"), std::string::npos) << r.out;
+  std::remove(a.c_str());
+  std::remove(b.c_str());
 }

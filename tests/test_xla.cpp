@@ -12,6 +12,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -493,6 +494,37 @@ TEST(XlaLiteral, TypedAccessAndValidation) {
   EXPECT_THROW(Literal::from_f64(Shape{3}, std::vector<double>{1.0}),
                std::invalid_argument);
   EXPECT_THROW(Shape({1, 2, 3}), std::invalid_argument);
+}
+
+TEST(XlaLiteral, BorrowedCopiesAreOwnedAndMovesStayBorrowed) {
+  std::vector<double> memory = {1.0, 2.0, 3.0};
+  const Literal view = Literal::borrow(Shape{3}, std::as_const(memory));
+  EXPECT_TRUE(view.borrowed());
+  EXPECT_FALSE(view.writable());
+  EXPECT_EQ(view.data(), memory.data());
+  Literal read_only = view;
+  EXPECT_FALSE(read_only.borrowed());
+  EXPECT_NE(read_only.data(), memory.data());
+  memory[0] = 7.0;
+  EXPECT_EQ(read_only.f64()[0], 1.0);
+  EXPECT_EQ(view.f64()[0], 7.0);
+  Literal unwritable = Literal::borrow(Shape{3}, std::as_const(memory));
+  EXPECT_THROW(unwritable.f64(), std::logic_error);
+
+  Literal donated = Literal::borrow_writable(Shape{3}, std::span(memory));
+  Literal moved = std::move(donated);
+  EXPECT_TRUE(moved.borrowed());
+  EXPECT_TRUE(moved.writable());
+  EXPECT_EQ(moved.data(), memory.data());
+  moved.f64()[1] = 5.0;
+  EXPECT_EQ(memory[1], 5.0);
+  EXPECT_THROW(Literal::borrow(Shape{2}, std::as_const(memory)),
+               std::invalid_argument);
+
+  xla::BufferPool pool;
+  pool.give(std::move(moved));
+  pool.give(Literal::borrow(Shape{3}, std::as_const(memory)));
+  EXPECT_EQ(pool.buffers(), 0u);
 }
 
 TEST(XlaEval, ParamOnlyAndConstantOnlyRoots) {
@@ -1919,6 +1951,231 @@ TEST(XlaReuse, ClearCacheDropsTheEntry) {
   EXPECT_TRUE(same_bits(out[0], expected[0]));
   jit.call(f.rt, args);
   EXPECT_EQ(jit.reuse_hits(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Borrowed arguments: a read-only borrow is read in place and never
+// written; a donated (writable) borrow is updated in place.  Each case is
+// compared bitwise with the same call on owned copies of the arguments,
+// on a fresh Runtime and on one whose pool starts poisoned.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+bool is_donated(const std::vector<int>& donated, std::size_t p) {
+  return std::find(donated.begin(), donated.end(), static_cast<int>(p)) !=
+         donated.end();
+}
+
+/// Views of `memory`, the caller's buffers: a writable borrow at each
+/// donated param, a read-only borrow elsewhere.
+std::vector<Literal> views(std::vector<Literal>& memory,
+                           const std::vector<int>& donated) {
+  std::vector<Literal> args;
+  for (std::size_t p = 0; p < memory.size(); ++p) {
+    Literal& m = memory[p];
+    const bool writable = is_donated(donated, p);
+    if (m.dtype() == DType::kF64) {
+      args.push_back(writable
+                         ? Literal::borrow_writable(m.shape(), m.f64())
+                         : Literal::borrow(m.shape(), std::as_const(m).f64()));
+    } else {
+      args.push_back(writable
+                         ? Literal::borrow_writable(m.shape(), m.i64())
+                         : Literal::borrow(m.shape(), std::as_const(m).i64()));
+    }
+  }
+  return args;
+}
+
+/// One call on borrowed views: the caller's buffers and the outputs,
+/// which may hold them.
+struct BorrowedCall {
+  std::vector<Literal> memory;
+  std::vector<Literal> out;
+};
+
+/// `fn`, donating `donated`, on views of copies of `inputs`: on a fresh
+/// Runtime, then twice on one whose pool starts poisoned.  Every call
+/// gives the bits of the same call on owned copies of `inputs` and leaves
+/// every read-only buffer as it was.  Returns the fresh-Runtime call.
+BorrowedCall call_borrowed(const xla::TracedFn& fn,
+                           const std::vector<Literal>& inputs,
+                           const std::vector<int>& donated) {
+  xla::Jit owned("borrow", fn);
+  owned.set_donated_params(donated);
+  Fixture plain;
+  const auto expected = owned.call(plain.rt, inputs);
+  const auto check = [&](const BorrowedCall& c, const std::string& what) {
+    ASSERT_EQ(c.out.size(), expected.size()) << what;
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+      EXPECT_TRUE(same_bits(c.out[k], expected[k])) << what << " root " << k;
+    }
+    for (std::size_t p = 0; p < inputs.size(); ++p) {
+      if (!is_donated(donated, p)) {
+        EXPECT_TRUE(same_bits(c.memory[p], inputs[p]))
+            << what << " argument " << p;
+      }
+    }
+  };
+  xla::Jit jit("borrow", fn);
+  jit.set_donated_params(donated);
+  BorrowedCall first;
+  first.memory = inputs;
+  Fixture fresh;
+  first.out = jit.call(fresh.rt, views(first.memory, donated));
+  check(first, "fresh");
+  Fixture poisoned;
+  poison(poisoned.rt.buffers(), *jit.lookup(inputs));
+  for (int call = 0; call < 2; ++call) {
+    BorrowedCall c;
+    c.memory = inputs;
+    c.out = jit.call(poisoned.rt, views(c.memory, donated));
+    check(c, "poisoned call " + std::to_string(call));
+  }
+  return first;
+}
+
+}  // namespace
+
+TEST(XlaBorrow, ReadOnlyParamDyingAtAnElementwiseOpKeepsItsBits) {
+  // An owned in[0] would be written over by the multiply it dies at.
+  const xla::TracedFn fn = [](const std::vector<Array>& in) {
+    return std::vector<Array>{in[0] * 2.0 + in[1]};
+  };
+  const BorrowedCall c = call_borrowed(
+      fn, {vec({0.5, -1.0, 2.0, 3.5}), vec({1.0, 0.25, -3.0, 8.0})}, {});
+  ASSERT_EQ(c.out.size(), 1u);
+  EXPECT_FALSE(c.out[0].borrowed());
+  EXPECT_NE(c.out[0].data(), c.memory[0].data());
+  EXPECT_NE(c.out[0].data(), c.memory[1].data());
+  EXPECT_EQ(values(c.out[0]), (std::vector<double>{2.0, -1.75, 1.0, 15.0}));
+}
+
+TEST(XlaBorrow, DonatedBaseIsScatteredInPlace) {
+  // A scatter chain over the donated base, each base read by a gather
+  // before it dies at the next scatter (the kernels' x.at[idx] pattern):
+  // the result is the caller's buffer, updated in place.
+  const xla::TracedFn fn = [](const std::vector<Array>& in) {
+    const Array s = xla::scatter_add(in[0], in[1], in[2]);
+    return std::vector<Array>{
+        xla::scatter_set(s, in[1], xla::gather(s, in[1]) * 2.0)};
+  };
+  const BorrowedCall c = call_borrowed(
+      fn,
+      {vec({1.0, 2.0, 3.0, 4.0}), ivec({3, 0, 3, 7}),
+       vec({10.0, 20.0, 30.0, 40.0})},
+      {0});
+  ASSERT_EQ(c.out.size(), 1u);
+  EXPECT_TRUE(c.out[0].borrowed());
+  EXPECT_TRUE(c.out[0].writable());
+  EXPECT_EQ(c.out[0].data(), c.memory[0].data());
+  // s = {21, 2, 3, 44}; lane 3 gathers the clamped s[3].
+  EXPECT_EQ(values(c.memory[0]), (std::vector<double>{42.0, 2.0, 3.0, 88.0}));
+}
+
+TEST(XlaBorrow, DonatedParamDyingBeforeTheRootNeverEntersThePool) {
+  // The add writes over the donated in[0] and dies at the reduction: its
+  // buffer is the caller's, so the pool must drop it.
+  const xla::TracedFn fn = [](const std::vector<Array>& in) {
+    return std::vector<Array>{xla::reduce_sum(in[0] + 1.0)};
+  };
+  const std::vector<Literal> inputs = {vec({0.5, -1.0, 2.0, 3.5})};
+  const BorrowedCall c = call_borrowed(fn, inputs, {0});
+  EXPECT_EQ(values(c.out[0]), (std::vector<double>{9.0}));
+
+  xla::Jit jit("borrow", fn);
+  jit.set_donated_params({0});
+  Fixture f;
+  std::vector<Literal> memory = inputs;
+  jit.call(f.rt, views(memory, {0}));
+  std::vector<Literal> taken;
+  for (std::size_t k = 0; k <= f.rt.buffers().buffers(); ++k) {
+    taken.push_back(f.rt.buffers().take(Shape{4}, DType::kF64));
+    EXPECT_NE(taken.back().data(), memory[0].data());
+  }
+}
+
+TEST(XlaBorrow, DonatedParamAliasingAReadOnlyArgumentIsCopied) {
+  // in[1] views the donated in[0]'s memory and is read after the
+  // scatter: updating in[0] in place would change what it reads.
+  const xla::TracedFn fn = [](const std::vector<Array>& in) {
+    const Array s = xla::scatter_add(in[0], in[2], in[3]);
+    return std::vector<Array>{s, in[1] * 2.0};
+  };
+  const std::vector<Literal> inputs = {
+      vec({1.0, 2.0, 3.0, 4.0}), vec({1.0, 2.0, 3.0, 4.0}), ivec({3, 0, 3}),
+      vec({10.0, 20.0, 30.0})};
+  xla::Jit owned("alias", fn);
+  owned.set_donated_params({0});
+  Fixture plain;
+  const auto expected = owned.call(plain.rt, inputs);
+  xla::Jit jit("alias", fn);
+  jit.set_donated_params({0});
+  Fixture fresh;
+  Fixture poisoned;
+  poison(poisoned.rt.buffers(), *owned.lookup(inputs));
+  for (Fixture* f : {&fresh, &poisoned}) {
+    std::vector<Literal> memory = {inputs[0], inputs[2], inputs[3]};
+    std::vector<Literal> args;
+    args.push_back(Literal::borrow_writable(Shape{4}, memory[0].f64()));
+    args.push_back(Literal::borrow(Shape{4}, std::as_const(memory[0]).f64()));
+    args.push_back(Literal::borrow(Shape{3}, std::as_const(memory[1]).i64()));
+    args.push_back(Literal::borrow(Shape{3}, std::as_const(memory[2]).f64()));
+    const auto out = jit.call(f->rt, std::move(args));
+    ASSERT_EQ(out.size(), 2u);
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      EXPECT_TRUE(same_bits(out[k], expected[k])) << "root " << k;
+      EXPECT_NE(out[k].data(), memory[0].data()) << "root " << k;
+    }
+    EXPECT_TRUE(same_bits(memory[0], inputs[0]));
+  }
+  EXPECT_EQ(values(expected[0]), (std::vector<double>{21.0, 2.0, 3.0, 44.0}));
+  EXPECT_EQ(values(expected[1]), (std::vector<double>{2.0, 4.0, 6.0, 8.0}));
+}
+
+TEST(XlaBorrow, ReadOnlyParamRootComesBackOwned) {
+  const xla::TracedFn fn = [](const std::vector<Array>& in) {
+    return std::vector<Array>{in[0], in[1] + 1.0};
+  };
+  BorrowedCall c =
+      call_borrowed(fn, {vec({0.5, -1.0, 2.0}), vec({4.0, 5.0, 6.0})}, {});
+  ASSERT_EQ(c.out.size(), 2u);
+  EXPECT_FALSE(c.out[0].borrowed());
+  EXPECT_NE(c.out[0].data(), c.memory[0].data());
+  // The caller may reuse its buffer: the output keeps its own bits.
+  c.memory[0].f64()[0] = 99.0;
+  EXPECT_EQ(values(c.out[0]), (std::vector<double>{0.5, -1.0, 2.0}));
+}
+
+TEST(XlaBorrow, ReuseEntryMissesWhenABorrowedInvariantParamChanges) {
+  // The entry's param copies are deep copies: a caller that changes one
+  // table element in place between calls gets a miss, then a hit.
+  xla::Jit unplanned("step", map_step);
+  Fixture probe;
+  unplanned.call(probe.rt, step_args(kTable, 1.0));
+  Fixture fresh;
+  Fixture poisoned;
+  poison(poisoned.rt.buffers(), *unplanned.lookup(step_args(kTable, 1.0)));
+  for (Fixture* f : {&fresh, &poisoned}) {
+    xla::Jit jit = declared_jit("step", map_step, {0, 1});
+    std::vector<Literal> memory = step_args(kTable, 1.0);
+    const auto expect_owned_bits = [&](const std::vector<Literal>& out) {
+      xla::Jit plain_jit("step", map_step);
+      Fixture plain;
+      const auto expected = plain_jit.call(plain.rt, memory);
+      ASSERT_EQ(out.size(), expected.size());
+      for (std::size_t k = 0; k < out.size(); ++k) {
+        EXPECT_TRUE(same_bits(out[k], expected[k])) << "root " << k;
+      }
+    };
+    expect_owned_bits(jit.call(f->rt, views(memory, {})));
+    memory[1].f64()[7] += 1.0;  // the table element rows 2 read
+    expect_owned_bits(jit.call(f->rt, views(memory, {})));
+    EXPECT_EQ(jit.reuse_hits(), 0u);
+    expect_owned_bits(jit.call(f->rt, views(memory, {})));
+    EXPECT_EQ(jit.reuse_hits(), 1u);
+  }
 }
 
 // ---------------------------------------------------------------------------
